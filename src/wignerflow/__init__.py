@@ -12,8 +12,6 @@ from .catalog import (
     Soliton,
     box_l1_growth,
     default_grid,
-    eval_state,
-    eval_wigner,
     harmonic_energy,
     hermite_polynomial,
     hudson_positivity,

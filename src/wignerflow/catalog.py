@@ -2,9 +2,10 @@
 
 Each state exposes the wavefunction psi(x) and the closed-form transform
 W(x, xi) of that same function, so the discrete transform of sampled psi can
-be checked node-wise against eval_wigner.  Removable singularities (the box
-and soliton sine kernels, the xi -> 0 limit of the bound-state form) are
-evaluated through exact sinc/x-over-sinh rewrites, never by division.
+be checked node-wise against the state's wigner method.  Removable
+singularities (the box and soliton sine kernels, the xi -> 0 limit of the
+bound-state form) are evaluated through exact sinc/x-over-sinh rewrites,
+never by division.
 """
 
 from __future__ import annotations
@@ -361,16 +362,6 @@ AnalyticState = Union[
     Soliton,
     HarmonicEigen,
 ]
-
-
-def eval_state(state: AnalyticState, x):
-    """psi(x) of a catalog state (stationary profiles; time phase omitted)."""
-    return state.psi(x)
-
-
-def eval_wigner(state: AnalyticState, x, xi):
-    """Closed-form Wigner transform of eval_state's wavefunction."""
-    return state.wigner(x, xi)
 
 
 def hudson_positivity(state: AnalyticState) -> bool:

@@ -104,7 +104,6 @@ def _canon_state(d, path: str) -> dict:
         out["p0"] = _get_number(d, "p0", path, default=0.0)
     elif kind == "hermite":
         out["n"] = _get_int(d, "n", path, minimum=0)
-        out["normalized"] = bool(d.get("normalized", True))
     elif kind == "free_gaussian":
         out["t"] = _get_number(d, "t", path, default=0.0, minimum=0.0)
     elif kind == "delta_bound":
@@ -120,7 +119,10 @@ def _canon_state(d, path: str) -> dict:
     else:  # harmonic_eigen
         out["n"] = _get_int(d, "n", path, minimum=0)
         out["omega"] = _get_number(d, "omega", path, default=1.0, strict_min=0.0)
-        out["normalized"] = bool(d.get("normalized", True))
+    if "normalized" in _STATE_KINDS[kind]:
+        out["normalized"] = d.get("normalized", True)
+        if not isinstance(out["normalized"], bool):
+            _fail(f"{path}.normalized", f"expected true or false, got {out['normalized']!r}")
     return out
 
 

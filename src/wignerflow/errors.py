@@ -16,7 +16,7 @@ class DomainTooSmallError(WignerflowError):
 
 
 class NumericalConsistencyError(WignerflowError):
-    """A numerical self-check failed (imaginary residue, quadrature non-convergence)."""
+    """A numerical self-check failed, or a result exceeds the double range."""
 
 
 class NotInvertibleError(WignerflowError):

@@ -1,16 +1,20 @@
 """Exact phase-space flow for V(x, t) = gamma x^2 + Q(t) x (2m = 1 units).
 
 The transport equation dW/dt = -2 xi dW/dx + (2 gamma x + Q(t)) dW/dxi is
-solved by composing the initial field with an affine backward map whose six
-coefficients follow closed forms in every curvature regime: trigonometric
-for gamma > 0, hyperbolic for gamma < 0 (the analytic continuation keeps the
-Wronskian a2*b1 - a1*b2 = -1), and a series in gamma*t^2 near gamma = 0.
+solved by composing the initial field with an affine backward map.  Its six
+coefficients are entire functions of gamma*t^2, written once for every
+curvature regime through cos, sinc and Stumpff c3 of the half angle
+sqrt(gamma) t (hyperbolic for gamma < 0, where the analytic continuation
+keeps the Wronskian a2*b1 - a1*b2 = -1), with closed-form drive integrals.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, Union
 
 import numpy as np
@@ -18,10 +22,14 @@ import numpy as np
 from .catalog import HarmonicEigen
 from .errors import ConfigurationError, NumericalConsistencyError
 from .grids import PhaseSpaceGrid
-from .tolerances import GAMMA_EPS
 from .transform import WignerField
 
-_QUAD_TOL = 1e-10
+_TINY = 1e-300
+# c3(z) = sum_n (-z)^n/(2n + 3)!, to rounding for |z| <= 1
+_C3_SERIES = tuple(1.0 / math.factorial(2 * n + 3) for n in range(9))
+# _angle on Python floats through math, an order of magnitude cheaper per call than NumPy
+_SCALAR = SimpleNamespace(cos=math.cos, sin=math.sin, exp=math.exp, expm1=math.expm1, maximum=max,
+                          minimum=min, where=lambda cond, a, b: a if cond else b)
 
 
 @dataclass(frozen=True)
@@ -108,99 +116,136 @@ class FlowCoefficients:
         return self.a2 * self.b1 - self.a1 * self.b2
 
 
-def _entries(gamma: float, t):
-    """Homogeneous-part entries (a1, a2, b1, b2), vectorised over t."""
-    t = np.asarray(t, dtype=float)
-    if gamma >= GAMMA_EPS:
-        root = math.sqrt(gamma)
-        c, s = np.cos(2.0 * root * t), np.sin(2.0 * root * t)
-        return c, -s / root, root * s, c
-    if gamma <= -GAMMA_EPS:
-        w = math.sqrt(-gamma)
-        ch, sh = np.cosh(2.0 * w * t), np.sinh(2.0 * w * t)
-        return ch, -sh / w, -w * sh, ch
-    s = gamma * t * t
-    cos_like = 1.0 + s * (-2.0 + s * (2.0 / 3.0 + s * (-4.0 / 45.0 + s * (2.0 / 315.0))))
-    sinc_like = 1.0 + s * (-2.0 / 3.0 + s * (2.0 / 15.0 + s * (-4.0 / 315.0 + s * (2.0 / 2835.0))))
-    return cos_like, -2.0 * t * sinc_like, 2.0 * gamma * t * sinc_like, cos_like
+def _angle(gamma: float, t):
+    """(c, s, k3, L) of theta = sqrt(gamma) t, elementwise over t >= 0: cos(theta) = c e^{L/2},
+    sin(theta)/theta = s e^{L/2}, c3 = (2 theta - sin 2 theta)/(2 theta)^3 = k3 e^L.
 
-
-def _constant_drive_terms(gamma: float, lam: float, t: float) -> tuple[float, float]:
-    a1, a2, _, _ = _entries(gamma, t)
-    if abs(gamma) >= GAMMA_EPS:
-        a3 = lam * (a1 - 1.0) / (2.0 * gamma)
+    For gamma < 0 these are cosh, sinh(w)/w and (sinh 2w - 2w)/(2w)^3 of
+    w = sqrt(-gamma) t, and L = 2w splits off their growth (L = 0 otherwise).
+    The only function that reads the sign of gamma.
+    """
+    xp = np if isinstance(t, np.ndarray) else _SCALAR
+    # the floor only removes the 0/0 of sin(theta)/theta at theta = 0
+    theta = xp.maximum(math.sqrt(abs(gamma)) * t, _TINY)
+    # c3 by its series up to 2 theta = 1 and directly beyond, at clamped arguments
+    small, big = xp.minimum(theta, 0.5), 2.0 * xp.maximum(theta, 0.5)
+    if gamma >= 0.0:
+        c, s = xp.cos(theta), xp.sin(theta) / theta
+        z, decay, L = 4.0 * small * small, 1.0, 0.0
+        direct = (1.0 - xp.sin(big) / big) / (big * big)
     else:
-        s = gamma * t * t
-        a3 = lam * t * t * (-1.0 + s * (1.0 / 3.0 + s * (-2.0 / 45.0 + s / 315.0)))
-    return float(a3), float(-lam * a2 / 2.0)
+        decay = xp.exp(-2.0 * theta)
+        c, s = 0.5 + 0.5 * decay, -xp.expm1(-2.0 * theta) / (2.0 * theta)
+        z, L = -4.0 * small * small, 2.0 * theta
+        direct = (-0.5 * xp.expm1(-2.0 * big) / big - xp.exp(-big)) / (big * big)
+    series = 0.0
+    for coef in reversed(_C3_SERIES):
+        series = series * -z + coef
+    return c, s, xp.where(theta < 0.5, decay * series, direct), L
 
 
-def _simpson(f, a: float, b: float) -> float:
-    prev = None
-    m = 8
-    for _ in range(22):
-        xs = np.linspace(a, b, 2 * m + 1)
-        ys = f(xs)
-        h = (b - a) / (2 * m)
-        val = float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()))
-        if prev is not None and abs(val - prev) <= _QUAD_TOL * max(1.0, abs(val)):
-            return val
-        prev = val
-        m *= 2
-    raise NumericalConsistencyError("drive quadrature did not converge")
+def _homogeneous(gamma: float, t, c, s):
+    """(a1, a2, b1, b2) / e^L from the half-angle functions of _angle."""
+    a1 = c * c - gamma * t * t * s * s
+    a2 = -2.0 * t * c * s
+    return a1, a2, -gamma * a2, a1
 
 
-def _quadrature_drive_terms(params: OscillatorParams, t: float) -> tuple[float, float]:
-    """a3 = Int Q a2, b3 = Int Q b2 by Richardson-checked composite Simpson."""
-    gamma, drive = params.gamma, params.drive
+def _entries(gamma: float, t):
+    """Unscaled homogeneous entries (a1, a2, b1, b2) at a float or an array of t >= 0."""
+    c, s, _, L = _angle(gamma, t)
+    return tuple(np.exp(L) * e for e in _homogeneous(gamma, t, c, s))
 
-    def f_a(ts):
-        return drive_value(drive, ts) * _entries(gamma, ts)[1]
 
-    def f_b(ts):
-        return drive_value(drive, ts) * _entries(gamma, ts)[3]
+def _unscale(L: float, *mantissas: float) -> tuple[float, ...]:
+    """mantissa * e^L for each value; NumericalConsistencyError past the double range."""
+    half = math.exp(min(L, 2.0 * math.log(sys.float_info.max)) / 2.0)
+    values = tuple(m * half * half for m in mantissas)
+    if not all(map(math.isfinite, values)):
+        raise NumericalConsistencyError(f"flow value of growth e^{L:.6g} exceeds the double range")
+    return values
 
-    cuts = [0.0, t]
+
+def _cosine_terms(gamma: float, t: float, omega_d: float, c, s, L):
+    """(a3, b3, conv_q, conv_p) / e^L of the unit drive cos(omega_d t): divided differences
+    in x = gamma t^2, y = (omega_d t/2)^2 of sin(sqrt z)^2 and sin(2 sqrt z)/(2 sqrt z).
+
+    Away from resonance they are quotients; near it (x ~ y >= 0) sinc products
+    of the sum and difference angles, exact at omega_d = 2 sqrt(gamma).
+    """
+    half = 0.5 * abs(omega_d)
+    phi = half * t
+    x, y = gamma * t * t, phi * phi
+    if abs(x - y) > 0.5 * (abs(x) + y):
+        c_y, s_y, _, _ = _angle(1.0, phi)
+        decay, d = math.exp(-L), x - y
+        g_x, h_x, g_y, h_y = x * s * s, s * c, y * s_y * s_y, s_y * c_y
+        a3 = t * t * (2.0 * y * h_x * h_y - g_x * (1.0 - 2.0 * g_y) - decay * g_y) / d
+        b3 = t * (x * h_x * (1.0 - 2.0 * g_y) - y * h_y * (decay - 2.0 * g_x)) / d
+        return a3, b3, -t * t * (g_x - decay * g_y) / d, t * (x * h_x - decay * y * h_y) / d
+    # the resonant terms hinge on the detuning theta - phi: from exact gamma - (omega_d/2)^2
+    theta = max(math.sqrt(x), _TINY)
+    total = theta + phi
+    dif = t * t * float(Fraction(gamma) - Fraction(half) ** 2) / total
+    c_sum, s_sum, _, _ = _angle(1.0, total)
+    c_dif, s_dif, _, _ = _angle(1.0, abs(dif))
+    a3 = -t * t * (total * s_sum * s_sum + dif * s_dif * s_dif) / (total + dif)
+    b3 = 0.5 * t * (s_sum * c_sum + s_dif * c_dif)
+    return a3, b3, -t * t * s_sum * s_dif, 0.5 * t * (c_sum * s_dif + s_sum * c_dif)
+
+
+def _tabulated_terms(gamma: float, drive: Tabulated, t: float, L: float):
+    """(a3, b3, conv_q, conv_p) / e^L of a piecewise-linear drive: each segment is
+    integrated against the kernel in its own local time and carried to 0 (forward
+    terms) or t (convolutions) by the homogeneous map, never as a difference of
+    large antiderivatives."""
+    times = drive.times
+    knots = np.concatenate(([0.0], times[(times > 0.0) & (times < t)], [t]))
+    q = np.interp(knots, times, drive.values)
+    h, dq = np.diff(knots), np.diff(q)
+    c, s, k3, l_seg = _angle(gamma, h)
+    hs = h * s
+    # Int_0^h a2 = -(hs)^2, Int_0^h b2 = hs c, Int_0^h (h - u) a2(u) du = -2 h^2 k3
+    sq, sc, ramp, half = hs * hs, hs * c, 2.0 * h * h * k3, 0.5 * hs * s
+    fwd_a, fwd_b = -q[1:] * sq + dq * ramp, q[1:] * sc - dq * half
+    rev_a, rev_b = -q[:-1] * sq - dq * ramp, q[:-1] * sc + dq * half
+
+    def carried(t_map, f_a, f_b):
+        c_m, s_m, _, l_map = _angle(gamma, t_map)
+        a1, a2, b1, b2 = _homogeneous(gamma, t_map, c_m, s_m)
+        grow = np.exp(l_map + l_seg - L)
+        return tuple(float(np.sum(grow * (u * f_a + v * f_b))) for u, v in ((a1, a2), (b1, b2)))
+
+    return (*carried(knots[:-1], fwd_a, fwd_b), *carried(t - knots[1:], rev_a, rev_b))
+
+
+def _scaled_flow(params: OscillatorParams, t: float):
+    """(L, (a1, a2, a3, b1, b2, b3), (conv_q, conv_p)), every value divided by e^L.
+
+    The drive terms are a3 = Int_0^t Q(s) a2(s) ds, b3 = Int_0^t Q(s) b2(s) ds,
+    conv_q = Int_0^t Q(s) a2(t - s) ds and conv_p = Int_0^t Q(s) b2(t - s) ds.
+    """
+    if t < 0:
+        raise ValueError(f"flow time must be non-negative, got {t}")
+    t, gamma, drive = float(t), params.gamma, params.drive
+    c, s, k3, L = _angle(gamma, t)
+    a1, a2, b1, b2 = _homogeneous(gamma, t, c, s)
     if isinstance(drive, Tabulated):
-        cuts += [float(tc) for tc in drive.times if 0.0 < tc < t]
-    cuts = sorted(set(cuts))
-    a3 = b3 = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi - lo > 1e-15:
-            a3 += _simpson(f_a, lo, hi)
-            b3 += _simpson(f_b, lo, hi)
-    return a3, b3
+        a3, b3, conv_q, conv_p = _tabulated_terms(gamma, drive, t, L)
+    else:  # constant part: Int a2 = (a1 - 1)/(2 gamma) = -(t s)^2, Int b2 = -a2/2
+        a3 = conv_q = -drive.lam * t * t * s * s
+        b3 = conv_p = drive.lam * t * s * c
+        if isinstance(drive, Cosine):
+            terms = zip((a3, b3, conv_q, conv_p), _cosine_terms(gamma, t, drive.Omega, c, s, L))
+            a3, b3, conv_q, conv_p = (u + drive.b * v for u, v in terms)
+    return L, (a1, a2, a3, b1, b2, b3), (conv_q, conv_p)
 
 
 def flow_coefficients(params: OscillatorParams, t: float) -> FlowCoefficients:
-    """Method-of-characteristics map coefficients at time t >= 0."""
-    if t < 0:
-        raise ValueError(f"flow time must be non-negative, got {t}")
-    gamma = params.gamma
-    a1, a2, b1, b2 = (float(v) for v in _entries(gamma, t))
-
-    drive = params.drive
-    if isinstance(drive, Constant):
-        a3, b3 = _constant_drive_terms(gamma, drive.lam, t)
-    elif isinstance(drive, Cosine):
-        a3, b3 = _constant_drive_terms(gamma, drive.lam, t)
-        omega_d = drive.Omega
-        denom = 4.0 * gamma - omega_d * omega_d
-        if abs(denom) > 1e-6 * max(1.0, abs(4.0 * gamma), omega_d * omega_d):
-            cos_d, sin_d = math.cos(omega_d * t), math.sin(omega_d * t)
-            a3 += -drive.b * (2.0 * (1.0 - a1 * cos_d) + omega_d * a2 * sin_d) / denom
-            b3 += drive.b * (-2.0 * gamma * a2 * cos_d - omega_d * a1 * sin_d) / denom
-        else:
-            # near-resonant forced harmonic case: closed form degenerates
-            qa, qb = _quadrature_drive_terms(
-                OscillatorParams(gamma, Cosine(0.0, drive.b, omega_d), params.hbar), t
-            )
-            a3 += qa
-            b3 += qb
-    else:
-        a3, b3 = _quadrature_drive_terms(params, t)
-
-    return FlowCoefficients(a1, a2, a3, b1, b2, b3, t)
+    """Method-of-characteristics map coefficients at time t >= 0; NumericalConsistencyError
+    where one exceeds the double range (gamma < 0, 2 sqrt(-gamma) t beyond about 709)."""
+    L, coeffs, _ = _scaled_flow(params, t)
+    return FlowCoefficients(*_unscale(L, *coeffs), t)
 
 
 def drive_convolutions(params: OscillatorParams, t: float) -> tuple[float, float]:
@@ -211,53 +256,10 @@ def drive_convolutions(params: OscillatorParams, t: float) -> tuple[float, float
 
     evaluated in closed form.  The product combinations on the right cancel
     catastrophically once cosh(2 w t) exceeds ~1/sqrt(eps); these direct
-    forms stay single-scale and remain accurate for arbitrarily large t.
+    forms stay single-scale and are accurate wherever they are representable.
     """
-    if t < 0:
-        raise ValueError(f"flow time must be non-negative, got {t}")
-    gamma, drive = params.gamma, params.drive
-    a1, a2, _, _ = (float(v) for v in _entries(gamma, t))
-
-    if isinstance(drive, (Constant, Cosine)):
-        lam = drive.lam
-        conv_q, _ = _constant_drive_terms(gamma, lam, t)  # lam*(a1-1)/(2 gamma)
-        conv_p = -lam * a2 / 2.0
-        if isinstance(drive, Cosine):
-            omega_d = drive.Omega
-            denom = 4.0 * gamma - omega_d * omega_d
-            if abs(denom) > 1e-6 * max(1.0, abs(4.0 * gamma), omega_d * omega_d):
-                cos_d, sin_d = math.cos(omega_d * t), math.sin(omega_d * t)
-                conv_q += -2.0 * drive.b * (cos_d - a1) / denom
-                conv_p += drive.b * (-2.0 * gamma * a2 - omega_d * sin_d) / denom
-            else:
-                qq, qp = _convolution_quadrature(
-                    OscillatorParams(gamma, Cosine(0.0, drive.b, omega_d), params.hbar), t
-                )
-                conv_q += qq
-                conv_p += qp
-        return conv_q, conv_p
-    return _convolution_quadrature(params, t)
-
-
-def _convolution_quadrature(params: OscillatorParams, t: float) -> tuple[float, float]:
-    gamma, drive = params.gamma, params.drive
-
-    def f_q(ts):
-        return drive_value(drive, ts) * _entries(gamma, t - ts)[1]
-
-    def f_p(ts):
-        return drive_value(drive, ts) * _entries(gamma, t - ts)[3]
-
-    cuts = [0.0, t]
-    if isinstance(drive, Tabulated):
-        cuts += [float(tc) for tc in drive.times if 0.0 < tc < t]
-    cuts = sorted(set(cuts))
-    cq = cp = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi - lo > 1e-15:
-            cq += _simpson(f_q, lo, hi)
-            cp += _simpson(f_p, lo, hi)
-    return cq, cp
+    L, _, conv = _scaled_flow(params, t)
+    return _unscale(L, *conv)
 
 
 def backward_map(coeffs: FlowCoefficients, x, xi):

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .flow import FlowCoefficients, OscillatorParams, drive_convolutions, flow_coefficients
+from .flow import OscillatorParams, _scaled_flow, _unscale
+# looked up in this module by name by the benchmark's tracer (perfbench/tracer.py)
+from .flow import drive_convolutions, flow_coefficients  # noqa: F401
 from .grids import PhaseSpaceGrid
 from .transform import WignerField
 
@@ -53,31 +55,36 @@ class PacketShape:
     t: float
 
 
-def _shape_from_coefficients(
-    packet: GaussianPacket, c: FlowCoefficients, conv_q: float
-) -> PacketShape:
-    da = c.a3 - packet.a
-    db = c.b3 - packet.p0
+def _scaled_shape(
+    packet: GaussianPacket, params: OscillatorParams, t: float
+) -> tuple[PacketShape, float]:
+    """(shape, L): PacketShape with A, B, C divided by e^{2L} and v by e^L, L the flow's
+    log-scale (0 unless gamma < 0), so v/sqrt(A) stays finite where the fields overflow."""
+    if abs(params.hbar - packet.hbar) > 1e-12 * packet.hbar:
+        raise ConfigurationError("packet and oscillator must share hbar")
+    L, (a1, a2, a3, b1, b2, b3), (conv_q, _) = _scaled_flow(params, t)
+    decay = math.exp(-L)
+    da = a3 - packet.a * decay
+    db = b3 - packet.p0 * decay
     # v = -b2*da + a2*db restructured so the e^{4wt}-scale parts enter as the
     # single-scale convolution conv_q = a2 b3 - b2 a3 (no cancellation).
     return PacketShape(
-        A=c.a2**2 + c.b2**2,
-        Bc0=2.0 * (c.a2 * da + c.b2 * db),
-        Bc1=2.0 * (c.a2 * c.a1 + c.b2 * c.b1),
+        A=a2 * a2 + b2 * b2,
+        Bc0=2.0 * (a2 * da + b2 * db),
+        Bc1=2.0 * (a2 * a1 + b2 * b1),
         Cc0=da * da + db * db,
-        Cc1=2.0 * (c.a1 * da + c.b1 * db),
-        Cc2=c.a1**2 + c.b1**2,
-        v=packet.a * c.b2 - packet.p0 * c.a2 + conv_q,
-        t=c.t,
-    )
+        Cc1=2.0 * (a1 * da + b1 * db),
+        Cc2=a1 * a1 + b1 * b1,
+        v=packet.a * b2 - packet.p0 * a2 + conv_q,
+        t=t,
+    ), L
 
 
 def packet_shape(packet: GaussianPacket, params: OscillatorParams, t: float) -> PacketShape:
-    if abs(params.hbar - packet.hbar) > 1e-12 * packet.hbar:
-        raise ConfigurationError("packet and oscillator must share hbar")
-    return _shape_from_coefficients(
-        packet, flow_coefficients(params, t), drive_convolutions(params, t)[0]
-    )
+    """Raises NumericalConsistencyError where a field exceeds the double range."""
+    s, L = _scaled_shape(packet, params, t)
+    quadratic = _unscale(2.0 * L, s.A, s.Bc0, s.Bc1, s.Cc0, s.Cc1, s.Cc2)
+    return PacketShape(*quadratic, *_unscale(L, s.v), t)
 
 
 def density(packet: GaussianPacket, params: OscillatorParams, x, t: float):

@@ -23,8 +23,5 @@ INVERSION_FLOOR = 1e-8  # minimum position-marginal value usable as inversion an
 # of their peak at the two outermost grid nodes.
 DECAY_TOL = 1e-12
 
-# Flow coefficients: |gamma| below this uses the series branch in gamma*t^2.
-GAMMA_EPS = 1e-8
-
 # Tunneling regime classification tie tolerance.
 REPORT_TOL = 1e-12

@@ -51,6 +51,28 @@ def test_parse_rejects_bad_command_and_bad_json():
         cli.parse_config("{not json")
 
 
+def test_parse_rejects_string_normalized_for_hermite(tmp_path):
+    text = make_config(command="transform",
+                       state={"kind": "hermite", "n": 2, "normalized": "false"},
+                       grid={"half_width": 13.0, "count": 65})
+    with pytest.raises(ConfigParseError, match=r"transform\.state\.normalized"):
+        cli.parse_config(text)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert cli.main(["transform", "--config", str(cfg_path)]) == 2
+
+
+def test_parse_rejects_string_normalized_for_harmonic_eigen():
+    state = {"kind": "harmonic_eigen", "n": 1, "omega": 0.8, "normalized": "false"}
+    rest = dict(gamma=0.64, times=[0.5], grid={"half_width": 6.0, "count": 9},
+                xi={"xi_max": 5.0, "count": 9})
+    with pytest.raises(ConfigParseError, match=r"propagate\.state\.normalized"):
+        cli.parse_config(make_config(command="propagate", state=state, **rest))
+    state["normalized"] = False
+    cfg = cli.parse_config(make_config(command="propagate", state=state, **rest))
+    assert cfg.params["state"]["normalized"] is False
+
+
 def test_kindless_drive_dict_is_cosine():
     cfg = cli.parse_config(make_config(
         command="tunnel", a=-5, p0=4, omega=1, t_max=15,
@@ -89,6 +111,20 @@ def test_tunnel_run_reproduces_three_regime_picture(tmp_path):
     regimes = [row[3] for row in summary.rows]
     assert regimes == ["subcritical", "critical", "supercritical"]
     assert all(row[1] == 5.0 for row in summary.rows)
+
+
+def test_tunnel_run_to_omega_t_400(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TUNNEL_CFG, "t_max": 400.0, "t_steps": 40}))
+    out_path = tmp_path / "long.csv"
+    assert cli.main(["tunnel", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+    table = cli.read_csv_table(out_path)
+    summary = cli.read_csv_table(out_path.with_suffix(".summary.csv"))
+    limits = {row[0]: row[2] for row in summary.rows}
+    for p0, t, p in table.rows:
+        assert math.isfinite(p)
+        if t >= 20.0:
+            assert p == pytest.approx(limits[p0], abs=1e-12)
 
 
 def test_eigen_run_energies(tmp_path):

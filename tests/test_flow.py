@@ -413,12 +413,14 @@ def test_delta_residual_rejects_kink_point():
         wf.delta_stationary_residual(-2.0, 1.0, (0.0, 0.3), 2.0e4)
 
 
-def test_simpson_quadrature_nonconvergence_raises():
-    from wignerflow.flow import _simpson
+def test_unrepresentable_coefficients_raise_a_library_error():
+    params = wf.OscillatorParams(-1.0, wf.Constant(0.5))
+    wf.flow_coefficients(params, 354.0)  # 2 w t = 708: cosh still representable
+    for t in (356.0, 400.0, 1e4):
+        with pytest.raises(NumericalConsistencyError):
+            wf.flow_coefficients(params, t)
+        with pytest.raises(NumericalConsistencyError):
+            wf.drive_convolutions(params, t)
+    # an undriven flow has zero drive terms at every time
+    assert wf.drive_convolutions(wf.OscillatorParams(-1.0), 1e4) == (0.0, 0.0)
 
-    def noisy(ts):
-        rng = np.random.default_rng(int(1e6 * ts[0]) % 2**31)
-        return rng.uniform(-1.0, 1.0, ts.shape)
-
-    with pytest.raises(NumericalConsistencyError):
-        _simpson(noisy, 0.0, 1.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import wignerflow as wf
-from wignerflow.errors import ConfigurationError
+from wignerflow.errors import ConfigurationError, NumericalConsistencyError
 
 FREE = wf.OscillatorParams(0.0, wf.Constant(0.0), 1.0)
 
@@ -276,3 +276,14 @@ def test_mean_satisfies_classical_equation_of_motion():
     r1, r2 = residual(2e-3), residual(1e-3)
     assert r1 <= 1e-4
     assert 2.0 <= r1 / r2 <= 8.0  # second order (ratio ~4)
+
+
+def test_shape_raises_where_it_leaves_the_double_range():
+    packet = wf.GaussianPacket(-5.0, 4.0, 1.0)
+    params = wf.OscillatorParams(-1.0, wf.Constant(0.0), 1.0)
+    s = wf.packet_shape(packet, params, 170.0)  # A ~ e^{4 omega t} = e^680
+    assert math.isfinite(s.A) and math.isfinite(s.Cc0)
+    for t in (180.0, 1000.0):
+        with pytest.raises(NumericalConsistencyError):
+            wf.packet_shape(packet, params, t)
+

@@ -184,3 +184,13 @@ def test_survival_well_defined_at_moderate_horizon():
     assert wf.survival_probability(sc, t_star) == pytest.approx(
         wf.asymptotic_probability(sc), abs=1e-8
     )
+
+
+def test_survival_tends_to_its_limit_out_to_omega_t_1000():
+    # v and sqrt(A) each overflow past omega t ~ 180; their ratio does not
+    t_grid = np.linspace(0.0, 1000.0, 51)
+    series = wf.figure1_series(-5.0, 1.0, 1.0, [4.0, 5.0, 6.0], t_grid)
+    assert np.all(np.isfinite(series)) and np.all((series >= 0.0) & (series <= 1.0))
+    for row, p0 in zip(series, (4.0, 5.0, 6.0)):
+        assert np.max(np.abs(row[10:] - wf.asymptotic_probability(scenario(p0=p0)))) <= 1e-12
+
