@@ -138,5 +138,10 @@ def wigner_evolved_field(
 
 
 def expectation_position(packet: GaussianPacket, params: OscillatorParams, t: float) -> float:
-    """<x>_t = v(t); the forward classical trajectory of (a, p0)."""
-    return packet_shape(packet, params, t).v
+    """<x>_t = v(t); the forward classical trajectory of (a, p0).
+
+    v grows like e^{2 w t} (w = sqrt(-gamma)) where A grows like e^{4 w t}, so it is
+    unscaled on its own: NumericalConsistencyError only once v leaves the double range.
+    """
+    s, L = _scaled_shape(packet, params, t)
+    return _unscale(L, s.v)[0]

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .grids import Grid1D, PhaseSpaceGrid, is_natural_xi_grid
 
-_CHUNK_BYTES = 1 << 27  # ~134 MB of complex scratch per chunk
+_CHUNK_BYTES = 1 << 22  # scratch per chunk of rows; cache-sized chunks beat large ones
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,8 @@ class WignerField:
             raise ConfigurationError(f"field shape {v.shape} != grid shape {self.grid.shape}")
         if self.hbar <= 0:
             raise ConfigurationError(f"hbar must be positive, got {self.hbar}")
-        if not np.all(np.isfinite(v)):
+        # min and max propagate nan and reach any inf, with no N x M temporary
+        if not (math.isfinite(v.min()) and math.isfinite(v.max())):
             raise ConfigurationError("field values must be finite")
 
 
@@ -78,7 +79,9 @@ def sample_state(psi, grid: Grid1D, hbar: float) -> WaveSample:
     return WaveSample(grid, np.asarray(psi(grid.nodes()), dtype=complex), hbar)
 
 
-def _check_decay(wave: WaveSample) -> None:
+def _check_sample(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> None:
+    if not wave.grid.close_to(ps_grid.x_grid):
+        raise ConfigurationError("ps_grid.x_grid must equal the wave grid")
     peak = float(np.max(np.abs(wave.values)))
     if peak == 0.0:
         return
@@ -94,16 +97,17 @@ def _is_natural(wave: WaveSample, xi_grid: Grid1D) -> bool:
     return is_natural_xi_grid(wave.grid, wave.hbar, xi_grid)
 
 
-def _row_chunks(n_rows: int, row_width: int) -> list[slice]:
-    rows = max(1, min(n_rows, _CHUNK_BYTES // (16 * row_width)))
+def _row_chunks(n_rows: int, row_bytes: int, fixed_bytes: int = 0) -> list[slice]:
+    """Row slices whose scratch fits _CHUNK_BYTES: row_bytes per row on top of
+    fixed_bytes and NumPy's ufunc buffer (np.getbufsize() complex items)."""
+    budget = _CHUNK_BYTES - fixed_bytes - 16 * np.getbufsize()
+    rows = max(1, min(n_rows, budget // row_bytes))
     return [slice(k, min(k + rows, n_rows)) for k in range(0, n_rows, rows)]
 
 
 def _transform_values(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> np.ndarray:
     """Complex discrete transform values before the realness check."""
-    if not wave.grid.close_to(ps_grid.x_grid):
-        raise ConfigurationError("ps_grid.x_grid must equal the wave grid")
-    _check_decay(wave)
+    _check_sample(wave, ps_grid)
 
     n = wave.grid.count
     m = 2 * n - 1
@@ -122,7 +126,7 @@ def _transform_values(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> np.ndarray:
         kernel = np.exp(-1j * np.outer(j * dy, ps_grid.xi_grid.nodes()))  # (m, n_xi)
 
     out = np.empty(ps_grid.shape, dtype=complex)
-    for sl in _row_chunks(n, max(m, m_out)):
+    for sl in _row_chunks(n, 16 * max(m, m_out)):
         win = windows[sl]
         nu = win * np.conj(win[:, ::-1])
         if natural:
@@ -138,16 +142,59 @@ def _transform_values(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> np.ndarray:
     return out
 
 
+def _half_spectrum(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> np.ndarray:
+    """Real transform values on the natural xi lattice, from the j >= 0 lag products.
+
+    nu[k, -j] = conj(nu[k, j]), so with xi_l = (l - c) dxi, c = (M - 1)/2 and
+    dxi dy = 2 pi/M, row k is the Hermitian FFT of a_j = nu[k, j] e^{2 pi i j c/M}:
+    hfft(a, M)[l] = irfft(conj(a), M, norm="forward")[l], written into the output.
+    """
+    n = wave.grid.count
+    m = ps_grid.xi_grid.count
+    c = (m - 1) // 2
+    dy = 2.0 * wave.grid.step / wave.hbar
+    pad = np.zeros(3 * n - 2, dtype=complex)
+    pad[n - 1 : 2 * n - 1] = wave.values
+    windows = np.lib.stride_tricks.sliding_window_view(pad, 2 * n - 1)  # (n, 2n-1) view
+    # conj of the twiddle and the quadrature weight, with j c reduced mod M exactly
+    weights = np.exp(-2j * math.pi / m * (np.arange(n) * c % m)) * (dy / (2.0 * math.pi))
+
+    out = np.empty(ps_grid.shape)
+    chunks = _row_chunks(n, 16 * n, fixed_bytes=pad.nbytes + weights.nbytes)
+    buf = np.empty((chunks[0].stop, n), dtype=complex)
+    for sl in chunks:
+        conj_a = buf[: sl.stop - sl.start]
+        np.conjugate(windows[sl, n - 1 :], out=conj_a)  # conj psi(x_k + j d), j = 0..n-1
+        conj_a *= windows[sl, n - 1 :: -1]  # times psi(x_k - j d)
+        conj_a *= weights
+        np.fft.irfft(conj_a, n=m, axis=1, norm="forward", out=out[sl])
+    return out
+
+
 def wigner_transform(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> WignerField:
     """Discrete Wigner transform of a sampled pure state.
 
     The output x-grid must coincide with the wave's grid.  When the xi grid
-    is a natural conjugate lattice the inner sum is evaluated by FFT;
-    otherwise the discrete sum is evaluated exactly at the requested
-    frequencies.  The result is real by symmetry of the summand; the
-    floating-point imaginary residue is checked against IM_TOL (relative to
-    the field peak when that exceeds unity) and then dropped.
+    is a natural conjugate lattice the inner sum is a Hermitian FFT of the
+    j >= 0 lag products, real by construction; it is checked through the
+    exact lattice identity xi_step * sum_xi W = |psi|^2 against IM_TOL
+    (relative to max|psi|^2).  Otherwise the discrete sum is evaluated
+    exactly at the requested frequencies; the result is real by symmetry of
+    the summand, and the floating-point imaginary residue is checked against
+    IM_TOL (relative to the field peak when that exceeds unity) and dropped.
     """
+    if _is_natural(wave, ps_grid.xi_grid):
+        _check_sample(wave, ps_grid)
+        values = _half_spectrum(wave, ps_grid)
+        density = np.abs(wave.values) ** 2
+        gap = float(np.max(np.abs(ps_grid.xi_grid.step * values.sum(axis=1) - density)))
+        if gap > tol.IM_TOL * float(np.max(density)):
+            raise NumericalConsistencyError(
+                f"xi-sum of the field misses |psi|^2 by {gap:.3e} (limit {tol.IM_TOL:.1e} "
+                "of max|psi|^2)"
+            )
+        return WignerField(ps_grid, values, wave.hbar)
+
     out = _transform_values(wave, ps_grid)
     residue = float(np.max(np.abs(out.imag)))
     peak = float(np.max(np.abs(out.real)))
@@ -209,18 +256,44 @@ class InversionInfo:
     clipped: bool
 
 
+def _require_natural(field: WignerField) -> None:
+    g = field.grid
+    if not is_natural_xi_grid(g.x_grid, field.hbar, g.xi_grid):
+        raise ConfigurationError(
+            "inversion and the purity check need the natural xi lattice of the x grid "
+            "(natural_grid)"
+        )
+
+
+def _lattice_phase_sums(field: WignerField, q: np.ndarray, rows_at) -> np.ndarray:
+    """dxi * sum_l rows[r, l] e^{i (x_k - x_k') xi_l / hbar} for rows = rows_at(chunk).
+
+    On the natural lattice the phase is e^{i pi q_r (l - c)/M}, q_r = k - k' and
+    c = (M - 1)/2, so every phase is an entry of the 2M-entry table e^{i pi s/M}
+    at s = q_r (l - c) mod 2M.
+    """
+    m = field.grid.xi_grid.count
+    table = np.exp(1j * math.pi / m * np.arange(2 * m))
+    shift = np.arange(m) - (m - 1) // 2
+    out = np.empty(q.size, dtype=complex)
+    # per row: the int64 index, the complex phases and the real rows with a temporary
+    for sl in _row_chunks(q.size, 48 * m, fixed_bytes=table.nbytes + shift.nbytes + out.nbytes):
+        idx = np.multiply.outer(q[sl], shift)
+        np.remainder(idx, 2 * m, out=idx)
+        phases = table[idx]
+        phases *= rows_at(sl)
+        out[sl] = phases.sum(axis=1)
+    return field.grid.xi_grid.step * out
+
+
 def _anchor_products(field: WignerField, k_targets: np.ndarray, k_anchor: int) -> np.ndarray:
     """psi(x_k) * conj(psi(x_anchor)) for targets with (k + k_anchor) even.
 
     Rectangle quadrature of the reconstruction integral; exact on the
     natural frequency lattice.
     """
-    x = field.grid.x_grid.nodes()
-    xi = field.grid.xi_grid.nodes()
-    dxi = field.grid.xi_grid.step
     mids = (k_targets + k_anchor) // 2
-    phases = np.exp(1j * np.outer(x[k_targets] - x[k_anchor], xi) / field.hbar)
-    return dxi * np.sum(field.values[mids] * phases, axis=1)
+    return _lattice_phase_sums(field, k_targets - k_anchor, lambda sl: field.values[mids[sl]])
 
 
 def _half_row_products(field: WignerField, k_targets: np.ndarray, k_anchor: int) -> np.ndarray:
@@ -232,17 +305,16 @@ def _half_row_products(field: WignerField, k_targets: np.ndarray, k_anchor: int)
     """
     w = field.values
     n = field.grid.x_grid.count
-    x = field.grid.x_grid.nodes()
-    xi = field.grid.xi_grid.nodes()
-    dxi = field.grid.xi_grid.step
     lo = (k_targets + k_anchor - 1) // 2  # half row sits between lo and lo+1
     c0 = np.clip(lo - 1, 0, n - 1)
     c1 = np.clip(lo, 0, n - 1)
     c2 = np.clip(lo + 1, 0, n - 1)
     c3 = np.clip(lo + 2, 0, n - 1)
-    rows = (-w[c0] + 9.0 * w[c1] + 9.0 * w[c2] - w[c3]) / 16.0
-    phases = np.exp(1j * np.outer(x[k_targets] - x[k_anchor], xi) / field.hbar)
-    return dxi * np.sum(rows * phases, axis=1)
+
+    def rows_at(sl):
+        return (-w[c0[sl]] + 9.0 * w[c1[sl]] + 9.0 * w[c2[sl]] - w[c3[sl]]) / 16.0
+
+    return _lattice_phase_sums(field, k_targets - k_anchor, rows_at)
 
 
 def invert_wigner(
@@ -257,8 +329,11 @@ def invert_wigner(
     marginal; a user-supplied value is snapped to the nearest node.  Node
     sampling only ties nodes of equal parity to the anchor, so the opposite
     sublattice is reconstructed from its own anchor and joined with a phase
-    estimated from interpolated half-step rows.
+    estimated from interpolated half-step rows.  The field must sit on the
+    natural xi lattice of its x grid, where the reconstruction is exact;
+    ConfigurationError otherwise.
     """
+    _require_natural(field)
     marg = position_marginal(field)
     g = field.grid.x_grid
     n = g.count
@@ -365,8 +440,10 @@ def purity_separability_check(field: WignerField, max_nodes: int = 14) -> float:
     psi(x1) conj(psi(x2)) exactly when the field comes from a pure state, so
     every 2x2 determinant of Q vanishes.  The residual is the largest
     determinant over sampled same-parity node pairs, normalised by max|Q|^2.
-    Raises IndeterminateResultError when max|Q| is below floor.
+    Raises IndeterminateResultError when max|Q| is below floor, and
+    ConfigurationError off the natural xi lattice, where Q is not exact.
     """
+    _require_natural(field)
     marg = position_marginal(field)
     peak = float(np.max(np.abs(marg)))
     if peak <= tol.INVERSION_FLOOR:
@@ -381,12 +458,10 @@ def purity_separability_check(field: WignerField, max_nodes: int = 14) -> float:
     if candidates.size < 2:
         raise IndeterminateResultError("not enough usable nodes for the cross-ratio check")
 
-    x = field.grid.x_grid.nodes()[candidates]
-    xi = field.grid.xi_grid.nodes()
-    dxi = field.grid.xi_grid.step
-    mids = (candidates[:, None] + candidates[None, :]) // 2
-    phases = np.exp(1j * (x[:, None, None] - x[None, :, None]) * xi / field.hbar)
-    q = dxi * np.sum(field.values[mids] * phases, axis=2)
+    mids = ((candidates[:, None] + candidates[None, :]) // 2).ravel()
+    shifts = (candidates[:, None] - candidates[None, :]).ravel()
+    q = _lattice_phase_sums(field, shifts, lambda sl: field.values[mids[sl]])
+    q = q.reshape(candidates.size, candidates.size)
 
     qmax = float(np.max(np.abs(q)))
     if qmax <= tol.INVERSION_FLOOR:

@@ -178,3 +178,24 @@ def test_survival_matches_oracle_up_to_omega_t_1000(p0, drive):
             v = a * e["b2"] - p0 * e["a2"] + e["conv_q"]
             ref = mp.erfc(v / mp.sqrt(hbar * (e["a2"] ** 2 + e["b2"] ** 2))) / 2
         assert abs(wf.survival_probability(scenario, t) - float(ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("two_w_t", [400.0, 700.0])
+def test_expectation_position_matches_oracle_while_representable(two_w_t):
+    # A ~ e^{4 w t} has left the double range at both times; <x>_t ~ e^{2 w t} has not
+    packet, drive, w = wf.GaussianPacket(-5.0, 4.0, 0.9), wf.Cosine(0.2, 0.6, 1.7), 1.0
+    params = wf.OscillatorParams(-w * w, drive, packet.hbar)
+    t = two_w_t / (2.0 * w)
+    e = exact(-w * w, drive, t)
+    with mp.workdps(50):
+        ref = float(packet.a * e["b2"] - packet.p0 * e["a2"] + e["conv_q"])
+    got = wf.expectation_position(packet, params, t)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+    with pytest.raises(wf.NumericalConsistencyError):
+        wf.packet_shape(packet, params, t)
+
+
+def test_expectation_position_raises_past_the_double_range():
+    params = wf.OscillatorParams(-1.0, wf.Cosine(0.2, 0.6, 1.7), 0.9)
+    with pytest.raises(wf.NumericalConsistencyError):
+        wf.expectation_position(wf.GaussianPacket(-5.0, 4.0, 0.9), params, 360.0)

@@ -1,20 +1,23 @@
 """Discrete transform operations: reference cases and error contracts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import wignerflow as wf
+from wignerflow import transform
 from wignerflow.errors import (
     ConfigurationError,
     DomainTooSmallError,
     IndeterminateResultError,
     NotInvertibleError,
+    NumericalConsistencyError,
 )
 from wignerflow.transform import _transform_values
 
-from conftest import fidelity
+from conftest import CATALOG, fidelity
 
 
 @pytest.fixture(scope="module")
@@ -308,3 +311,96 @@ def test_parity_property(catalog_fields, state_id):
     _, _, _, field = catalog_fields(state_id)
     flipped = np.max(np.abs(field.values[::-1, :] - field.values[:, ::-1]))
     assert flipped <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# half-spectrum path against the complex oracle
+# ---------------------------------------------------------------------------
+
+def _max_row_gap(values, ref):
+    """max |values - ref.real| row block by row block (ref may be a large complex array)."""
+    return max(
+        float(np.max(np.abs(values[k : k + 256] - ref.real[k : k + 256])))
+        for k in range(0, values.shape[0], 256)
+    )
+
+
+@pytest.mark.parametrize("state_id", sorted(CATALOG))
+def test_half_spectrum_matches_complex_oracle_on_catalog(catalog_fields, state_id):
+    _, wave, ps, field = catalog_fields(state_id)
+    ref = _transform_values(wave, ps)
+    assert _max_row_gap(field.values, ref) <= 1e-12 * float(np.max(np.abs(ref.real)))
+
+
+@pytest.mark.parametrize("count, xi_count", [(257, 515), (3, 5), (3, 7)])
+def test_half_spectrum_matches_complex_oracle_on_any_natural_count(count, xi_count):
+    # 515 = 5 * 103 is not 7-smooth; 3 nodes is the smallest grid with decaying edges
+    rng = np.random.default_rng(count + xi_count)
+    values = np.zeros(count, dtype=complex)
+    values[1:-1] = rng.normal(size=count - 2) + 1j * rng.normal(size=count - 2)
+    grid = wf.Grid1D.symmetric(5.0, count)
+    wave = wf.WaveSample(grid, values, 0.7)
+    ps = wf.natural_grid(grid, 0.7, count=xi_count)
+    ref = _transform_values(wave, ps)
+    got = wf.wigner_transform(wave, ps).values
+    assert np.max(np.abs(got - ref.real)) <= 1e-12 * float(np.max(np.abs(ref.real)))
+
+
+def test_symmetric_non_natural_grid_takes_the_direct_sum(monkeypatch):
+    grid = wf.Grid1D.symmetric(9.0, 129)
+    wave = wf.sample_catalog_state(wf.CoherentGaussian(0.4, -0.8, 1.0), grid)
+    ps = wf.PhaseSpaceGrid(grid, wf.symmetric_xi_grid(6.0, 301))
+
+    def unreachable(*args):
+        raise AssertionError("the half-spectrum path ran on a non-natural grid")
+
+    monkeypatch.setattr(transform, "_half_spectrum", unreachable)
+    field = wf.wigner_transform(wave, ps)
+    assert np.array_equal(field.values, _transform_values(wave, ps).real)
+
+
+def test_natural_path_guard_fires_when_the_xi_sum_misses_the_density(monkeypatch):
+    grid = wf.Grid1D.symmetric(9.0, 129)
+    wave = wf.sample_catalog_state(wf.CoherentGaussian(0.4, -0.8, 1.0), grid)
+    ps = wf.natural_grid(grid, 1.0)
+    exact = transform._half_spectrum
+    monkeypatch.setattr(transform, "_half_spectrum", lambda w, g: exact(w, g) + 1e-6)
+    with pytest.raises(NumericalConsistencyError):
+        wf.wigner_transform(wave, ps)
+
+
+def test_chunked_forward_and_inversion_equal_unchunked(monkeypatch):
+    grid = wf.Grid1D.symmetric(9.0, 257)
+    wave = wf.sample_catalog_state(wf.CoherentGaussian(0.7, 1.3, 1.0), grid)
+    ps = wf.natural_grid(grid, 1.0)
+    field = wf.wigner_transform(wave, ps)
+    recovered = wf.invert_wigner(field)
+    purity = wf.purity_separability_check(field)
+
+    # room for a few dozen rows of lag products, or a few rows of inversion phases
+    monkeypatch.setattr(transform, "_CHUNK_BYTES", 16 * (np.getbufsize() + 40 * grid.count))
+    assert 1 < len(transform._row_chunks(grid.count, 16 * grid.count)) < grid.count
+    chunked = wf.wigner_transform(wave, ps)
+    assert np.array_equal(chunked.values, field.values)
+    assert np.array_equal(wf.invert_wigner(field).values, recovered.values)
+    assert wf.purity_separability_check(field) == purity
+
+
+def test_forward_peak_memory_is_the_field_plus_one_chunk(catalog_fields):
+    _, wave, ps, _ = catalog_fields("box")
+    tracemalloc.start()
+    try:
+        field = wf.wigner_transform(wave, ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= field.values.nbytes + transform._CHUNK_BYTES
+
+
+@pytest.mark.parametrize("reconstruct", [wf.invert_wigner, wf.purity_separability_check])
+def test_reconstruction_needs_the_natural_lattice(reconstruct):
+    grid = wf.Grid1D.symmetric(9.0, 129)
+    wave = wf.sample_catalog_state(wf.CoherentGaussian(0.4, -0.8, 1.0), grid)
+    field = wf.wigner_transform(wave, wf.PhaseSpaceGrid(grid, wf.symmetric_xi_grid(6.0, 301)))
+    with pytest.raises(ConfigurationError):
+        reconstruct(field)
