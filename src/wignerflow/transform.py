@@ -147,7 +147,7 @@ def _half_spectrum(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> np.ndarray:
 
     nu[k, -j] = conj(nu[k, j]), so with xi_l = (l - c) dxi, c = (M - 1)/2 and
     dxi dy = 2 pi/M, row k is the Hermitian FFT of a_j = nu[k, j] e^{2 pi i j c/M}:
-    hfft(a, M)[l] = irfft(conj(a), M, norm="forward")[l], written into the output.
+    hfft(a, M)[l] = irfft(conj(a), M, norm="forward")[l], copied into the output.
     """
     n = wave.grid.count
     m = ps_grid.xi_grid.count
@@ -160,14 +160,15 @@ def _half_spectrum(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> np.ndarray:
     weights = np.exp(-2j * math.pi / m * (np.arange(n) * c % m)) * (dy / (2.0 * math.pi))
 
     out = np.empty(ps_grid.shape)
-    chunks = _row_chunks(n, 16 * n, fixed_bytes=pad.nbytes + weights.nbytes)
+    # per row: the complex lag products and the float row irfft returns
+    chunks = _row_chunks(n, 16 * n + 8 * m, fixed_bytes=pad.nbytes + weights.nbytes)
     buf = np.empty((chunks[0].stop, n), dtype=complex)
     for sl in chunks:
         conj_a = buf[: sl.stop - sl.start]
         np.conjugate(windows[sl, n - 1 :], out=conj_a)  # conj psi(x_k + j d), j = 0..n-1
         conj_a *= windows[sl, n - 1 :: -1]  # times psi(x_k - j d)
         conj_a *= weights
-        np.fft.irfft(conj_a, n=m, axis=1, norm="forward", out=out[sl])
+        out[sl] = np.fft.irfft(conj_a, n=m, axis=1, norm="forward")
     return out
 
 
@@ -176,24 +177,27 @@ def wigner_transform(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> WignerField:
 
     The output x-grid must coincide with the wave's grid.  When the xi grid
     is a natural conjugate lattice the inner sum is a Hermitian FFT of the
-    j >= 0 lag products, real by construction; it is checked through the
-    exact lattice identity xi_step * sum_xi W = |psi|^2 against IM_TOL
-    (relative to max|psi|^2).  Otherwise the discrete sum is evaluated
-    exactly at the requested frequencies; the result is real by symmetry of
-    the summand, and the floating-point imaginary residue is checked against
-    IM_TOL (relative to the field peak when that exceeds unity) and dropped.
+    j >= 0 lag products, real by construction.  Its runtime guard is the
+    exact lattice identity position_marginal = |psi|^2 within IM_TOL
+    (relative to max|psi|^2).  The xi-sum only sees the j = 0 lag, so the
+    guard catches normalisation and zero-lag faults but not faults in the
+    j >= 1 terms; the tests pin those against _transform_values.  Otherwise
+    the discrete sum is evaluated exactly at the requested frequencies; the
+    result is real by symmetry of the summand, and the floating-point
+    imaginary residue is checked against IM_TOL (relative to the field peak
+    when that exceeds unity) and dropped.
     """
     if _is_natural(wave, ps_grid.xi_grid):
         _check_sample(wave, ps_grid)
-        values = _half_spectrum(wave, ps_grid)
+        field = WignerField(ps_grid, _half_spectrum(wave, ps_grid), wave.hbar)
         density = np.abs(wave.values) ** 2
-        gap = float(np.max(np.abs(ps_grid.xi_grid.step * values.sum(axis=1) - density)))
+        gap = float(np.max(np.abs(position_marginal(field) - density)))
         if gap > tol.IM_TOL * float(np.max(density)):
             raise NumericalConsistencyError(
-                f"xi-sum of the field misses |psi|^2 by {gap:.3e} (limit {tol.IM_TOL:.1e} "
+                f"position marginal misses |psi|^2 by {gap:.3e} (limit {tol.IM_TOL:.1e} "
                 "of max|psi|^2)"
             )
-        return WignerField(ps_grid, values, wave.hbar)
+        return field
 
     out = _transform_values(wave, ps_grid)
     residue = float(np.max(np.abs(out.imag)))
@@ -276,7 +280,8 @@ def _lattice_phase_sums(field: WignerField, q: np.ndarray, rows_at) -> np.ndarra
     table = np.exp(1j * math.pi / m * np.arange(2 * m))
     shift = np.arange(m) - (m - 1) // 2
     out = np.empty(q.size, dtype=complex)
-    # per row: the int64 index, the complex phases and the real rows with a temporary
+    # per row: the int64 index (8 M), the complex phases (16 M) and at most three
+    # float rows (24 M) while rows_at builds its rows
     for sl in _row_chunks(q.size, 48 * m, fixed_bytes=table.nbytes + shift.nbytes + out.nbytes):
         idx = np.multiply.outer(q[sl], shift)
         np.remainder(idx, 2 * m, out=idx)
@@ -312,7 +317,13 @@ def _half_row_products(field: WignerField, k_targets: np.ndarray, k_anchor: int)
     c3 = np.clip(lo + 2, 0, n - 1)
 
     def rows_at(sl):
-        return (-w[c0[sl]] + 9.0 * w[c1[sl]] + 9.0 * w[c2[sl]] - w[c3[sl]]) / 16.0
+        # (-w0 + 9 w1 + 9 w2 - w3)/16, built in place to hold at most three rows
+        rows = w[c1[sl]] + w[c2[sl]]
+        rows *= 9.0
+        rows -= w[c0[sl]]
+        rows -= w[c3[sl]]
+        rows /= 16.0
+        return rows
 
     return _lattice_phase_sums(field, k_targets - k_anchor, rows_at)
 

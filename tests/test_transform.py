@@ -379,7 +379,8 @@ def test_chunked_forward_and_inversion_equal_unchunked(monkeypatch):
 
     # room for a few dozen rows of lag products, or a few rows of inversion phases
     monkeypatch.setattr(transform, "_CHUNK_BYTES", 16 * (np.getbufsize() + 40 * grid.count))
-    assert 1 < len(transform._row_chunks(grid.count, 16 * grid.count)) < grid.count
+    forward_row_bytes = 16 * grid.count + 8 * ps.xi_grid.count
+    assert 1 < len(transform._row_chunks(grid.count, forward_row_bytes)) < grid.count
     chunked = wf.wigner_transform(wave, ps)
     assert np.array_equal(chunked.values, field.values)
     assert np.array_equal(wf.invert_wigner(field).values, recovered.values)
@@ -395,6 +396,22 @@ def test_forward_peak_memory_is_the_field_plus_one_chunk(catalog_fields):
     finally:
         tracemalloc.stop()
     assert peak <= field.values.nbytes + transform._CHUNK_BYTES
+
+
+@pytest.mark.parametrize(
+    "products, anchor",
+    [(transform._anchor_products, 1001), (transform._half_row_products, 1000)],
+)
+def test_inversion_scratch_stays_within_one_chunk(catalog_fields, products, anchor):
+    _, _, _, field = catalog_fields("box")
+    odd = np.arange(1, field.grid.x_grid.count, 2)
+    tracemalloc.start()
+    try:
+        products(field, odd, anchor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= transform._CHUNK_BYTES
 
 
 @pytest.mark.parametrize("reconstruct", [wf.invert_wigner, wf.purity_separability_check])
