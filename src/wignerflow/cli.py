@@ -12,9 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -28,17 +31,6 @@ from .tunneling import TunnelScenario, survival_probability, tunnel_report
 
 COMMANDS = ("transform", "propagate", "gaussian", "tunnel", "eigen", "verify")
 
-_STATE_KINDS = {
-    "box": ("R",),
-    "gauss_general": ("a1", "a2", "b1", "b2", "c1", "c2"),
-    "coherent": ("a", "p0"),
-    "hermite": ("n", "normalized"),
-    "free_gaussian": ("t",),
-    "delta_bound": ("gamma",),
-    "soliton": ("nu",),
-    "harmonic_eigen": ("n", "omega", "normalized"),
-}
-
 
 class ConfigParseError(ConfigurationError):
     """Bad config contents; the message names the offending key path."""
@@ -48,207 +40,249 @@ def _fail(path: str, message: str) -> None:
     raise ConfigParseError(f"{path}: {message}")
 
 
-def _get_number(d: dict, key: str, path: str, default=None, minimum=None, strict_min=None):
-    if key not in d:
-        if default is None:
-            _fail(f"{path}.{key}", "missing required key")
-        return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(f"{path}.{key}", f"expected a number, got {type(v).__name__}")
-    v = float(v)
-    if not math.isfinite(v):
-        _fail(f"{path}.{key}", "must be finite")
-    if minimum is not None and v < minimum:
-        _fail(f"{path}.{key}", f"must be >= {minimum}, got {v}")
-    if strict_min is not None and v <= strict_min:
-        _fail(f"{path}.{key}", f"must be > {strict_min}, got {v}")
-    return v
+# ---------------------------------------------------------------------------
+# Config schema
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+_NULL_IS_A_VALUE = ("number", "integer", "boolean", "numbers")
+_BOUNDS = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
+# JSON type -> (Python types, what the error message asks for)
+_TYPES = {
+    "number": ((int, float), "a number"),
+    "integer": (int, "an integer"),
+    "boolean": (bool, "true or false"),
+    "string": (str, "a string"),
+}
 
 
-def _get_int(d: dict, key: str, path: str, default=None, minimum=None):
-    if key not in d:
-        if default is None:
-            _fail(f"{path}.{key}", "missing required key")
-        return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(f"{path}.{key}", f"expected an integer, got {type(v).__name__}")
-    if minimum is not None and v < minimum:
-        _fail(f"{path}.{key}", f"must be >= {minimum}, got {v}")
-    return v
+@dataclass(frozen=True)
+class _Key:
+    """One config key and the rules its JSON value follows.
+
+    `type` is a JSON type from `_TYPES`, "numbers" (a list of at least
+    `min_len` numbers), a dict of keys (an object) or a `_Forms` table.  A
+    key without a default is required; `default=None` makes it optional with
+    no value, any other default is a JSON value checked like a given one.
+    `bound` ("> 0", ">= 2", ...) holds for a number, an integer or each list
+    entry.  `check(value, path)` enforces rules that span several keys and
+    returns the canonical value.
+    """
+
+    type: object
+    default: object = _REQUIRED
+    bound: str = ""
+    min_len: int = 1
+    check: Callable[[dict, str], dict] | None = None
 
 
-def _check_keys(d: dict, allowed: set[str], path: str) -> None:
-    for key in d:
-        if key not in allowed:
-            _fail(f"{path}.{key}", "unknown key")
+@dataclass(frozen=True)
+class _Forms:
+    """A value with several forms; `pick(value, path)` names the form."""
+
+    forms: dict[str, _Key]
+    pick: Callable[[object, str], str]
 
 
-def _canon_state(d, path: str) -> dict:
-    if not isinstance(d, dict):
-        _fail(path, "expected an object describing the state")
-    kind = d.get("kind")
-    if kind not in _STATE_KINDS:
-        _fail(f"{path}.kind", f"expected one of {sorted(_STATE_KINDS)}, got {kind!r}")
-    out = {"kind": kind}
-    _check_keys(d, {"kind", *_STATE_KINDS[kind]}, path)
-    if kind == "box":
-        out["R"] = _get_number(d, "R", path, strict_min=0.0)
-    elif kind == "gauss_general":
-        out["a1"] = _get_number(d, "a1", path, strict_min=0.0)
-        for key in ("a2", "b1", "b2", "c1", "c2"):
-            out[key] = _get_number(d, key, path, default=0.0)
-    elif kind == "coherent":
-        out["a"] = _get_number(d, "a", path, default=0.0)
-        out["p0"] = _get_number(d, "p0", path, default=0.0)
-    elif kind == "hermite":
-        out["n"] = _get_int(d, "n", path, minimum=0)
-    elif kind == "free_gaussian":
-        out["t"] = _get_number(d, "t", path, default=0.0, minimum=0.0)
-    elif kind == "delta_bound":
-        gamma = _get_number(d, "gamma", path)
-        if gamma >= 0:
-            _fail(f"{path}.gamma", f"must be < 0 for a bound state, got {gamma}")
-        out["gamma"] = gamma
-    elif kind == "soliton":
-        nu = _get_number(d, "nu", path)
-        if nu >= 0:
-            _fail(f"{path}.nu", f"must be < 0, got {nu}")
-        out["nu"] = nu
-    else:  # harmonic_eigen
-        out["n"] = _get_int(d, "n", path, minimum=0)
-        out["omega"] = _get_number(d, "omega", path, default=1.0, strict_min=0.0)
-    if "normalized" in _STATE_KINDS[kind]:
-        out["normalized"] = d.get("normalized", True)
-        if not isinstance(out["normalized"], bool):
-            _fail(f"{path}.normalized", f"expected true or false, got {out['normalized']!r}")
-    return out
+def _check(key: _Key, value, path: str):
+    """Canonical form of the JSON `value` of `key`; errors name `path`."""
+    kind = key.type
+    if isinstance(kind, _Forms):
+        return _check(kind.forms[kind.pick(value, path)], value, path)
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            _fail(path, "expected an object")
+        for name in value:
+            if name not in kind:
+                _fail(f"{path}.{name}", "unknown key")
+        out = {}
+        for name, sub in kind.items():
+            v = value.get(name)
+            # null stands for an absent object or kind, never for a number or a list
+            if v is None and (name not in value or sub.type not in _NULL_IS_A_VALUE):
+                if sub.default is _REQUIRED:
+                    _fail(f"{path}.{name}", "missing required key")
+                if sub.default is None:
+                    continue
+                v = sub.default
+            out[name] = _check(sub, v, f"{path}.{name}")
+        value = out
+    elif kind == "numbers":
+        if not isinstance(value, list) or len(value) < key.min_len:
+            _fail(path, f"expected a list of {key.min_len} or more numbers")
+        value = [_scalar("number", v, key.bound, f"{path}[{i}]") for i, v in enumerate(value)]
+    else:
+        value = _scalar(kind, value, key.bound, path)
+    return key.check(value, path) if key.check else value
 
 
-def _state_from_canon(d: dict, hbar: float) -> catalog.AnalyticState:
-    kind = d["kind"]
-    if kind == "box":
-        return catalog.Box(d["R"], hbar)
-    if kind == "gauss_general":
-        return catalog.GaussGeneral(
-            d["a1"], d["a2"], d["b1"], d["b2"], d["c1"], d["c2"], hbar
-        )
-    if kind == "coherent":
-        return catalog.CoherentGaussian(d["a"], d["p0"], hbar)
-    if kind == "hermite":
-        return catalog.Hermite(d["n"], hbar, d["normalized"])
-    if kind == "free_gaussian":
-        return catalog.FreeEvolvedGaussian(d["t"], hbar)
-    if kind == "delta_bound":
-        return catalog.DeltaBound(d["gamma"], hbar)
-    if kind == "soliton":
-        return catalog.Soliton(d["nu"], hbar)
-    return catalog.HarmonicEigen(d["n"], d["omega"], hbar, d["normalized"])
+def _scalar(kind: str, value, bound: str, path: str):
+    types, wanted = _TYPES[kind]
+    if not isinstance(value, types) or (isinstance(value, bool) and kind != "boolean"):
+        _fail(path, f"expected {wanted}, got {value!r}")
+    if kind == "number":
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            _fail(path, "must be finite")
+    if bound:
+        op, limit = bound.split()
+        if not _BOUNDS[op](value, float(limit)):
+            _fail(path, f"must be {bound}, got {value}")
+    return value
 
 
-def _canon_drive(d, path: str) -> dict:
-    if d is None:
-        return {"kind": "constant", "lambda": 0.0}
-    if not isinstance(d, dict):
-        _fail(path, "expected an object describing the drive")
-    kind = d.get("kind")
-    if kind is None:
-        kind = "cosine" if ("b" in d or "Omega" in d) else "constant"
-    if kind == "constant":
-        _check_keys(d, {"kind", "lambda"}, path)
-        return {"kind": "constant", "lambda": _get_number(d, "lambda", path, default=0.0)}
-    if kind == "cosine":
-        _check_keys(d, {"kind", "lambda", "b", "Omega"}, path)
-        return {
-            "kind": "cosine",
-            "lambda": _get_number(d, "lambda", path, default=0.0),
-            "b": _get_number(d, "b", path),
-            "Omega": _get_number(d, "Omega", path),
-        }
-    if kind == "tabulated":
-        _check_keys(d, {"kind", "times", "values"}, path)
-        times = d.get("times")
-        values = d.get("values")
-        for name, arr in (("times", times), ("values", values)):
-            if not isinstance(arr, list) or len(arr) < 2:
-                _fail(f"{path}.{name}", "expected a list of at least 2 numbers")
-            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in arr):
-                _fail(f"{path}.{name}", "entries must be numbers")
-        if len(times) != len(values):
-            _fail(f"{path}.values", "must have the same length as times")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            _fail(f"{path}.times", "must be strictly ascending")
-        return {"kind": "tabulated", "times": [float(v) for v in times],
-                "values": [float(v) for v in values]}
-    _fail(f"{path}.kind", f"expected constant, cosine or tabulated, got {kind!r}")
+def _kinds(table: dict, infer: Callable[[dict], str] | None = None) -> _Key:
+    """An object whose "kind" key (else `infer(object)`) picks its fields from `table`."""
 
+    def pick(value, path: str) -> str:
+        if not isinstance(value, dict):
+            _fail(path, "expected an object")
+        kind = value.get("kind")
+        if kind is None and infer is not None:
+            kind = infer(value)
+        if kind not in table:
+            _fail(f"{path}.kind", f"expected one of {sorted(table)}, got {kind!r}")
+        return kind
 
-def _drive_from_canon(d: dict):
-    if d["kind"] == "constant":
-        return Constant(d["lambda"])
-    if d["kind"] == "cosine":
-        return Cosine(d["lambda"], d["b"], d["Omega"])
-    return Tabulated(np.asarray(d["times"]), np.asarray(d["values"]))
-
-
-def _canon_grid(d, path: str, default_count: int = 512) -> dict:
-    if not isinstance(d, dict):
-        _fail(path, "expected an object with x_min/x_max/count or half_width/count")
-    if "half_width" in d:
-        _check_keys(d, {"half_width", "count"}, path)
-        hw = _get_number(d, "half_width", path, strict_min=0.0)
-        return {
-            "x_min": -hw,
-            "x_max": hw,
-            "count": _get_int(d, "count", path, default=default_count, minimum=2),
-        }
-    _check_keys(d, {"x_min", "x_max", "count"}, path)
-    x_min = _get_number(d, "x_min", path)
-    x_max = _get_number(d, "x_max", path)
-    if x_max <= x_min:
-        _fail(f"{path}.x_max", f"must exceed x_min = {x_min}")
-    return {"x_min": x_min, "x_max": x_max,
-            "count": _get_int(d, "count", path, default=default_count, minimum=2)}
-
-
-def _grid_from_canon(d: dict) -> Grid1D:
-    return Grid1D.from_span(d["x_min"], d["x_max"], d["count"])
-
-
-def _canon_xi(d, path: str) -> dict | None:
-    if d is None:
-        return None
-    if not isinstance(d, dict):
-        _fail(path, "expected an object with xi_max/count")
-    _check_keys(d, {"xi_max", "count"}, path)
-    count = _get_int(d, "count", path, minimum=3)
-    if count % 2 == 0:
-        _fail(f"{path}.count", "must be odd so the grid is centred on 0")
-    return {"xi_max": _get_number(d, "xi_max", path, strict_min=0.0), "count": count}
-
-
-def _canon_times(d, path: str) -> dict:
-    if isinstance(d, list):
-        if not d or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in d):
-            _fail(path, "expected a non-empty list of numbers")
-        times = [float(v) for v in d]
-        if any(v < 0 for v in times):
-            _fail(path, "times must be non-negative")
-        return {"list": times}
-    if not isinstance(d, dict):
-        _fail(path, "expected {t_max, t_steps} or a list of times")
-    _check_keys(d, {"t_max", "t_steps"}, path)
-    return {
-        "t_max": _get_number(d, "t_max", path, strict_min=0.0),
-        "t_steps": _get_int(d, "t_steps", path, minimum=1),
+    forms = {
+        kind: _Key({"kind": _Key("string", kind), **keys}, check=rest[0] if rest else None)
+        for kind, (_, keys, *rest) in table.items()
     }
+    return _Key(_Forms(forms, pick))
 
 
-def _times_from_canon(d: dict) -> np.ndarray:
-    if "list" in d:
-        return np.asarray(d["list"], dtype=float)
-    return np.linspace(0.0, d["t_max"], d["t_steps"] + 1)
+def _build(table: dict, fields: dict, **extra):
+    """The object a kind-tagged config stands for; the drive key "lambda" is the field `lam`."""
+    cls = table[fields["kind"]][0]
+    args = {"lam" if k == "lambda" else k: v for k, v in fields.items() if k != "kind"}
+    return cls(**args, **extra)
+
+
+def _tabulated(d: dict, path: str) -> dict:
+    if len(d["values"]) != len(d["times"]):
+        _fail(f"{path}.values", "must have the same length as times")
+    if any(b <= a for a, b in zip(d["times"], d["times"][1:])):
+        _fail(f"{path}.times", "must be strictly ascending")
+    return d
+
+
+def _span(d: dict, path: str) -> dict:
+    if d["x_max"] <= d["x_min"]:
+        _fail(f"{path}.x_max", f"must exceed x_min = {d['x_min']}")
+    return d
+
+
+def _odd_count(d: dict, path: str) -> dict:
+    if d["count"] % 2 == 0:
+        _fail(f"{path}.count", "must be odd so the grid is centred on 0")
+    return d
+
+
+def _one_p0(d: dict, path: str) -> dict:
+    """tunnel takes p0 or p0_list; the canonical form is the list."""
+    if ("p0" in d) == ("p0_list" in d):
+        _fail(f"{path}.p0", "give p0 or p0_list, not both" if "p0" in d else "missing required key")
+    if "p0" in d:
+        d["p0_list"] = [d.pop("p0")]
+    return d
+
+
+# kind -> (class, fields[, check]); every state also takes the command's hbar
+_STATES = {
+    "box": (catalog.Box, {"R": _Key("number", bound="> 0")}),
+    "gauss_general": (catalog.GaussGeneral, {
+        "a1": _Key("number", bound="> 0"),
+        **{name: _Key("number", 0.0) for name in ("a2", "b1", "b2", "c1", "c2")},
+    }),
+    "coherent": (catalog.CoherentGaussian, {"a": _Key("number", 0.0), "p0": _Key("number", 0.0)}),
+    "hermite": (catalog.Hermite, {
+        "n": _Key("integer", bound=">= 0"),
+        "normalized": _Key("boolean", True),
+    }),
+    "free_gaussian": (catalog.FreeEvolvedGaussian, {"t": _Key("number", 0.0, ">= 0")}),
+    "delta_bound": (catalog.DeltaBound, {"gamma": _Key("number", bound="< 0")}),
+    "soliton": (catalog.Soliton, {"nu": _Key("number", bound="< 0")}),
+    "harmonic_eigen": (catalog.HarmonicEigen, {
+        "n": _Key("integer", bound=">= 0"),
+        "omega": _Key("number", 1.0, "> 0"),
+        "normalized": _Key("boolean", True),
+    }),
+}
+_DRIVES = {
+    "constant": (Constant, {"lambda": _Key("number", 0.0)}),
+    "cosine": (Cosine, {
+        "lambda": _Key("number", 0.0),
+        "b": _Key("number"),
+        "Omega": _Key("number"),
+    }),
+    "tabulated": (Tabulated, {
+        "times": _Key("numbers", min_len=2),
+        "values": _Key("numbers", min_len=2),
+    }, _tabulated),
+}
+
+
+def _drive_kind(d: dict) -> str:
+    return "cosine" if ("b" in d or "Omega" in d) else "constant"
+
+
+_STATE = _kinds(_STATES)
+_DRIVE = replace(_kinds(_DRIVES, _drive_kind), default={})
+# P(t) has closed-form asymptotics only for constant and cosine drives
+_TUNNEL_DRIVE = replace(
+    _kinds({k: _DRIVES[k] for k in ("constant", "cosine")}, _drive_kind), default={}
+)
+_HBAR = _Key("number", 1.0, "> 0")
+_XI = _Key(
+    {"xi_max": _Key("number", bound="> 0"), "count": _Key("integer", bound=">= 3")},
+    check=_odd_count,
+)
+_TIMES = _Key(_Forms({
+    "list": _Key("numbers", bound=">= 0"),
+    "range": _Key({"t_max": _Key("number", bound="> 0"), "t_steps": _Key("integer", bound=">= 1")}),
+}, lambda value, path: "list" if isinstance(value, list) else "range"))
+
+
+def _grid(count: int) -> _Key:
+    """x grid as {x_min, x_max, count} or {half_width, count}; canonically the first."""
+    counted = {"count": _Key("integer", count, ">= 2")}
+    span = _Key({"x_min": _Key("number"), "x_max": _Key("number"), **counted}, check=_span)
+    half = _Key({"half_width": _Key("number", bound="> 0"), **counted}, check=lambda d, path: {
+        "x_min": -d["half_width"], "x_max": d["half_width"], "count": d["count"]})
+
+    def pick(value, path: str) -> str:
+        return "half_width" if isinstance(value, dict) and "half_width" in value else "span"
+
+    return _Key(_Forms({"span": span, "half_width": half}, pick))
+
+
+_COMMANDS = {
+    "transform": _Key({
+        "state": _STATE, "hbar": _HBAR, "grid": _grid(512), "xi": replace(_XI, default=None),
+    }),
+    "propagate": _Key({
+        "state": _STATE, "hbar": _HBAR, "gamma": _Key("number"), "drive": _DRIVE, "times": _TIMES,
+        "grid": _grid(129), "xi": _XI,
+    }),
+    "gaussian": _Key({
+        "a": _Key("number", 0.0), "p0": _Key("number", 0.0), "hbar": _HBAR, "gamma": _Key("number"),
+        "drive": _DRIVE, "times": _TIMES, "grid": _grid(201),
+    }),
+    "tunnel": _Key({
+        "a": _Key("number"), "p0": _Key("number", None), "p0_list": _Key("numbers", None),
+        "omega": _Key("number", bound="> 0"), "hbar": _HBAR, "drive": _TUNNEL_DRIVE,
+        "t_max": _Key("number", bound="> 0"), "t_steps": _Key("integer", 300, ">= 1"),
+    }, check=_one_p0),
+    "eigen": _Key({
+        "omega": _Key("number", 1.0, "> 0"), "hbar": _HBAR,
+        "n_max": _Key("integer", 10, ">= 0"), "sample_count": _Key("integer", 21, ">= 2"),
+        "sample_half_width": _Key("number", 4.0, "> 0"),
+    }),
+    "verify": _Key({}),
+}
 
 
 @dataclass(frozen=True)
@@ -282,116 +316,77 @@ def parse_config(text: str) -> RunConfig:
         _fail("config.out", "expected a string path")
     if raw.get("format", "csv") != "csv":
         _fail("config.format", f"only csv output is supported, got {raw.get('format')!r}")
-
-    d = {k: v for k, v in raw.items() if k not in ("command", "out", "format")}
-    path = command
-    params: dict = {}
-    if command == "transform":
-        _check_keys(d, {"state", "hbar", "grid", "xi"}, path)
-        params["hbar"] = _get_number(d, "hbar", path, default=1.0, strict_min=0.0)
-        params["state"] = _canon_state(d.get("state"), f"{path}.state")
-        params["grid"] = _canon_grid(d.get("grid"), f"{path}.grid")
-        params["xi"] = _canon_xi(d.get("xi"), f"{path}.xi")
-    elif command == "propagate":
-        _check_keys(d, {"state", "hbar", "gamma", "drive", "times", "grid", "xi"}, path)
-        params["hbar"] = _get_number(d, "hbar", path, default=1.0, strict_min=0.0)
-        params["state"] = _canon_state(d.get("state"), f"{path}.state")
-        params["gamma"] = _get_number(d, "gamma", path)
-        params["drive"] = _canon_drive(d.get("drive"), f"{path}.drive")
-        params["times"] = _canon_times(d.get("times"), f"{path}.times")
-        params["grid"] = _canon_grid(d.get("grid"), f"{path}.grid", default_count=129)
-        xi = _canon_xi(d.get("xi"), f"{path}.xi")
-        if xi is None:
-            _fail(f"{path}.xi", "missing required key (propagation needs an explicit xi grid)")
-        params["xi"] = xi
-    elif command == "gaussian":
-        _check_keys(d, {"a", "p0", "hbar", "gamma", "drive", "times", "grid"}, path)
-        params["a"] = _get_number(d, "a", path, default=0.0)
-        params["p0"] = _get_number(d, "p0", path, default=0.0)
-        params["hbar"] = _get_number(d, "hbar", path, default=1.0, strict_min=0.0)
-        params["gamma"] = _get_number(d, "gamma", path)
-        params["drive"] = _canon_drive(d.get("drive"), f"{path}.drive")
-        params["times"] = _canon_times(d.get("times"), f"{path}.times")
-        params["grid"] = _canon_grid(d.get("grid"), f"{path}.grid", default_count=201)
-    elif command == "tunnel":
-        _check_keys(d, {"a", "p0", "p0_list", "omega", "hbar", "drive", "t_max", "t_steps"}, path)
-        params["a"] = _get_number(d, "a", path)
-        if "p0_list" in d:
-            lst = d["p0_list"]
-            if not isinstance(lst, list) or not lst:
-                _fail(f"{path}.p0_list", "expected a non-empty list of numbers")
-            params["p0_list"] = [
-                _get_number({"v": v}, "v", f"{path}.p0_list") for v in lst
-            ]
-        else:
-            params["p0_list"] = [_get_number(d, "p0", path)]
-        params["omega"] = _get_number(d, "omega", path, strict_min=0.0)
-        params["hbar"] = _get_number(d, "hbar", path, default=1.0, strict_min=0.0)
-        params["drive"] = _canon_drive(d.get("drive"), f"{path}.drive")
-        params["t_max"] = _get_number(d, "t_max", path, strict_min=0.0)
-        params["t_steps"] = _get_int(d, "t_steps", path, default=300, minimum=1)
-    elif command == "eigen":
-        _check_keys(d, {"omega", "hbar", "n_max", "sample_count", "sample_half_width"}, path)
-        params["omega"] = _get_number(d, "omega", path, default=1.0, strict_min=0.0)
-        params["hbar"] = _get_number(d, "hbar", path, default=1.0, strict_min=0.0)
-        params["n_max"] = _get_int(d, "n_max", path, default=10, minimum=0)
-        params["sample_count"] = _get_int(d, "sample_count", path, default=21, minimum=2)
-        params["sample_half_width"] = _get_number(
-            d, "sample_half_width", path, default=4.0, strict_min=0.0
-        )
-    else:  # verify
-        _check_keys(d, set(), path)
-
+    rest = {k: v for k, v in raw.items() if k not in ("command", "out", "format")}
+    params = _check(_COMMANDS[command], rest, command)
     return RunConfig(command=command, params=params, output_path=out)
 
 
 def load_config(path: str | Path) -> RunConfig:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigParseError(f"config file not found: {p}")
-    return parse_config(p.read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigParseError(f"config file {path} cannot be read: {exc}") from None
+    return parse_config(text)
 
 
 # ---------------------------------------------------------------------------
 # CSV tables
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    return f"{v:.17g}"
+_CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "U": "%s"}  # by NumPy dtype kind
+
+
+class _Rows(Sequence):
+    """Row view of a table's columns; a row is built only when it is read."""
+
+    def __init__(self, columns: list[np.ndarray]):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0]) if self._columns else 0
+
+    def __getitem__(self, i: int) -> tuple:
+        return tuple(col.item(i) for col in self._columns)
 
 
 @dataclass
 class CsvTable:
+    """A header plus one 1-D column per field: a float, int or str NumPy array."""
+
     header: tuple[str, ...]
-    rows: list[tuple]
+    columns: list
     tolerances: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row) != len(self.header):
-                raise ConfigurationError(
-                    f"row width {len(row)} != header width {len(self.header)}"
-                )
+        self.columns = [np.asarray(col) for col in self.columns]
+        if len(self.columns) != len(self.header) or any(
+            col.ndim != 1 or len(col) != len(self.columns[0]) for col in self.columns
+        ):
+            raise ConfigurationError(
+                f"need {len(self.header)} 1-D columns of one length for header {self.header}"
+            )
+
+    @property
+    def rows(self) -> _Rows:
+        return _Rows(self.columns)
 
     def to_text(self) -> str:
-        lines = []
-        for col, (abs_tol, rel_tol) in self.tolerances.items():
-            lines.append(f"# tolerance {col} {_fmt(abs_tol)} {_fmt(rel_tol)}")
+        lines = [f"# tolerance {col} {abs_tol:.17g} {rel_tol:.17g}"
+                 for col, (abs_tol, rel_tol) in self.tolerances.items()]
         lines.append(",".join(self.header))
-        lines.extend(",".join(_fmt(v) for v in row) for row in self.rows)
+        row = ",".join(_CELL_FORMATS[col.dtype.kind] for col in self.columns)
+        lines.extend(row % cells for cells in zip(*(col.tolist() for col in self.columns)))
         return "\n".join(lines) + "\n"
 
     def write(self, path: str | Path) -> None:
         Path(path).write_text(self.to_text(), encoding="utf-8", newline="")
+
+
+def _parse_column(cells: list[str]) -> np.ndarray:
+    try:
+        return np.array(cells, dtype=float)
+    except ValueError:
+        return np.array(cells, dtype=str)
 
 
 def read_csv_table(path: str | Path) -> CsvTable:
@@ -406,115 +401,96 @@ def read_csv_table(path: str | Path) -> CsvTable:
     if idx >= len(lines) or not lines[idx].strip():
         raise ConfigurationError(f"{path}: no header row found")
     header = tuple(lines[idx].split(","))
-    rows = []
-    for line in lines[idx + 1 :]:
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ConfigurationError(f"{path}: ragged row {line!r}")
-        parsed = []
-        for cell in cells:
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                parsed.append(cell)
-        rows.append(tuple(parsed))
-    return CsvTable(header, rows, tolerances)
+    body = [line for line in lines[idx + 1 :] if line.strip()]
+    ragged = next((line for line in body if line.count(",") != len(header) - 1), None)
+    if ragged is not None:
+        raise ConfigurationError(f"{path}: ragged row {ragged!r}")
+    cells = ",".join(body).split(",") if body else []
+    width = len(header)
+    return CsvTable(header, [_parse_column(cells[j::width]) for j in range(width)], tolerances)
 
 
 # ---------------------------------------------------------------------------
 # Command implementations
 # ---------------------------------------------------------------------------
 
-def _ps_grid(grid: Grid1D, xi_canon: dict | None, hbar: float) -> PhaseSpaceGrid:
-    if xi_canon is None:
+def _product(*axes) -> list[np.ndarray]:
+    """Columns of the row-major Cartesian product of 1-D axes (the last varies fastest)."""
+    return [mesh.ravel() for mesh in np.meshgrid(*axes, indexing="ij")]
+
+
+def _x_grid(d: dict) -> Grid1D:
+    return Grid1D.from_span(d["x_min"], d["x_max"], d["count"])
+
+
+def _times(times) -> np.ndarray:
+    if isinstance(times, list):
+        return np.asarray(times, dtype=float)
+    return np.linspace(0.0, times["t_max"], times["t_steps"] + 1)
+
+
+def _ps_grid(grid: Grid1D, xi: dict | None, hbar: float) -> PhaseSpaceGrid:
+    if xi is None:
         return natural_grid(grid, hbar)
-    return PhaseSpaceGrid(grid, symmetric_xi_grid(xi_canon["xi_max"], xi_canon["count"]))
+    return PhaseSpaceGrid(grid, symmetric_xi_grid(xi["xi_max"], xi["count"]))
 
 
 def _run_transform(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
     p = cfg.params
-    hbar = p["hbar"]
-    state = _state_from_canon(p["state"], hbar)
-    grid = _grid_from_canon(p["grid"])
-    ps = _ps_grid(grid, p["xi"], hbar)
+    state = _build(_STATES, p["state"], hbar=p["hbar"])
+    grid = _x_grid(p["grid"])
+    ps = _ps_grid(grid, p.get("xi"), p["hbar"])
     fld = wigner_transform(catalog.sample_catalog_state(state, grid), ps)
-    xs = ps.x_grid.nodes()
-    xis = ps.xi_grid.nodes()
-    rows = [
-        (xs[i], xis[j], fld.values[i, j])
-        for i in range(len(xs))
-        for j in range(len(xis))
-    ]
-    return CsvTable(("x", "xi", "W"), rows), {}
+    x, xi = _product(ps.x_grid.nodes(), ps.xi_grid.nodes())
+    return CsvTable(("x", "xi", "W"), [x, xi, fld.values.ravel()]), {}
 
 
 def _run_propagate(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
     p = cfg.params
-    hbar = p["hbar"]
-    state = _state_from_canon(p["state"], hbar)
-    params = OscillatorParams(p["gamma"], _drive_from_canon(p["drive"]), hbar)
-    grid = _grid_from_canon(p["grid"])
-    ps = _ps_grid(grid, p["xi"], hbar)
-    xs = ps.x_grid.nodes()
-    xis = ps.xi_grid.nodes()
-    rows = []
-    for t in _times_from_canon(p["times"]):
-        fld = propagate_field(state.wigner, params, float(t), ps)
-        rows.extend(
-            (t, xs[i], xis[j], fld.values[i, j])
-            for i in range(len(xs))
-            for j in range(len(xis))
-        )
-    return CsvTable(("t", "x", "xi", "W"), rows), {}
+    state = _build(_STATES, p["state"], hbar=p["hbar"])
+    params = OscillatorParams(p["gamma"], _build(_DRIVES, p["drive"]), p["hbar"])
+    ps = _ps_grid(_x_grid(p["grid"]), p["xi"], p["hbar"])
+    times = _times(p["times"])
+    fields = [propagate_field(state.wigner, params, float(t), ps).values.ravel() for t in times]
+    columns = _product(times, ps.x_grid.nodes(), ps.xi_grid.nodes())
+    return CsvTable(("t", "x", "xi", "W"), [*columns, np.concatenate(fields)]), {}
 
 
 def _run_gaussian(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
     p = cfg.params
     hbar = p["hbar"]
     packet = GaussianPacket(p["a"], p["p0"], hbar)
-    params = OscillatorParams(p["gamma"], _drive_from_canon(p["drive"]), hbar)
-    xs = _grid_from_canon(p["grid"]).nodes()
-    rows = []
-    shape_rows = []
-    for t in _times_from_canon(p["times"]):
-        shape = packet_shape(packet, params, float(t))
-        dens = np.exp(-((xs - shape.v) ** 2) / (hbar * shape.A)) / math.sqrt(
-            math.pi * hbar * shape.A
-        )
-        rows.extend((t, x, d) for x, d in zip(xs, dens))
-        shape_rows.append((t, shape.v, shape.A))
+    params = OscillatorParams(p["gamma"], _build(_DRIVES, p["drive"]), hbar)
+    xs = _x_grid(p["grid"]).nodes()
+    times = _times(p["times"])
+    shapes = [packet_shape(packet, params, float(t)) for t in times]
+    density = [
+        np.exp(-((xs - s.v) ** 2) / (hbar * s.A)) / math.sqrt(math.pi * hbar * s.A) for s in shapes
+    ]
     return (
-        CsvTable(("t", "x", "density"), rows),
-        {"shape": CsvTable(("t", "v", "A"), shape_rows)},
+        CsvTable(("t", "x", "density"), [*_product(times, xs), np.concatenate(density)]),
+        {"shape": CsvTable(("t", "v", "A"), [times, [s.v for s in shapes], [s.A for s in shapes]])},
     )
 
 
 def _run_tunnel(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
     p = cfg.params
-    drive = _drive_from_canon(p["drive"])
+    drive = _build(_DRIVES, p["drive"])
     times = np.linspace(0.0, p["t_max"], p["t_steps"] + 1)
-    rows = []
-    summary = []
-    for p0 in p["p0_list"]:
-        scenario = TunnelScenario(
-            GaussianPacket(p["a"], p0, p["hbar"]), p["omega"], drive
-        )
-        rows.extend((p0, t, survival_probability(scenario, float(t))) for t in times)
-        report = tunnel_report(scenario)
-        summary.append(
-            (
-                p0,
-                report.p_crit,
-                report.P_inf,
-                report.regime,
-                float("nan") if report.E_q is None else report.E_q,
-                float("nan") if report.E_c is None else report.E_c,
-            )
-        )
+    scenarios = [TunnelScenario(GaussianPacket(p["a"], p0, p["hbar"]), p["omega"], drive)
+                 for p0 in p["p0_list"]]
+    survival = [survival_probability(s, float(t)) for s in scenarios for t in times]
+    reports = [tunnel_report(s) for s in scenarios]
+    summary = [
+        p["p0_list"],
+        [r.p_crit for r in reports],
+        [r.P_inf for r in reports],
+        [r.regime for r in reports],
+        [math.nan if r.E_q is None else r.E_q for r in reports],
+        [math.nan if r.E_c is None else r.E_c for r in reports],
+    ]
     return (
-        CsvTable(("p0", "t", "P"), rows),
+        CsvTable(("p0", "t", "P"), [*_product(p["p0_list"], times), survival]),
         {"summary": CsvTable(("p0", "p_crit", "P_inf", "regime", "E_q", "E_c"), summary)},
     )
 
@@ -522,25 +498,23 @@ def _run_tunnel(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
 def _run_eigen(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
     p = cfg.params
     omega, hbar = p["omega"], p["hbar"]
-    rows = [(n, catalog.harmonic_energy(n, omega, hbar)) for n in range(p["n_max"] + 1)]
+    ns = range(p["n_max"] + 1)
     xs = np.linspace(-p["sample_half_width"], p["sample_half_width"], p["sample_count"])
-    field_rows = []
-    for n in range(p["n_max"] + 1):
-        state = catalog.HarmonicEigen(n, omega, hbar, normalized=True)
-        for x in xs:
-            for xi in xs:
-                field_rows.append((n, x, xi, float(state.wigner(x, xi))))
+    x, xi = np.meshgrid(xs, xs, indexing="ij")
+    fields = [catalog.HarmonicEigen(n, omega, hbar, normalized=True).wigner(x, xi).ravel()
+              for n in ns]
+    energies = [catalog.harmonic_energy(n, omega, hbar) for n in ns]
     return (
-        CsvTable(("n", "E"), rows),
-        {"field": CsvTable(("n", "x", "xi", "W"), field_rows)},
+        CsvTable(("n", "E"), [ns, energies]),
+        {"field": CsvTable(("n", "x", "xi", "W"), [*_product(ns, xs, xs), np.concatenate(fields)])},
     )
 
 
 def _run_verify(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
     from .verify import run_invariant_suite
 
-    rows = run_invariant_suite()
-    return CsvTable(("check", "state", "residual", "tolerance", "status"), rows), {}
+    columns = list(zip(*run_invariant_suite()))
+    return CsvTable(("check", "state", "residual", "tolerance", "status"), columns), {}
 
 
 _RUNNERS = {
@@ -577,6 +551,23 @@ class GoldenReport:
     messages: list[str]
 
 
+def _cells_match(new: np.ndarray, gold: np.ndarray, abs_tol: float, rel_tol: float) -> np.ndarray:
+    """Text matches the same text; numbers match within abs_tol + rel_tol |gold|, and nan
+    matches nan. A golden cell that reads as a number is one, even in a text column."""
+    if new.dtype.kind == "U":
+        return new == gold.astype(str)
+    if gold.dtype.kind == "U":
+        cells = [_parse_column([cell]) for cell in gold.tolist()]
+        return np.array([
+            _cells_match(new[i : i + 1], cell, abs_tol, rel_tol)[0] if cell.dtype.kind == "f"
+            else str(new.item(i)) == cell.item(0)
+            for i, cell in enumerate(cells)
+        ])
+    with np.errstate(invalid="ignore"):  # inf - inf is a mismatch, as is nan against a number
+        close = np.abs(new - gold) <= abs_tol + rel_tol * np.abs(gold)
+    return close | (np.isnan(new) & np.isnan(gold))
+
+
 def verify_golden(config: RunConfig, golden_path: str | Path, max_report: int = 10) -> GoldenReport:
     """Recompute the config's main table and compare against a golden CSV.
 
@@ -605,23 +596,23 @@ def verify_golden(config: RunConfig, golden_path: str | Path, max_report: int = 
             [f"row count mismatch: got {len(fresh.rows)}, golden {len(golden.rows)}"],
         )
 
-    messages: list[str] = []
-    for i, (row_new, row_gold) in enumerate(zip(fresh.rows, golden.rows)):
-        for col, new, gold in zip(fresh.header, row_new, row_gold):
-            if isinstance(new, str) or isinstance(gold, str):
-                ok = str(new) == str(gold)
-            else:
-                abs_tol, rel_tol = golden.tolerances.get(col, (0.0, 0.0))
-                new_f, gold_f = float(new), float(gold)
-                if math.isnan(new_f) and math.isnan(gold_f):
-                    ok = True
-                else:
-                    ok = abs(new_f - gold_f) <= abs_tol + rel_tol * abs(gold_f)
-            if not ok:
-                messages.append(f"row {i}, column {col}: got {_fmt(new)}, golden {_fmt(gold)}")
-                if len(messages) >= max_report:
-                    return GoldenReport(False, False, messages)
+    mismatch = np.column_stack([
+        ~_cells_match(new, gold, *golden.tolerances.get(col, (0.0, 0.0)))
+        for col, new, gold in zip(fresh.header, fresh.columns, golden.columns)
+    ])
+    messages = [
+        f"row {i}, column {fresh.header[j]}: got {_cell(fresh.columns[j], i)}, "
+        f"golden {_cell(golden.columns[j], i)}"
+        for i, j in np.argwhere(mismatch)[: max(max_report, 1)]
+    ]
     return GoldenReport(not messages, False, messages)
+
+
+def _cell(column: np.ndarray, i: int) -> str:
+    cell = column[i : i + 1]
+    if cell.dtype.kind == "U":  # a golden cell that reads as a number prints as one
+        cell = _parse_column(cell.tolist())
+    return _CELL_FORMATS[cell.dtype.kind] % cell.item(0)
 
 
 def _plot_companion_text(table: CsvTable, config: RunConfig) -> str:
@@ -685,19 +676,13 @@ def main(argv=None) -> int:
             Path(target).with_suffix(".plot.txt").write_text(
                 _plot_companion_text(table, config), encoding="utf-8"
             )
-        if config.command == "verify" and any(row[-1] != "pass" for row in table.rows):
+        if config.command == "verify" and np.any(table.columns[-1] != "pass"):
             return 1
         return 0
-    except ConfigParseError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except WignerflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (WignerflowError, ValueError, OSError) as exc:  # OSError: an output cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

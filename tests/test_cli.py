@@ -2,11 +2,14 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from wignerflow import cli
 from wignerflow.cli import ConfigParseError, CsvTable, RunConfig
+
+DATA = Path(__file__).parent / "data" / "cli"
 
 
 def make_config(**kwargs) -> str:
@@ -42,6 +45,16 @@ def test_parse_rejects_unknown_key():
     with pytest.raises(ConfigParseError, match="tunnel.bogus"):
         cli.parse_config(make_config(command="tunnel", a=-5, p0=4, omega=1,
                                      t_max=15, bogus=3))
+
+
+def test_parse_rejects_non_finite_numbers():
+    rest = dict(state={"kind": "coherent"}, gamma=0.5, grid={"half_width": 6.0, "count": 9},
+                xi={"xi_max": 5.0, "count": 9})
+    for bad, path in (({"hbar": 10**400, "times": [0.5]}, r"propagate\.hbar"),
+                      ({"times": [0.5, float("nan")]}, r"propagate\.times\[1\]"),
+                      ({"times": [0.5], "gamma": float("inf")}, r"propagate\.gamma")):
+        with pytest.raises(ConfigParseError, match=rf"^{path}: must be finite"):
+            cli.parse_config(json.dumps({"command": "propagate", **rest, **bad}))
 
 
 def test_parse_rejects_bad_command_and_bad_json():
@@ -92,6 +105,76 @@ def test_config_round_trip():
         out="table.csv",
     ))
     assert cli.parse_config(cfg2.render()) == cfg2
+    # one config per command; list-valued times must render in a form the parser takes
+    for text in sorted(DATA.glob("*.json")):
+        cfg3 = cli.parse_config(text.read_text())
+        assert cli.parse_config(cfg3.render()) == cfg3, text.name
+    grid = {"half_width": 6.0, "count": 9}
+    for cfg4 in (
+        cli.parse_config(make_config(command="propagate", state={"kind": "coherent"}, gamma=0.5,
+                                     times=[0.0, 0.5], grid=grid, xi={"xi_max": 5.0, "count": 9})),
+        cli.parse_config(make_config(command="gaussian", gamma=-1.0, times=[0.25, 1.0], grid=grid)),
+        cli.parse_config(make_config(command="transform", state={"kind": "hermite", "n": 2},
+                                     grid={"half_width": 13.0, "count": 65})),
+    ):
+        assert cli.parse_config(cfg4.render()) == cfg4
+
+
+def test_tunnel_rejects_p0_together_with_p0_list(tmp_path):
+    cfg = dict(TUNNEL_CFG, p0=4.0)
+    with pytest.raises(ConfigParseError, match=r"^tunnel\.p0: "):
+        cli.parse_config(json.dumps(cfg))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["tunnel", "--config", str(cfg_path)]) == 2
+
+
+def test_tunnel_p0_list_entry_error_names_its_index():
+    with pytest.raises(ConfigParseError, match=r"^tunnel\.p0_list\[1\]: "):
+        cli.parse_config(json.dumps(dict(TUNNEL_CFG, p0_list=[4.0, "five"])))
+
+
+def test_tunnel_rejects_tabulated_drive_at_parse_time(tmp_path):
+    cfg = dict(TUNNEL_CFG, drive={"kind": "tabulated", "times": [0.0, 1.0], "values": [0.1, 0.2]})
+    with pytest.raises(ConfigParseError, match=r"^tunnel\.drive\.kind: "):
+        cli.parse_config(json.dumps(cfg))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["tunnel", "--config", str(cfg_path), "--out", str(tmp_path / "t.csv")]) == 2
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_config_that_is_a_directory_is_a_config_error(tmp_path, capsys):
+    assert cli.main(["tunnel", "--config", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(json.dumps(TUNNEL_CFG).encode("utf-16"))
+    assert cli.main(["tunnel", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def test_unwritable_output_is_one_error_line(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TUNNEL_CFG, "t_steps": 5}))
+    out_path = tmp_path / "missing" / "out.csv"
+    assert cli.main(["tunnel", "--config", str(cfg_path), "--out", str(out_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in DATA.glob("*.json")))
+def test_cli_reproduces_pinned_csv_bytes(config, tmp_path):
+    # every table in tests/data/cli was written by the CLI from the config next to it
+    command = config.removesuffix(".json")
+    out = tmp_path / f"{command}.csv"
+    assert cli.main([command, "--config", str(DATA / config), "--out", str(out)]) == 0
+    pinned = sorted(p.name for p in DATA.glob(f"{command}.*csv"))
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == pinned
+    for name in pinned:
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
 
 def test_tunnel_run_reproduces_three_regime_picture(tmp_path):
@@ -218,7 +301,7 @@ def test_verify_command_all_pass():
 
 
 def test_csv_rendering_17_significant_digits():
-    table = CsvTable(("a", "b"), [(1.0 / 3.0, "text")])
+    table = CsvTable(("a", "b"), [[1.0 / 3.0], ["text"]])
     text = table.to_text()
     assert text == "a,b\n0.33333333333333331,text\n"
 
@@ -261,6 +344,25 @@ def test_golden_comparison_pass_and_fail(tmp_path):
     empty.write_text("")
     report = cli.verify_golden(cfg, empty)
     assert report.structural
+
+
+def test_golden_text_cell_is_reported_alone(tmp_path):
+    # one text cell must not turn the other cells of its column into text
+    cfg = cli.parse_config(json.dumps({**TUNNEL_CFG, "t_steps": 4}))
+    golden_path = tmp_path / "golden.csv"
+    cli.run(cfg, out_path=golden_path)
+    lines = golden_path.read_text().splitlines()
+    for row, value in ((2, "oops"), (4, "0.5")):
+        cells = lines[row].split(",")
+        cells[2] = value
+        lines[row] = ",".join(cells)
+    golden_path.write_text("# tolerance P 1e-9 0\n" + "\n".join(lines) + "\n")
+    report = cli.verify_golden(cfg, golden_path)
+    assert report.messages[0].startswith("row 1, column P: got ")
+    assert report.messages[0].endswith(", golden oops")
+    assert report.messages[1].startswith("row 3, column P: got ")
+    assert report.messages[1].endswith(", golden 0.5")
+    assert len(report.messages) == 2 and not report.ok and not report.structural
 
 
 def test_golden_schema_mismatch_is_structural(tmp_path):
