@@ -24,7 +24,7 @@ import numpy as np
 from . import catalog
 from .errors import ConfigurationError, WignerflowError
 from .flow import Constant, Cosine, OscillatorParams, Tabulated, propagate_field
-from .gaussian import GaussianPacket, packet_shape
+from .gaussian import GaussianPacket, density, packet_shape
 from .grids import Grid1D, PhaseSpaceGrid, natural_grid, symmetric_xi_grid
 from .transform import wigner_transform
 from .tunneling import TunnelScenario, survival_probability, tunnel_report
@@ -300,10 +300,18 @@ class RunConfig:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json.loads hook: a key given twice in one object, at any depth, is an error."""
+    names = [name for name, _ in pairs]
+    for name in {name for name in names if names.count(name) > 1}:
+        _fail("config", f"key {name!r} is given more than once")
+    return dict(pairs)
+
+
 def parse_config(text: str) -> RunConfig:
     """Validate JSON config text; errors name the offending key path."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -458,18 +466,15 @@ def _run_propagate(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
 
 def _run_gaussian(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
     p = cfg.params
-    hbar = p["hbar"]
-    packet = GaussianPacket(p["a"], p["p0"], hbar)
-    params = OscillatorParams(p["gamma"], _build(_DRIVES, p["drive"]), hbar)
+    packet = GaussianPacket(p["a"], p["p0"], p["hbar"])
+    params = OscillatorParams(p["gamma"], _build(_DRIVES, p["drive"]), p["hbar"])
     xs = _x_grid(p["grid"]).nodes()
     times = _times(p["times"])
-    shapes = [packet_shape(packet, params, float(t)) for t in times]
-    density = [
-        np.exp(-((xs - s.v) ** 2) / (hbar * s.A)) / math.sqrt(math.pi * hbar * s.A) for s in shapes
-    ]
+    shape = packet_shape(packet, params, times)
+    rho = density(packet, params, xs, times[:, None])
     return (
-        CsvTable(("t", "x", "density"), [*_product(times, xs), np.concatenate(density)]),
-        {"shape": CsvTable(("t", "v", "A"), [times, [s.v for s in shapes], [s.A for s in shapes]])},
+        CsvTable(("t", "x", "density"), [*_product(times, xs), rho.ravel()]),
+        {"shape": CsvTable(("t", "v", "A"), [times, shape.v, shape.A])},
     )
 
 
@@ -479,7 +484,7 @@ def _run_tunnel(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
     times = np.linspace(0.0, p["t_max"], p["t_steps"] + 1)
     scenarios = [TunnelScenario(GaussianPacket(p["a"], p0, p["hbar"]), p["omega"], drive)
                  for p0 in p["p0_list"]]
-    survival = [survival_probability(s, float(t)) for s in scenarios for t in times]
+    survival = np.concatenate([survival_probability(s, times) for s in scenarios])
     reports = [tunnel_report(s) for s in scenarios]
     summary = [
         p["p0_list"],

@@ -14,7 +14,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from types import SimpleNamespace
 from typing import Callable, Union
 
 import numpy as np
@@ -27,9 +26,6 @@ from .transform import WignerField
 _TINY = 1e-300
 # c3(z) = sum_n (-z)^n/(2n + 3)!, to rounding for |z| <= 1
 _C3_SERIES = tuple(1.0 / math.factorial(2 * n + 3) for n in range(9))
-# _angle on Python floats through math, an order of magnitude cheaper per call than NumPy
-_SCALAR = SimpleNamespace(cos=math.cos, sin=math.sin, exp=math.exp, expm1=math.expm1, maximum=max,
-                          minimum=min, where=lambda cond, a, b: a if cond else b)
 
 
 @dataclass(frozen=True)
@@ -124,24 +120,23 @@ def _angle(gamma: float, t):
     w = sqrt(-gamma) t, and L = 2w splits off their growth (L = 0 otherwise).
     The only function that reads the sign of gamma.
     """
-    xp = np if isinstance(t, np.ndarray) else _SCALAR
     # the floor only removes the 0/0 of sin(theta)/theta at theta = 0
-    theta = xp.maximum(math.sqrt(abs(gamma)) * t, _TINY)
+    theta = np.maximum(math.sqrt(abs(gamma)) * t, _TINY)
     # c3 by its series up to 2 theta = 1 and directly beyond, at clamped arguments
-    small, big = xp.minimum(theta, 0.5), 2.0 * xp.maximum(theta, 0.5)
+    small, big = np.minimum(theta, 0.5), 2.0 * np.maximum(theta, 0.5)
     if gamma >= 0.0:
-        c, s = xp.cos(theta), xp.sin(theta) / theta
+        c, s = np.cos(theta), np.sin(theta) / theta
         z, decay, L = 4.0 * small * small, 1.0, 0.0
-        direct = (1.0 - xp.sin(big) / big) / (big * big)
+        direct = (1.0 - np.sin(big) / big) / (big * big)
     else:
-        decay = xp.exp(-2.0 * theta)
-        c, s = 0.5 + 0.5 * decay, -xp.expm1(-2.0 * theta) / (2.0 * theta)
+        decay = np.exp(-2.0 * theta)
+        c, s = 0.5 + 0.5 * decay, -np.expm1(-2.0 * theta) / (2.0 * theta)
         z, L = -4.0 * small * small, 2.0 * theta
-        direct = (-0.5 * xp.expm1(-2.0 * big) / big - xp.exp(-big)) / (big * big)
+        direct = (-0.5 * np.expm1(-2.0 * big) / big - np.exp(-big)) / (big * big)
     series = 0.0
     for coef in reversed(_C3_SERIES):
         series = series * -z + coef
-    return c, s, xp.where(theta < 0.5, decay * series, direct), L
+    return c, s, np.where(theta < 0.5, decay * series, direct), L
 
 
 def _homogeneous(gamma: float, t, c, s):
@@ -157,77 +152,83 @@ def _entries(gamma: float, t):
     return tuple(np.exp(L) * e for e in _homogeneous(gamma, t, c, s))
 
 
-def _unscale(L: float, *mantissas: float) -> tuple[float, ...]:
-    """mantissa * e^L for each value; NumericalConsistencyError past the double range."""
-    half = math.exp(min(L, 2.0 * math.log(sys.float_info.max)) / 2.0)
-    values = tuple(m * half * half for m in mantissas)
-    if not all(map(math.isfinite, values)):
-        raise NumericalConsistencyError(f"flow value of growth e^{L:.6g} exceeds the double range")
+def _unscale(L, *mantissas):
+    """mantissa * e^L, elementwise; NumericalConsistencyError if any element leaves the range."""
+    half = np.exp(np.minimum(L, 2.0 * math.log(sys.float_info.max)) / 2.0)
+    with np.errstate(over="ignore"):
+        values = tuple(m * half * half for m in mantissas)
+    if not np.isfinite(values).all():
+        raise NumericalConsistencyError(f"flow growth e^{np.max(L):.6g} exceeds the double range")
     return values
 
 
-def _cosine_terms(gamma: float, t: float, omega_d: float, c, s, L):
+def _cosine_terms(gamma: float, t, omega_d: float, c, s, L):
     """(a3, b3, conv_q, conv_p) / e^L of the unit drive cos(omega_d t): divided differences
     in x = gamma t^2, y = (omega_d t/2)^2 of sin(sqrt z)^2 and sin(2 sqrt z)/(2 sqrt z).
 
-    Away from resonance they are quotients; near it (x ~ y >= 0) sinc products
-    of the sum and difference angles, exact at omega_d = 2 sqrt(gamma).
+    Away from resonance they are quotients; near it (x ~ y >= 0, a test that scales with t^2)
+    sinc products of the sum and difference angles, exact at omega_d = 2 sqrt(gamma).
     """
     half = 0.5 * abs(omega_d)
     phi = half * t
     x, y = gamma * t * t, phi * phi
-    if abs(x - y) > 0.5 * (abs(x) + y):
+    if abs(gamma - half * half) > 0.5 * (abs(gamma) + half * half):  # |x - y| > (|x| + y)/2
         c_y, s_y, _, _ = _angle(1.0, phi)
-        decay, d = math.exp(-L), x - y
+        decay, d = np.exp(-L), np.where(x == y, 1.0, x - y)  # x = y only where t^2 = 0
         g_x, h_x, g_y, h_y = x * s * s, s * c, y * s_y * s_y, s_y * c_y
         a3 = t * t * (2.0 * y * h_x * h_y - g_x * (1.0 - 2.0 * g_y) - decay * g_y) / d
         b3 = t * (x * h_x * (1.0 - 2.0 * g_y) - y * h_y * (decay - 2.0 * g_x)) / d
         return a3, b3, -t * t * (g_x - decay * g_y) / d, t * (x * h_x - decay * y * h_y) / d
     # the resonant terms hinge on the detuning theta - phi: from exact gamma - (omega_d/2)^2
-    theta = max(math.sqrt(x), _TINY)
+    theta = np.maximum(np.sqrt(x), _TINY)
     total = theta + phi
     dif = t * t * float(Fraction(gamma) - Fraction(half) ** 2) / total
     c_sum, s_sum, _, _ = _angle(1.0, total)
-    c_dif, s_dif, _, _ = _angle(1.0, abs(dif))
+    c_dif, s_dif, _, _ = _angle(1.0, np.abs(dif))
     a3 = -t * t * (total * s_sum * s_sum + dif * s_dif * s_dif) / (total + dif)
     b3 = 0.5 * t * (s_sum * c_sum + s_dif * c_dif)
     return a3, b3, -t * t * s_sum * s_dif, 0.5 * t * (c_sum * s_dif + s_sum * c_dif)
 
 
-def _tabulated_terms(gamma: float, drive: Tabulated, t: float, L: float):
-    """(a3, b3, conv_q, conv_p) / e^L of a piecewise-linear drive: each segment is
-    integrated against the kernel in its own local time and carried to 0 (forward
-    terms) or t (convolutions) by the homogeneous map, never as a difference of
-    large antiderivatives."""
-    times = drive.times
-    knots = np.concatenate(([0.0], times[(times > 0.0) & (times < t)], [t]))
-    q = np.interp(knots, times, drive.values)
-    h, dq = np.diff(knots), np.diff(q)
-    c, s, k3, l_seg = _angle(gamma, h)
-    hs = h * s
-    # Int_0^h a2 = -(hs)^2, Int_0^h b2 = hs c, Int_0^h (h - u) a2(u) du = -2 h^2 k3
-    sq, sc, ramp, half = hs * hs, hs * c, 2.0 * h * h * k3, 0.5 * hs * s
-    fwd_a, fwd_b = -q[1:] * sq + dq * ramp, q[1:] * sc - dq * half
-    rev_a, rev_b = -q[:-1] * sq - dq * ramp, q[:-1] * sc + dq * half
-
-    def carried(t_map, f_a, f_b):
+def _tabulated_terms(gamma: float, drive: Tabulated, t, L):
+    """(a3, b3, conv_q, conv_p) / e^L of a piecewise-linear drive: each table segment, clipped
+    to [0, t] (empty from t on, where it adds an exact 0), is integrated against the kernel in
+    its own local time and carried to 0 (forward terms) or t (convolutions) by the homogeneous
+    map, never as a difference of large antiderivatives; one pass per segment, all t at once."""
+    def carried(t_map, l_seg, f_a, f_b):
         c_m, s_m, _, l_map = _angle(gamma, t_map)
         a1, a2, b1, b2 = _homogeneous(gamma, t_map, c_m, s_m)
         grow = np.exp(l_map + l_seg - L)
-        return tuple(float(np.sum(grow * (u * f_a + v * f_b))) for u, v in ((a1, a2), (b1, b2)))
+        return [grow * (u * f_a + v * f_b) for u, v in ((a1, a2), (b1, b2))]
 
-    return (*carried(knots[:-1], fwd_a, fwd_b), *carried(t - knots[1:], rev_a, rev_b))
+    edges = np.concatenate(([0.0], drive.times[drive.times > 0.0], [np.inf]))
+    totals = [0.0] * 4
+    for start, stop in zip(edges[:-1], edges[1:]):
+        lo, hi = np.minimum(start, t), np.minimum(stop, t)
+        q_lo, q_hi = (np.interp(e, drive.times, drive.values) for e in (lo, hi))
+        h, dq = hi - lo, q_hi - q_lo
+        c, s, k3, l_seg = _angle(gamma, h)
+        hs = h * s
+        # Int_0^h a2 = -(hs)^2, Int_0^h b2 = hs c, Int_0^h (h - u) a2(u) du = -2 h^2 k3
+        sq, sc, ramp, half = hs * hs, hs * c, 2.0 * h * h * k3, 0.5 * hs * s
+        terms = (*carried(lo, l_seg, -q_hi * sq + dq * ramp, q_hi * sc - dq * half),
+                 *carried(t - hi, l_seg, -q_lo * sq - dq * ramp, q_lo * sc + dq * half))
+        totals = [total + term for total, term in zip(totals, terms)]
+    return totals
 
 
-def _scaled_flow(params: OscillatorParams, t: float):
-    """(L, (a1, a2, a3, b1, b2, b3), (conv_q, conv_p)), every value divided by e^L.
+@np.errstate(over="ignore", invalid="ignore")  # a time too large shows as a non-finite value
+def _scaled_flow(params: OscillatorParams, t):
+    """(L, (a1, a2, a3, b1, b2, b3), (conv_q, conv_p)) of t's shape, every value divided by e^L.
 
     The drive terms are a3 = Int_0^t Q(s) a2(s) ds, b3 = Int_0^t Q(s) b2(s) ds,
     conv_q = Int_0^t Q(s) a2(t - s) ds and conv_p = Int_0^t Q(s) b2(t - s) ds.
     """
-    if t < 0:
-        raise ValueError(f"flow time must be non-negative, got {t}")
-    t, gamma, drive = float(t), params.gamma, params.drive
+    t = np.asarray(t, dtype=float)
+    bad = t[~(np.isfinite(t) & (t >= 0.0))]
+    if bad.size:
+        raise ConfigurationError(f"flow time must be finite and non-negative, got {bad[0]}")
+    t, gamma, drive = t[()], params.gamma, params.drive  # a float as a NumPy scalar, not 0-d
     c, s, k3, L = _angle(gamma, t)
     a1, a2, b1, b2 = _homogeneous(gamma, t, c, s)
     if isinstance(drive, Tabulated):
@@ -238,17 +239,19 @@ def _scaled_flow(params: OscillatorParams, t: float):
         if isinstance(drive, Cosine):
             terms = zip((a3, b3, conv_q, conv_p), _cosine_terms(gamma, t, drive.Omega, c, s, L))
             a3, b3, conv_q, conv_p = (u + drive.b * v for u, v in terms)
+    if not np.isfinite((a1, a2, a3, b1, b2, b3, conv_q, conv_p)).all():
+        raise NumericalConsistencyError(f"flow at t up to {np.max(t):.6g} exceeds the double range")
     return L, (a1, a2, a3, b1, b2, b3), (conv_q, conv_p)
 
 
-def flow_coefficients(params: OscillatorParams, t: float) -> FlowCoefficients:
-    """Method-of-characteristics map coefficients at time t >= 0; NumericalConsistencyError
-    where one exceeds the double range (gamma < 0, 2 sqrt(-gamma) t beyond about 709)."""
+def flow_coefficients(params: OscillatorParams, t) -> FlowCoefficients:
+    """Map coefficients of t's shape at finite times t >= 0 (else ConfigurationError);
+    NumericalConsistencyError past the double range (gamma < 0, 2 sqrt(-gamma) t beyond ~709)."""
     L, coeffs, _ = _scaled_flow(params, t)
     return FlowCoefficients(*_unscale(L, *coeffs), t)
 
 
-def drive_convolutions(params: OscillatorParams, t: float) -> tuple[float, float]:
+def drive_convolutions(params: OscillatorParams, t) -> tuple[float, float]:
     """Inhomogeneous displacements of the reversed-time classical flow,
 
         conv_q = Int_0^t Q(s) a2(t - s) ds  ( = a2 b3 - b2 a3 )
@@ -365,8 +368,6 @@ def liouville_residual(
     """
     if min(dt, dx, dxi) <= 0:
         raise ConfigurationError("finite-difference steps must be positive")
-    if t - dt < 0:
-        raise ValueError("need t - dt >= 0 for the centred time stencil")
     evaluator = _as_evaluator(initial)
     xs = ps_grid.x_grid.nodes()
     xis = ps_grid.xi_grid.nodes()

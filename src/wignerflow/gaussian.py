@@ -38,7 +38,7 @@ class GaussianPacket:
 
 @dataclass(frozen=True)
 class PacketShape:
-    """Quadratic-exponent data of the evolved packet at time t.
+    """Quadratic-exponent data of the evolved packet at time t (each field has t's shape).
 
     The field is exp(-[A xi^2 + B(x) xi + C(x)]/hbar)/(pi hbar) with
     B(x) = Bc1 x + Bc0 and C(x) = Cc2 x^2 + Cc1 x + Cc0; v is the density
@@ -55,15 +55,13 @@ class PacketShape:
     t: float
 
 
-def _scaled_shape(
-    packet: GaussianPacket, params: OscillatorParams, t: float
-) -> tuple[PacketShape, float]:
+def _scaled_shape(packet: GaussianPacket, params: OscillatorParams, t) -> tuple[PacketShape, float]:
     """(shape, L): PacketShape with A, B, C divided by e^{2L} and v by e^L, L the flow's
     log-scale (0 unless gamma < 0), so v/sqrt(A) stays finite where the fields overflow."""
     if abs(params.hbar - packet.hbar) > 1e-12 * packet.hbar:
         raise ConfigurationError("packet and oscillator must share hbar")
     L, (a1, a2, a3, b1, b2, b3), (conv_q, _) = _scaled_flow(params, t)
-    decay = math.exp(-L)
+    decay = np.exp(-L)
     da = a3 - packet.a * decay
     db = b3 - packet.p0 * decay
     # v = -b2*da + a2*db restructured so the e^{4wt}-scale parts enter as the
@@ -80,20 +78,18 @@ def _scaled_shape(
     ), L
 
 
-def packet_shape(packet: GaussianPacket, params: OscillatorParams, t: float) -> PacketShape:
-    """Raises NumericalConsistencyError where a field exceeds the double range."""
+def packet_shape(packet: GaussianPacket, params: OscillatorParams, t) -> PacketShape:
+    """Shape at a float or an array of times; NumericalConsistencyError past the double range."""
     s, L = _scaled_shape(packet, params, t)
     quadratic = _unscale(2.0 * L, s.A, s.Bc0, s.Bc1, s.Cc0, s.Cc1, s.Cc2)
     return PacketShape(*quadratic, *_unscale(L, s.v), t)
 
 
-def density(packet: GaussianPacket, params: OscillatorParams, x, t: float):
-    """|psi(x, t)|^2 = exp(-(x - v)^2/(hbar A)) / sqrt(pi hbar A)."""
+def density(packet: GaussianPacket, params: OscillatorParams, x, t):
+    """|psi(x, t)|^2 = exp(-(x - v)^2/(hbar A)) / sqrt(pi hbar A); x and t broadcast."""
     s = packet_shape(packet, params, t)
     x = np.asarray(x, dtype=float)
-    return np.exp(-((x - s.v) ** 2) / (packet.hbar * s.A)) / math.sqrt(
-        math.pi * packet.hbar * s.A
-    )
+    return np.exp(-((x - s.v) ** 2) / (packet.hbar * s.A)) / np.sqrt(np.pi * packet.hbar * s.A)
 
 
 def wavefunction(packet: GaussianPacket, params: OscillatorParams, x, t: float):
@@ -137,7 +133,7 @@ def wigner_evolved_field(
     return WignerField(ps_grid, wigner_evolved(packet, params, x, xi, t), packet.hbar)
 
 
-def expectation_position(packet: GaussianPacket, params: OscillatorParams, t: float) -> float:
+def expectation_position(packet: GaussianPacket, params: OscillatorParams, t):
     """<x>_t = v(t); the forward classical trajectory of (a, p0).
 
     v grows like e^{2 w t} (w = sqrt(-gamma)) where A grows like e^{4 w t}, so it is

@@ -65,11 +65,11 @@ def _drive_terms(drive: DrivePolicy) -> tuple[float, float, float]:
     )
 
 
-def survival_probability(scenario: TunnelScenario, t: float) -> float:
-    """P(t) = mass of |psi|^2 on x < 0 = erfc(v(t)/sqrt(hbar A(t)))/2, finite for every t:
-    v and sqrt(A) share the flow's growth, so the ratio is taken of their mantissas."""
+def survival_probability(scenario: TunnelScenario, t):
+    """P(t) = mass of |psi|^2 on x < 0 = erfc(v/sqrt(hbar A))/2 at each t (a float or an array),
+    finite for every t: v and sqrt(A) share the flow's growth, so their mantissas give the ratio."""
     shape, _ = _scaled_shape(scenario.packet, scenario.oscillator(), t)
-    return 0.5 * erfc(shape.v / math.sqrt(scenario.packet.hbar * shape.A))
+    return 0.5 * erfc(shape.v / np.sqrt(scenario.packet.hbar * shape.A))
 
 
 def asymptotic_probability(scenario: TunnelScenario) -> float:
@@ -145,8 +145,6 @@ def figure1_series(
 ) -> np.ndarray:
     """P(t) sampled on t_grid for each p0; shape (len(p0_list), len(t_grid))."""
     t_grid = np.asarray(t_grid, dtype=float)
-    rows = []
-    for p0 in p0_list:
-        scenario = TunnelScenario(GaussianPacket(a, float(p0), hbar), omega, drive)
-        rows.append([survival_probability(scenario, float(t)) for t in t_grid])
-    return np.asarray(rows)
+    packets = [GaussianPacket(a, float(p0), hbar) for p0 in p0_list]
+    rows = [survival_probability(TunnelScenario(pk, omega, drive), t_grid) for pk in packets]
+    return np.reshape(rows, (len(rows), *t_grid.shape))

@@ -144,6 +144,19 @@ def test_tunnel_rejects_tabulated_drive_at_parse_time(tmp_path):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_repeated_key_is_a_config_error_at_any_depth(tmp_path, capsys):
+    top = '{"command": "tunnel", "a": -5, "p0": 4, "p0": 6, "omega": 1, "t_max": 15}'
+    nested = ('{"command": "tunnel", "a": -5, "p0": 4, "omega": 1, "t_max": 15,'
+              ' "drive": {"kind": "constant", "lambda": 0.1, "lambda": 0.2}}')
+    for text, key in ((top, "p0"), (nested, "lambda")):
+        with pytest.raises(ConfigParseError, match=rf"^config: key '{key}' is given more than once"):
+            cli.parse_config(text)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert cli.main(["tunnel", "--config", str(cfg_path)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
+
 def test_config_that_is_a_directory_is_a_config_error(tmp_path, capsys):
     assert cli.main(["tunnel", "--config", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")

@@ -25,7 +25,7 @@ def test_identity_at_time_zero():
 
 
 def test_negative_time_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(wf.ConfigurationError):
         wf.flow_coefficients(wf.OscillatorParams(1.0), -0.1)
 
 
@@ -416,7 +416,7 @@ def test_delta_residual_rejects_kink_point():
 def test_unrepresentable_coefficients_raise_a_library_error():
     params = wf.OscillatorParams(-1.0, wf.Constant(0.5))
     wf.flow_coefficients(params, 354.0)  # 2 w t = 708: cosh still representable
-    for t in (356.0, 400.0, 1e4):
+    for t in (356.0, 400.0, 1e4, np.array([1.0, 400.0])):
         with pytest.raises(NumericalConsistencyError):
             wf.flow_coefficients(params, t)
         with pytest.raises(NumericalConsistencyError):

@@ -1,0 +1,137 @@
+"""Time as an array axis: an array of times gives the per-time results bit for bit,
+and every public time function rejects a negative or non-finite time."""
+
+import math
+
+import numpy as np
+import pytest
+
+import wignerflow as wf
+from wignerflow.flow import _scaled_flow
+
+# 0, a tiny time, table knots (0.8, 1.1, 2.6) and a grid out beyond both tables; enough
+# points that a scalar path rounding differently from NumPy in a few per cent would show
+TIMES = np.concatenate(([0.0, 1e-9, 0.8, 1.1, 2.6], np.linspace(0.01, 9.0, 145)))
+GAMMAS = (0.8, -0.6)
+
+
+def drives(gamma):
+    return {
+        "constant": wf.Constant(0.4),
+        "cosine": wf.Cosine(0.2, 0.5, 3.7),  # (3.7/2)^2 is far from |gamma|: quotient form
+        "resonant": wf.Cosine(0.2, 0.5, 2.0 * math.sqrt(abs(gamma))),
+        "tabulated": wf.Tabulated(np.array([0.0, 0.7, 1.5, 2.0]), np.array([0.2, -0.4, 0.9, 0.1])),
+        "late_table": wf.Tabulated(np.array([0.8, 1.1, 2.6]), np.array([0.5, -0.7, 0.3])),
+    }
+
+
+CASES = [(gamma, name) for gamma in GAMMAS for name in drives(gamma)]
+
+
+def bits(values):
+    """The IEEE bit patterns of an array of doubles (tells 0.0 from -0.0 and keeps nan)."""
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def assert_same_bits(at_once, per_point):
+    np.testing.assert_array_equal(bits(np.broadcast_to(at_once, TIMES.shape)), bits(per_point))
+
+
+def flat(flow_values):
+    L, coeffs, conv = flow_values
+    return (L, *coeffs, *conv)
+
+
+@pytest.mark.parametrize("gamma, name", CASES)
+def test_scaled_flow_on_an_array_equals_per_time_calls(gamma, name):
+    params = wf.OscillatorParams(gamma, drives(gamma)[name])
+    at_once = flat(_scaled_flow(params, TIMES))
+    per_point = [flat(_scaled_flow(params, float(t))) for t in TIMES]
+    for k, values in enumerate(at_once):
+        assert_same_bits(values, [p[k] for p in per_point])
+    # any shape: a 2-D time array gives the same values in its own shape
+    grid = flat(_scaled_flow(params, TIMES.reshape(10, 15)))
+    for values, flat_values in zip(grid, at_once):
+        if np.ndim(values):
+            np.testing.assert_array_equal(bits(values).ravel(), bits(flat_values))
+
+
+@pytest.mark.parametrize("gamma, name", CASES)
+def test_packet_shape_on_an_array_equals_per_time_calls(gamma, name):
+    packet = wf.GaussianPacket(-0.7, 0.4, 0.9)
+    params = wf.OscillatorParams(gamma, drives(gamma)[name], packet.hbar)
+    at_once = wf.packet_shape(packet, params, TIMES)
+    per_point = [wf.packet_shape(packet, params, float(t)) for t in TIMES]
+    for field in ("A", "Bc0", "Bc1", "Cc0", "Cc1", "Cc2", "v"):
+        assert_same_bits(getattr(at_once, field), [getattr(s, field) for s in per_point])
+    assert_same_bits(
+        wf.expectation_position(packet, params, TIMES),
+        [wf.expectation_position(packet, params, float(t)) for t in TIMES],
+    )
+
+
+@pytest.mark.parametrize("name", list(drives(GAMMAS[1])))
+def test_survival_on_an_array_equals_per_time_calls(name):
+    omega = math.sqrt(-GAMMAS[1])
+    scenario = wf.TunnelScenario(wf.GaussianPacket(-5.0, 4.2, 0.9), omega, drives(GAMMAS[1])[name])
+    at_once = wf.survival_probability(scenario, TIMES)
+    assert_same_bits(at_once, [wf.survival_probability(scenario, float(t)) for t in TIMES])
+
+
+def test_figure1_rows_equal_per_time_survival():
+    drive = wf.Cosine(0.1, 0.3, 1.4)
+    series = wf.figure1_series(-5.0, 1.0, 1.0, [4.0, 5.0, 6.0], TIMES, drive)
+    assert series.shape == (3, TIMES.size)
+    for p0, row in zip((4.0, 5.0, 6.0), series):
+        scenario = wf.TunnelScenario(wf.GaussianPacket(-5.0, p0, 1.0), 1.0, drive)
+        assert_same_bits(row, [wf.survival_probability(scenario, float(t)) for t in TIMES])
+    assert wf.figure1_series(-5.0, 1.0, 1.0, [], TIMES).shape == (0, TIMES.size)
+
+
+def packet_state():
+    return wf.CoherentGaussian(-1.0, 0.5, 1.0)
+
+
+BAD_TIMES = [-0.1, math.nan, math.inf, -math.inf, np.array([0.5, math.nan, 1.0]),
+             np.array([[0.5, 1.0], [-1.0, 2.0]])]
+
+
+@pytest.mark.parametrize("t", BAD_TIMES)
+def test_every_public_time_function_rejects_a_bad_time(t):
+    params = wf.OscillatorParams(-1.0, wf.Cosine(0.2, 0.6, 1.7))
+    packet = wf.GaussianPacket(-5.0, 4.0)
+    scenario = wf.TunnelScenario(packet, 1.0, params.drive)
+    ps = wf.PhaseSpaceGrid(wf.Grid1D.symmetric(4.0, 5), wf.Grid1D.symmetric(4.0, 5))
+    calls = [
+        lambda: wf.flow_coefficients(params, t),
+        lambda: wf.drive_convolutions(params, t),
+        lambda: wf.classical_flow(params, 0.1, 0.2, t),
+        lambda: wf.propagate_field(packet_state().wigner, params, t, ps),
+        lambda: wf.packet_shape(packet, params, t),
+        lambda: wf.density(packet, params, 0.3, t),
+        lambda: wf.wavefunction(packet, params, 0.3, t),
+        lambda: wf.wigner_evolved(packet, params, 0.3, 0.1, t),
+        lambda: wf.expectation_position(packet, params, t),
+        lambda: wf.survival_probability(scenario, t),
+        lambda: wf.figure1_series(-5.0, 1.0, 1.0, [4.0], np.atleast_1d(t)),
+    ]
+    for call in calls:
+        with pytest.raises(wf.ConfigurationError, match="finite and non-negative"):
+            call()
+
+
+def test_transport_residual_needs_t_minus_dt_non_negative():
+    ps = wf.PhaseSpaceGrid(wf.Grid1D.symmetric(4.0, 5), wf.Grid1D.symmetric(4.0, 5))
+    with pytest.raises(wf.ConfigurationError, match="finite and non-negative"):
+        wf.liouville_residual(wf.OscillatorParams(1.0), packet_state().wigner, 0.01, ps,
+                              0.02, 0.1, 0.1)
+
+
+def test_a_time_whose_square_overflows_is_a_library_error():
+    # t^2 leaves the double range beyond about 1.3e154: a typed error, no nan and no warning
+    scenario = wf.TunnelScenario(wf.GaussianPacket(-5.0, 4.0), 1.0)
+    cosine = wf.OscillatorParams(1.0, wf.Cosine(0.3, 0.2, 0.7))
+    for call in (lambda t: wf.survival_probability(scenario, t),
+                 lambda t: wf.flow_coefficients(cosine, t)):
+        with pytest.raises(wf.NumericalConsistencyError):
+            call(np.array([1.0, 1e160]))
