@@ -21,7 +21,7 @@ import numpy as np
 from .catalog import HarmonicEigen
 from .errors import ConfigurationError, NumericalConsistencyError
 from .grids import PhaseSpaceGrid
-from .transform import WignerField
+from .transform import WignerField, _row_chunks
 
 _TINY = 1e-300
 # c3(z) = sum_n (-z)^n/(2n + 3)!, to rounding for |z| <= 1
@@ -113,30 +113,34 @@ class FlowCoefficients:
 
 
 def _angle(gamma: float, t):
-    """(c, s, k3, L) of theta = sqrt(gamma) t, elementwise over t >= 0: cos(theta) = c e^{L/2},
-    sin(theta)/theta = s e^{L/2}, c3 = (2 theta - sin 2 theta)/(2 theta)^3 = k3 e^L.
+    """(c, s, L) of theta = sqrt(gamma) t, elementwise over t >= 0: cos(theta) = c e^{L/2},
+    sin(theta)/theta = s e^{L/2}.
 
-    For gamma < 0 these are cosh, sinh(w)/w and (sinh 2w - 2w)/(2w)^3 of
-    w = sqrt(-gamma) t, and L = 2w splits off their growth (L = 0 otherwise).
-    The only function that reads the sign of gamma.
+    For gamma < 0 these are cosh and sinh(w)/w of w = sqrt(-gamma) t, and L = 2w
+    splits off their growth (L = 0 otherwise).
     """
     # the floor only removes the 0/0 of sin(theta)/theta at theta = 0
     theta = np.maximum(math.sqrt(abs(gamma)) * t, _TINY)
-    # c3 by its series up to 2 theta = 1 and directly beyond, at clamped arguments
-    small, big = np.minimum(theta, 0.5), 2.0 * np.maximum(theta, 0.5)
     if gamma >= 0.0:
-        c, s = np.cos(theta), np.sin(theta) / theta
-        z, decay, L = 4.0 * small * small, 1.0, 0.0
+        return np.cos(theta), np.sin(theta) / theta, 0.0
+    return 0.5 + 0.5 * np.exp(-2.0 * theta), -np.expm1(-2.0 * theta) / (2.0 * theta), 2.0 * theta
+
+
+def _stumpff_c3(gamma: float, t):
+    """k3 = c3 e^{-L} of _angle's theta and L: c3 = (2 theta - sin 2 theta)/(2 theta)^3, for
+    gamma < 0 (sinh 2w - 2w)/(2w)^3; by its series up to 2 theta = 1 and directly beyond."""
+    theta = np.maximum(math.sqrt(abs(gamma)) * t, _TINY)
+    small, big = np.minimum(theta, 0.5), 2.0 * np.maximum(theta, 0.5)  # clamped arguments
+    if gamma >= 0.0:
+        z, decay = 4.0 * small * small, 1.0
         direct = (1.0 - np.sin(big) / big) / (big * big)
     else:
-        decay = np.exp(-2.0 * theta)
-        c, s = 0.5 + 0.5 * decay, -np.expm1(-2.0 * theta) / (2.0 * theta)
-        z, L = -4.0 * small * small, 2.0 * theta
+        z, decay = -4.0 * small * small, np.exp(-2.0 * theta)
         direct = (-0.5 * np.expm1(-2.0 * big) / big - np.exp(-big)) / (big * big)
     series = 0.0
     for coef in reversed(_C3_SERIES):
         series = series * -z + coef
-    return c, s, np.where(theta < 0.5, decay * series, direct), L
+    return np.where(theta < 0.5, decay * series, direct)
 
 
 def _homogeneous(gamma: float, t, c, s):
@@ -148,7 +152,7 @@ def _homogeneous(gamma: float, t, c, s):
 
 def _entries(gamma: float, t):
     """Unscaled homogeneous entries (a1, a2, b1, b2) at a float or an array of t >= 0."""
-    c, s, _, L = _angle(gamma, t)
+    c, s, L = _angle(gamma, t)
     return tuple(np.exp(L) * e for e in _homogeneous(gamma, t, c, s))
 
 
@@ -173,7 +177,7 @@ def _cosine_terms(gamma: float, t, omega_d: float, c, s, L):
     phi = half * t
     x, y = gamma * t * t, phi * phi
     if abs(gamma - half * half) > 0.5 * (abs(gamma) + half * half):  # |x - y| > (|x| + y)/2
-        c_y, s_y, _, _ = _angle(1.0, phi)
+        c_y, s_y, _ = _angle(1.0, phi)
         decay, d = np.exp(-L), np.where(x == y, 1.0, x - y)  # x = y only where t^2 = 0
         g_x, h_x, g_y, h_y = x * s * s, s * c, y * s_y * s_y, s_y * c_y
         a3 = t * t * (2.0 * y * h_x * h_y - g_x * (1.0 - 2.0 * g_y) - decay * g_y) / d
@@ -183,8 +187,8 @@ def _cosine_terms(gamma: float, t, omega_d: float, c, s, L):
     theta = np.maximum(np.sqrt(x), _TINY)
     total = theta + phi
     dif = t * t * float(Fraction(gamma) - Fraction(half) ** 2) / total
-    c_sum, s_sum, _, _ = _angle(1.0, total)
-    c_dif, s_dif, _, _ = _angle(1.0, np.abs(dif))
+    c_sum, s_sum, _ = _angle(1.0, total)
+    c_dif, s_dif, _ = _angle(1.0, np.abs(dif))
     a3 = -t * t * (total * s_sum * s_sum + dif * s_dif * s_dif) / (total + dif)
     b3 = 0.5 * t * (s_sum * c_sum + s_dif * c_dif)
     return a3, b3, -t * t * s_sum * s_dif, 0.5 * t * (c_sum * s_dif + s_sum * c_dif)
@@ -196,7 +200,7 @@ def _tabulated_terms(gamma: float, drive: Tabulated, t, L):
     its own local time and carried to 0 (forward terms) or t (convolutions) by the homogeneous
     map, never as a difference of large antiderivatives; one pass per segment, all t at once."""
     def carried(t_map, l_seg, f_a, f_b):
-        c_m, s_m, _, l_map = _angle(gamma, t_map)
+        c_m, s_m, l_map = _angle(gamma, t_map)
         a1, a2, b1, b2 = _homogeneous(gamma, t_map, c_m, s_m)
         grow = np.exp(l_map + l_seg - L)
         return [grow * (u * f_a + v * f_b) for u, v in ((a1, a2), (b1, b2))]
@@ -207,8 +211,8 @@ def _tabulated_terms(gamma: float, drive: Tabulated, t, L):
         lo, hi = np.minimum(start, t), np.minimum(stop, t)
         q_lo, q_hi = (np.interp(e, drive.times, drive.values) for e in (lo, hi))
         h, dq = hi - lo, q_hi - q_lo
-        c, s, k3, l_seg = _angle(gamma, h)
-        hs = h * s
+        c, s, l_seg = _angle(gamma, h)
+        hs, k3 = h * s, _stumpff_c3(gamma, h)
         # Int_0^h a2 = -(hs)^2, Int_0^h b2 = hs c, Int_0^h (h - u) a2(u) du = -2 h^2 k3
         sq, sc, ramp, half = hs * hs, hs * c, 2.0 * h * h * k3, 0.5 * hs * s
         terms = (*carried(lo, l_seg, -q_hi * sq + dq * ramp, q_hi * sc - dq * half),
@@ -229,7 +233,7 @@ def _scaled_flow(params: OscillatorParams, t):
     if bad.size:
         raise ConfigurationError(f"flow time must be finite and non-negative, got {bad[0]}")
     t, gamma, drive = t[()], params.gamma, params.drive  # a float as a NumPy scalar, not 0-d
-    c, s, k3, L = _angle(gamma, t)
+    c, s, L = _angle(gamma, t)
     a1, a2, b1, b2 = _homogeneous(gamma, t, c, s)
     if isinstance(drive, Tabulated):
         a3, b3, conv_q, conv_p = _tabulated_terms(gamma, drive, t, L)
@@ -286,35 +290,40 @@ def classical_flow(params: OscillatorParams, x, xi, t: float):
     """Hamiltonian flux of h = p^2 + V(q, t) integrated with reversed signs
     (q' = -2p, p' = +dV/dq), so that for a time-independent drive it
     coincides with the backward map composing the transported field."""
-    c = flow_coefficients(params, t)
-    conv_q, conv_p = drive_convolutions(params, t)
+    L, (a1, a2, _, b1, b2, _), conv = _scaled_flow(params, t)
+    a1, a2, b1, b2, conv_q, conv_p = _unscale(L, a1, a2, b1, b2, *conv)
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    return c.a1 * x + c.a2 * xi + conv_q, c.b1 * x + c.b2 * xi + conv_p
+    return a1 * x + a2 * xi + conv_q, b1 * x + b2 * xi + conv_p
 
 
 InitialField = Union[WignerField, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
 
 def field_evaluator(field: WignerField) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Bilinear interpolation on the field's grid, zero outside."""
+    """Bilinear interpolation on the field's grid, zero outside; ConfigurationError at nan."""
     xg, xig = field.grid.x_grid, field.grid.xi_grid
     vals = field.values
     n, m = vals.shape
+    flat = vals.ravel()
 
     def evaluate(x, xi):
-        fx = (np.asarray(x, float) - xg.x_min) / xg.step
-        fxi = (np.asarray(xi, float) - xig.x_min) / xig.step
+        # clamped to [-1, n] x [-1, m]: the grid and the zero band around it stay as they are
+        fx = np.clip((np.asarray(x, float) - xg.x_min) / xg.step, -1.0, n)
+        fxi = np.clip((np.asarray(xi, float) - xig.x_min) / xig.step, -1.0, m)
+        if np.isnan(fx).any() or np.isnan(fxi).any():
+            raise ConfigurationError("field_evaluator query point is nan")
         inside = (fx >= 0.0) & (fx <= n - 1) & (fxi >= 0.0) & (fxi <= m - 1)
         i = np.clip(np.floor(fx).astype(int), 0, n - 2)
         j = np.clip(np.floor(fxi).astype(int), 0, m - 2)
         wx = np.clip(fx - i, 0.0, 1.0)
         wj = np.clip(fxi - j, 0.0, 1.0)
+        k = i * m + j  # flat index of corner (i, j); the others are k + m, k + 1, k + m + 1
         v = (
-            vals[i, j] * (1 - wx) * (1 - wj)
-            + vals[i + 1, j] * wx * (1 - wj)
-            + vals[i, j + 1] * (1 - wx) * wj
-            + vals[i + 1, j + 1] * wx * wj
+            flat.take(k) * (1 - wx) * (1 - wj)
+            + flat.take(k + m) * wx * (1 - wj)
+            + flat.take(k + 1) * (1 - wx) * wj
+            + flat.take(k + m + 1) * wx * wj
         )
         return np.where(inside, v, 0.0)
 
@@ -328,10 +337,14 @@ def _as_evaluator(initial: InitialField):
 
 
 def _evaluate_transported(initial, coeffs: FlowCoefficients, x_nodes, xi_nodes) -> np.ndarray:
+    """initial at the backward images of the mesh, filled in row chunks of bounded scratch."""
     x = np.asarray(x_nodes, float)[:, None]
     xi = np.asarray(xi_nodes, float)[None, :]
-    bx, bxi = backward_map(coeffs, x, xi)
-    return np.asarray(initial(bx, bxi), dtype=float)
+    out = np.empty((x.shape[0], xi.shape[1]))
+    # scratch per cell: the backward map and the bilinear gather's temporaries, ~100 bytes
+    for rows in _row_chunks(x.shape[0], 128 * xi.shape[1]):
+        out[rows] = initial(*backward_map(coeffs, x[rows], xi))
+    return out
 
 
 def propagate_field(
@@ -342,6 +355,8 @@ def propagate_field(
     ``initial`` is a closed-form evaluator (x, xi) -> W0 defined on all of
     R^2, or a gridded field used through bilinear interpolation with zero
     extension (interpolation error is then the caller's responsibility).
+    Either is evaluated in cache-sized row chunks, so the peak memory is
+    about one output field.
     """
     coeffs = flow_coefficients(params, t)
     evaluator = _as_evaluator(initial)
@@ -371,16 +386,15 @@ def liouville_residual(
     evaluator = _as_evaluator(initial)
     xs = ps_grid.x_grid.nodes()
     xis = ps_grid.xi_grid.nodes()
+    coeffs = flow_coefficients(params, np.array([t - dt, t, t + dt]))
+    before, now, after = (FlowCoefficients(*fields) for fields in zip(*vars(coeffs).values()))
 
-    def field_at(time: float, x_nodes, xi_nodes) -> np.ndarray:
-        return _evaluate_transported(evaluator, flow_coefficients(params, time), x_nodes, xi_nodes)
-
-    w_tp = field_at(t + dt, xs, xis)
-    w_tm = field_at(t - dt, xs, xis)
-    w_xp = field_at(t, xs + dx, xis)
-    w_xm = field_at(t, xs - dx, xis)
-    w_kp = field_at(t, xs, xis + dxi)
-    w_km = field_at(t, xs, xis - dxi)
+    w_tp = _evaluate_transported(evaluator, after, xs, xis)
+    w_tm = _evaluate_transported(evaluator, before, xs, xis)
+    w_xp = _evaluate_transported(evaluator, now, xs + dx, xis)
+    w_xm = _evaluate_transported(evaluator, now, xs - dx, xis)
+    w_kp = _evaluate_transported(evaluator, now, xs, xis + dxi)
+    w_km = _evaluate_transported(evaluator, now, xs, xis - dxi)
 
     q_now = float(drive_value(params.drive, t))
     dw_dt = (w_tp - w_tm) / (2.0 * dt)

@@ -1,12 +1,14 @@
 """Flow coefficients, propagation, classical flow, residual diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate
 
 import wignerflow as wf
+from wignerflow import flow, transform
 from wignerflow.errors import ConfigurationError, NumericalConsistencyError
 from wignerflow.flow import _entries
 
@@ -268,9 +270,104 @@ def test_field_evaluator_zero_extension():
     ps = _small_ps(6.0, 61)
     field = wf.propagate_field(state.wigner, wf.OscillatorParams(0.0), 0.0, ps)
     ev = wf.field_evaluator(field)
-    assert ev(100.0, 0.0) == 0.0
-    assert ev(0.0, 100.0) == 0.0
+    # zero at any distance, without a warning from the index cast
+    for far in (100.0, 1e30, -1e30, math.inf, -math.inf):
+        assert ev(far, 0.0) == 0.0
+        assert ev(0.0, far) == 0.0
     assert ev(0.0, 0.0) == pytest.approx(1.0 / math.pi, rel=1e-12)
+    row = ev(np.array([-math.inf, 0.0, 1e300]), np.zeros(3))
+    assert row[0] == row[2] == 0.0 and row[1] == ev(0.0, 0.0)
+
+
+@pytest.mark.parametrize("x, xi", [(math.nan, 0.0), (0.0, math.nan), (np.array([0.0, math.nan]), 0.0)])
+def test_field_evaluator_rejects_a_nan_query(x, xi):
+    field = wf.propagate_field(wf.CoherentGaussian(0.0, 0.0, 1.0).wigner, wf.OscillatorParams(0.0), 0.0,
+                               _small_ps(6.0, 61))
+    with pytest.raises(ConfigurationError):
+        wf.field_evaluator(field)(x, xi)
+
+
+def test_gridded_transport_with_a_huge_backward_map_reads_zero_off_the_grid():
+    # at gamma = -1, t = 300 the backward map reaches ~1e260: finite, far beyond any int
+    ps = _small_ps(6.0, 61)
+    initial = wf.propagate_field(wf.CoherentGaussian(0.5, 0.0, 1.0).wigner, wf.OscillatorParams(0.0), 0.0, ps)
+    moved = wf.propagate_field(initial, wf.OscillatorParams(-1.0), 300.0, ps)
+    assert np.all(np.isfinite(moved.values))
+    x, xi = wf.backward_map(wf.flow_coefficients(wf.OscillatorParams(-1.0), 300.0),
+                            ps.x_grid.nodes()[:, None], ps.xi_grid.nodes()[None, :])
+    off = (np.abs(x) > 6.0) | (np.abs(xi) > 6.0)
+    assert off.sum() > 0 and np.all(moved.values[off] == 0.0)
+
+
+def _whole_mesh_bilinear(field, coeffs, ps):
+    """Gridded transport as one whole-mesh bilinear gather: the reference that the
+    chunked, flat-index evaluation must reproduce bit for bit."""
+    xg, xig = field.grid.x_grid, field.grid.xi_grid
+    vals = field.values
+    n, m = vals.shape
+    bx, bxi = wf.backward_map(coeffs, ps.x_grid.nodes()[:, None], ps.xi_grid.nodes()[None, :])
+    fx = (bx - xg.x_min) / xg.step
+    fxi = (bxi - xig.x_min) / xig.step
+    inside = (fx >= 0.0) & (fx <= n - 1) & (fxi >= 0.0) & (fxi <= m - 1)
+    i = np.clip(np.floor(fx).astype(int), 0, n - 2)
+    j = np.clip(np.floor(fxi).astype(int), 0, m - 2)
+    wx = np.clip(fx - i, 0.0, 1.0)
+    wj = np.clip(fxi - j, 0.0, 1.0)
+    v = (
+        vals[i, j] * (1 - wx) * (1 - wj)
+        + vals[i + 1, j] * wx * (1 - wj)
+        + vals[i, j + 1] * (1 - wx) * wj
+        + vals[i + 1, j + 1] * wx * wj
+    )
+    return np.where(inside, v, 0.0)
+
+
+@pytest.mark.parametrize("state_id", ["coherent", "gauss_general"])
+@pytest.mark.parametrize("periods", [0.37, 0.5])
+def test_gridded_transport_equals_the_whole_mesh_formula(catalog_fields, state_id, periods):
+    _, _, ps, field = catalog_fields(state_id)
+    assert ps.shape == (1025, 2187)
+    gamma = 0.8
+    params = wf.OscillatorParams(gamma, wf.Cosine(0.1, 0.2, 0.7), 1.0)
+    t = periods * math.pi / math.sqrt(gamma)
+    moved = wf.propagate_field(field, params, t, ps)
+    reference = _whole_mesh_bilinear(field, wf.flow_coefficients(params, t), ps)
+    assert moved.values.tobytes() == reference.tobytes()
+
+
+def test_many_row_chunks_equal_one(monkeypatch):
+    state = wf.CoherentGaussian(0.4, -0.3, 1.0)
+    grid = wf.Grid1D.symmetric(9.0, 257)
+    ps = wf.natural_grid(grid, 1.0)
+    field = wf.wigner_transform(wf.sample_catalog_state(state, grid), ps)
+    params = wf.OscillatorParams(-0.6, wf.Cosine(0.2, 0.3, 1.1), 1.0)
+    chunk_rows = []
+
+    def closed_form(x, xi):
+        chunk_rows.append(len(x))
+        return state.wigner(x, xi)
+
+    results = []
+    # room for the whole mesh in one chunk, then for no more than one row per chunk
+    for budget, rows in ((1 << 40, [ps.x_grid.count]), (16 * np.getbufsize(), [1] * ps.x_grid.count)):
+        monkeypatch.setattr(transform, "_CHUNK_BYTES", budget)
+        chunk_rows.clear()
+        results.append([wf.propagate_field(initial, params, 0.9, ps).values for initial in (field, closed_form)])
+        assert chunk_rows == rows
+    for whole, chunked in zip(*results):
+        assert np.array_equal(chunked, whole)
+
+
+def test_gridded_transport_peak_memory_is_the_output_plus_one_chunk(catalog_fields):
+    _, _, ps, field = catalog_fields("coherent")
+    params = wf.OscillatorParams(0.8, wf.Cosine(0.1, 0.2, 0.7), 1.0)
+    tracemalloc.start()
+    try:
+        moved = wf.propagate_field(field, params, 1.3, ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= moved.values.nbytes + transform._CHUNK_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +452,67 @@ def test_transport_residual_zero_initial():
         return np.zeros(np.broadcast(x, xi).shape)
 
     assert wf.liouville_residual(params, zero, 0.5, ps, 0.05, 0.05, 0.05) == 0.0
+
+
+def _count_scaled_flow_calls(monkeypatch):
+    calls = []
+    scaled_flow = flow._scaled_flow
+
+    def counted(params, t):
+        calls.append(np.shape(t))
+        return scaled_flow(params, t)
+
+    monkeypatch.setattr(flow, "_scaled_flow", counted)
+    return calls
+
+
+def test_transport_residual_makes_one_flow_call_and_keeps_its_bits(monkeypatch):
+    params = wf.OscillatorParams(-0.7, wf.Cosine(0.2, 0.4, 1.3), 1.0)
+    state = wf.CoherentGaussian(0.3, -0.2, 1.0)
+    ps = _small_ps(6.0, 61)
+    t, h = 0.8, 0.03
+    xs, xis = ps.x_grid.nodes(), ps.xi_grid.nodes()
+
+    def field_at(time, x_nodes, xi_nodes):  # one flow call per sample, as a reference
+        x, xi = wf.backward_map(wf.flow_coefficients(params, time), x_nodes[:, None], xi_nodes[None, :])
+        return state.wigner(x, xi)
+
+    dw_dt = (field_at(t + h, xs, xis) - field_at(t - h, xs, xis)) / (2.0 * h)
+    dw_dx = (field_at(t, xs + h, xis) - field_at(t, xs - h, xis)) / (2.0 * h)
+    dw_dxi = (field_at(t, xs, xis + h) - field_at(t, xs, xis - h)) / (2.0 * h)
+    q_now = float(wf.drive_value(params.drive, t))
+    residual = dw_dt + 2.0 * xis[None, :] * dw_dx - (2.0 * params.gamma * xs[:, None] + q_now) * dw_dxi
+    reference = float(np.max(np.abs(residual[1:-1, 1:-1])))
+
+    calls = _count_scaled_flow_calls(monkeypatch)
+    assert wf.liouville_residual(params, state.wigner, t, ps, h, h, h) == reference
+    assert calls == [(3,)]
+
+
+def test_transport_residual_errors():
+    params = wf.OscillatorParams(-1.0, wf.Constant(0.5))
+    state = wf.CoherentGaussian(0.0, 0.0, 1.0)
+    ps = _small_ps(4.0, 9)
+    with pytest.raises(NumericalConsistencyError):
+        wf.liouville_residual(params, state.wigner, 354.5, ps, 1.0, 0.1, 0.1)
+    with pytest.raises(ConfigurationError):
+        wf.liouville_residual(params, state.wigner, 0.5, ps, 1.0, 0.1, 0.1)
+
+
+def test_classical_flow_makes_one_flow_call_and_keeps_its_bits(monkeypatch):
+    x, xi = np.array([0.3, -1.2, 2.5]), np.array([0.4, 0.9, -0.1])
+    for params, t in ((wf.OscillatorParams(-1.0, wf.Cosine(0.2, 0.3, 1.1)), 2.7),
+                      (wf.OscillatorParams(0.6, wf.Tabulated([0.0, 1.0, 2.0], [0.1, -0.4, 0.3])), 1.7)):
+        c = wf.flow_coefficients(params, t)
+        conv_q, conv_p = wf.drive_convolutions(params, t)
+        calls = _count_scaled_flow_calls(monkeypatch)
+        q, p = wf.classical_flow(params, x, xi, t)
+        assert calls == [()]
+        assert q.tobytes() == (c.a1 * x + c.a2 * xi + conv_q).tobytes()
+        assert p.tobytes() == (c.b1 * x + c.b2 * xi + conv_p).tobytes()
+        monkeypatch.undo()
+    with pytest.raises(NumericalConsistencyError):
+        wf.classical_flow(wf.OscillatorParams(-1.0, wf.Constant(0.5)), 0.1, 0.2, 400.0)
 
 
 def test_eigen_residuals_second_order():
