@@ -431,10 +431,10 @@ def default_grid(state: AnalyticState) -> Grid1D:
 # Box-state L1 divergence diagnostic
 # ---------------------------------------------------------------------------
 
-def _abs_sin_primitive(t: float) -> float:
-    """Integral of |sin| from 0 to t."""
-    k, r = divmod(t, math.pi)
-    return 2.0 * k + 1.0 - math.cos(r)
+def _abs_sin_primitive(t):
+    """Integral of |sin| from 0 to t >= 0, elementwise."""
+    k, r = np.divmod(t, math.pi)
+    return 2.0 * k + 1.0 - np.cos(r)
 
 
 def _simpson_to_tol(f, a: float, b: float, rel_tol: float = 1e-11) -> float:
@@ -472,8 +472,7 @@ def box_l1_growth(R: float, hbar: float, Xi: float) -> float:
         small = u < 1e-6
         out[small] = 0.5 - u[small] ** 2 / 24.0
         rest = u[~small]
-        prim = np.vectorize(_abs_sin_primitive)(rest) if rest.size else rest
-        out[~small] = prim / (rest * rest)
+        out[~small] = _abs_sin_primitive(rest) / (rest * rest)
         return out
 
     edges = [0.0] + [k * math.pi for k in range(1, int(upper / math.pi) + 1)] + [upper]

@@ -382,9 +382,20 @@ class CsvTable:
         lines = [f"# tolerance {col} {abs_tol:.17g} {rel_tol:.17g}"
                  for col, (abs_tol, rel_tol) in self.tolerances.items()]
         lines.append(",".join(self.header))
-        row = ",".join(_CELL_FORMATS[col.dtype.kind] for col in self.columns)
-        lines.extend(row % cells for cells in zip(*(col.tolist() for col in self.columns)))
-        return "\n".join(lines) + "\n"
+        n_rows, width = len(self.rows), len(self.columns)
+        specs, cells = [], [None] * (n_rows * width)
+        for j, col in enumerate(self.columns):
+            spec = _CELL_FORMATS[col.dtype.kind]
+            if col.dtype == np.float64:  # distinct bit patterns, so -0.0 stays apart from 0.0
+                bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+                # repeating columns only: an all-distinct W is ~25 ms/135k rows faster in one `%`
+                if 2 * len(bits) <= n_rows:
+                    distinct = [spec % v for v in bits.view(np.float64).tolist()]
+                    col, spec = np.array(distinct, dtype=object)[inverse], "%s"
+            specs.append(spec)
+            cells[j::width] = col.tolist()
+        body = ((",".join(specs) + "\n") * n_rows) % tuple(cells)
+        return "\n".join(lines) + "\n" + body
 
     def write(self, path: str | Path) -> None:
         Path(path).write_text(self.to_text(), encoding="utf-8", newline="")

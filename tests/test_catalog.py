@@ -266,6 +266,18 @@ def test_box_l1_dominates_signed_mass():
     assert wf.box_l1_growth(1.0, 2.0, xi_cut) >= signed
 
 
+def test_abs_sin_primitive_array_form_matches_the_scalar_form():
+    from wignerflow.catalog import _abs_sin_primitive
+
+    def scalar(t: float) -> float:
+        k, r = divmod(t, math.pi)
+        return 2.0 * k + 1.0 - math.cos(r)
+
+    rng = np.random.default_rng(11)
+    t = np.concatenate([10.0 ** rng.uniform(-6.0, 4.0, 2000), np.arange(60) * math.pi, [0.0, 1e-6]])
+    np.testing.assert_allclose(_abs_sin_primitive(t), [scalar(v) for v in t.tolist()], rtol=1e-15, atol=0.0)
+
+
 def test_box_l1_requires_unit_exceeding_cutoff():
     with pytest.raises(ConfigurationError):
         wf.box_l1_growth(1.0, 2.0, 0.5)

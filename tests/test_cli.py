@@ -1,9 +1,12 @@
 """CLI: config parsing, CSV output, golden comparison, determinism."""
 
+import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wignerflow import cli
@@ -319,6 +322,42 @@ def test_csv_rendering_17_significant_digits():
     assert text == "a,b\n0.33333333333333331,text\n"
 
 
+def _row_by_row_text(table: CsvTable) -> str:
+    """The row-at-a-time renderer `to_text` replaced, kept as its reference."""
+    lines = [f"# tolerance {col} {abs_tol:.17g} {rel_tol:.17g}"
+             for col, (abs_tol, rel_tol) in table.tolerances.items()]
+    lines.append(",".join(table.header))
+    row = ",".join(cli._CELL_FORMATS[col.dtype.kind] for col in table.columns)
+    lines.extend(row % cells for cells in zip(*(col.tolist() for col in table.columns)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 7, 64, 1001])
+def test_csv_rendering_matches_the_row_by_row_reference(n_rows):
+    rng = np.random.default_rng(1000 + n_rows)
+    payload_nan = np.array([0x7FF8000000000123], dtype=np.int64).view(np.float64)[0]
+    special = np.array([
+        -0.0, 0.0, np.nan, payload_nan, -np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072009e-308,
+        1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0,
+    ])
+    assert np.isnan(payload_nan) and special.view(np.int64)[2] != special.view(np.int64)[3]
+    columns = {
+        "specials": rng.choice(special, n_rows),  # few distinct values, each repeated
+        "distinct": rng.standard_normal(n_rows) * 10.0 ** rng.integers(-322, 300, n_rows),
+        "mixed": np.where(rng.random(n_rows) < 0.3, rng.choice(special, n_rows), rng.standard_normal(n_rows)),
+        "pairs": np.resize(rng.standard_normal(max(n_rows // 2, 1)), n_rows),  # exactly half distinct
+        "neg_zero": np.full(n_rows, -0.0),
+        "n": rng.integers(-10**15, 10**15, n_rows),
+        "status": rng.choice(np.array(["pass", "fail", "a b"]), n_rows),
+    }
+    table = CsvTable(tuple(columns), list(columns.values()),
+                     {"distinct": (1e-12, 0.0), "mixed": (0.0, 2.5e-9)})
+    text = table.to_text()
+    assert text == _row_by_row_text(table)
+    if n_rows:
+        assert text.splitlines()[3].split(",")[4] == "-0"
+
+
 def test_csv_rejects_ragged_rows():
     with pytest.raises(Exception):
         CsvTable(("a", "b"), [(1.0,)])
@@ -330,6 +369,49 @@ def test_determinism_byte_identical(tmp_path):
     cli.run(cfg, out_path=p1)
     cli.run(cfg, out_path=p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# The shapes of the benchmark's cli_tables transform (257 x 525, a non-natural xi
+# grid) and propagate (3 x 129 x 129) tables, with digests of the row-by-row renderer.
+FULL_SIZE = {
+    "transform": (
+        {
+            "command": "transform", "hbar": 1.0, "state": {"kind": "coherent", "a": 0.2, "p0": -0.3},
+            "grid": {"x_min": -8.3, "x_max": 8.7, "count": 257}, "xi": {"xi_max": 6.0, "count": 525},
+        },
+        "217f61017a1dd3dc54ef288466c8430bc1f6c7f0538c66316ae7705f21a10df3",
+    ),
+    "propagate": (
+        {
+            "command": "propagate", "hbar": 1.0, "state": {"kind": "coherent", "a": 0.2, "p0": -0.3},
+            "gamma": -0.6, "drive": {"kind": "cosine", "lambda": 0.1, "b": 0.3, "Omega": 1.7},
+            "times": [0.25, 0.5, 0.9], "grid": {"half_width": 6.0, "count": 129},
+            "xi": {"xi_max": 6.0, "count": 129},
+        },
+        "6a318a14569eee684ac939fc320dc3a6e261b87f3b8cf792910a2c8908e7f269",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FULL_SIZE))
+def test_full_size_tables_keep_their_bytes(command, tmp_path):
+    config, digest = FULL_SIZE[command]
+    (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / f"{command}.csv"
+    assert cli.main([command, "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_csv_rendering_peak_memory_is_bounded_by_the_text():
+    table, _ = cli.compute(cli.parse_config(json.dumps(FULL_SIZE["transform"][0])))
+    tracemalloc.start()
+    try:
+        text = table.to_text()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.rows) == 257 * 525
+    assert peak <= 3.5 * len(text)
 
 
 def test_golden_comparison_pass_and_fail(tmp_path):

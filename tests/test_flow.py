@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,19 @@ def test_field_evaluator_rejects_a_nan_query(x, xi):
                                _small_ps(6.0, 61))
     with pytest.raises(ConfigurationError):
         wf.field_evaluator(field)(x, xi)
+
+
+@pytest.mark.parametrize("gridded", [False, True])
+def test_backward_map_past_the_double_range_raises_without_a_warning(gridded):
+    # gamma = -1, t = 354: the coefficients (~1e307) are finite, a1 x on |x| <= 12 is not
+    ps = _small_ps(12.0, 9)
+    initial = wf.CoherentGaussian(0.5, 0.0, 1.0).wigner
+    if gridded:
+        initial = wf.propagate_field(initial, wf.OscillatorParams(0.0), 0.0, ps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalConsistencyError, match="t = 354"):
+            wf.propagate_field(initial, wf.OscillatorParams(-1.0), 354.0, ps)
 
 
 def test_gridded_transport_with_a_huge_backward_map_reads_zero_off_the_grid():
