@@ -51,6 +51,18 @@ def laguerre_polynomial(n: int, x):
     return l
 
 
+# exp(-y) is 0 from y ~ 745 on, while L_n(2y) (n <= 60) stays finite up to this cap;
+# capping y there keeps every value and makes a far-off point, whose y overflows, 0
+# instead of 0 * inf
+_LAGUERRE_Y_CAP = 1e4
+
+
+def _laguerre_wigner(n: int, y, prefactor: float):
+    """prefactor e^{-y} L_n(2y), the Wigner form of the n-th oscillator level."""
+    y = np.minimum(y, _LAGUERRE_Y_CAP)
+    return prefactor * np.exp(-y) * laguerre_polynomial(n, 2.0 * y)
+
+
 def _sinc(z):
     """sin(z)/z with the removable singularity filled."""
     return np.sinc(np.asarray(z) / math.pi)
@@ -167,7 +179,8 @@ class CoherentGaussian:
     def wigner(self, x, xi):
         x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
         h = self.hbar
-        return np.exp(-((x - self.a) ** 2 + (xi - self.p0) ** 2) / h) / (math.pi * h)
+        with np.errstate(over="ignore"):  # a far-off point's square is inf, its value 0
+            return np.exp(-((x - self.a) ** 2 + (xi - self.p0) ** 2) / h) / (math.pi * h)
 
 
 def _hermite_norm_sq(n: int) -> float:
@@ -203,11 +216,10 @@ class Hermite:
     def wigner(self, x, xi):
         x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
         h = self.hbar
-        r2 = x * x + (xi / h) ** 2
+        with np.errstate(over="ignore"):
+            r2 = x * x + (xi / h) ** 2
         scale = 1.0 if self.normalized else _hermite_norm_sq(self.n)
-        return scale * (-1.0) ** self.n / (math.pi * h) * np.exp(-r2) * laguerre_polynomial(
-            self.n, 2.0 * r2
-        )
+        return _laguerre_wigner(self.n, r2, scale * (-1.0) ** self.n / (math.pi * h))
 
 
 @dataclass(frozen=True)
@@ -235,10 +247,11 @@ class FreeEvolvedGaussian:
     def wigner(self, x, xi):
         x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
         h, t = self.hbar, self.t
-        return (
-            np.exp(-xi * xi / (2.0 * h * h)) * np.exp(-2.0 * (x - 2.0 * xi * t) ** 2)
-            / (math.pi * h)
-        )
+        with np.errstate(over="ignore"):  # a far-off point's square is inf, its value 0
+            return (
+                np.exp(-xi * xi / (2.0 * h * h)) * np.exp(-2.0 * (x - 2.0 * xi * t) ** 2)
+                / (math.pi * h)
+            )
 
 
 @dataclass(frozen=True)
@@ -342,11 +355,10 @@ class HarmonicEigen:
     def wigner(self, x, xi):
         x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
         h, w = self.hbar, self.omega
-        y = (xi * xi + w * w * x * x) / (h * w)
+        with np.errstate(over="ignore"):
+            y = (xi * xi + w * w * x * x) / (h * w)
         scale = 1.0 if self.normalized else self._norm_sq()
-        return scale * (-1.0) ** self.n / (math.pi * h) * np.exp(-y) * laguerre_polynomial(
-            self.n, 2.0 * y
-        )
+        return _laguerre_wigner(self.n, y, scale * (-1.0) ** self.n / (math.pi * h))
 
     def energy(self) -> float:
         return harmonic_energy(self.n, self.omega, self.hbar)

@@ -10,6 +10,7 @@ keeps the Wronskian a2*b1 - a1*b2 = -1), with closed-form drive integrals.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -166,6 +167,13 @@ def _unscale(L, *mantissas):
     return values
 
 
+@functools.lru_cache(maxsize=256)
+def _detuning(gamma: float, half: float) -> float:
+    """gamma - half^2 rounded once from its exact rational value (memoised: a drive's
+    resonant flow asks for the same pair at every call)."""
+    return float(Fraction(gamma) - Fraction(half) ** 2)
+
+
 def _cosine_terms(gamma: float, t, omega_d: float, c, s, L):
     """(a3, b3, conv_q, conv_p) / e^L of the unit drive cos(omega_d t): divided differences
     in x = gamma t^2, y = (omega_d t/2)^2 of sin(sqrt z)^2 and sin(2 sqrt z)/(2 sqrt z).
@@ -186,7 +194,7 @@ def _cosine_terms(gamma: float, t, omega_d: float, c, s, L):
     # the resonant terms hinge on the detuning theta - phi: from exact gamma - (omega_d/2)^2
     theta = np.maximum(np.sqrt(x), _TINY)
     total = theta + phi
-    dif = t * t * float(Fraction(gamma) - Fraction(half) ** 2) / total
+    dif = t * t * _detuning(gamma, half) / total
     c_sum, s_sum, _ = _angle(1.0, total)
     c_dif, s_dif, _ = _angle(1.0, np.abs(dif))
     a3 = -t * t * (total * s_sum * s_sum + dif * s_dif * s_dif) / (total + dif)

@@ -55,25 +55,39 @@ class PacketShape:
     t: float
 
 
+def _packet_flow(hbar: float, params: OscillatorParams, t):
+    """_scaled_flow(params, t) for packets of Planck constant hbar."""
+    if abs(params.hbar - hbar) > 1e-12 * hbar:
+        raise ConfigurationError("packet and oscillator must share hbar")
+    return _scaled_flow(params, t)
+
+
+def _centre_and_width(a, p0, flow) -> tuple:
+    """(v, A) of the packets launched from (a, p0), divided by e^L and e^{2L}: v broadcasts
+    a and p0 against the flow's times, A depends on the times alone."""
+    _, (_, a2, _, _, b2, _), (conv_q, _) = flow
+    # v = -b2*da + a2*db restructured so the e^{4wt}-scale parts enter as the
+    # single-scale convolution conv_q = a2 b3 - b2 a3 (no cancellation).
+    return a * b2 - p0 * a2 + conv_q, a2 * a2 + b2 * b2
+
+
 def _scaled_shape(packet: GaussianPacket, params: OscillatorParams, t) -> tuple[PacketShape, float]:
     """(shape, L): PacketShape with A, B, C divided by e^{2L} and v by e^L, L the flow's
     log-scale (0 unless gamma < 0), so v/sqrt(A) stays finite where the fields overflow."""
-    if abs(params.hbar - packet.hbar) > 1e-12 * packet.hbar:
-        raise ConfigurationError("packet and oscillator must share hbar")
-    L, (a1, a2, a3, b1, b2, b3), (conv_q, _) = _scaled_flow(params, t)
+    flow = _packet_flow(packet.hbar, params, t)
+    L, (a1, a2, a3, b1, b2, b3), _ = flow
+    v, A = _centre_and_width(packet.a, packet.p0, flow)
     decay = np.exp(-L)
     da = a3 - packet.a * decay
     db = b3 - packet.p0 * decay
-    # v = -b2*da + a2*db restructured so the e^{4wt}-scale parts enter as the
-    # single-scale convolution conv_q = a2 b3 - b2 a3 (no cancellation).
     return PacketShape(
-        A=a2 * a2 + b2 * b2,
+        A=A,
         Bc0=2.0 * (a2 * da + b2 * db),
         Bc1=2.0 * (a2 * a1 + b2 * b1),
         Cc0=da * da + db * db,
         Cc1=2.0 * (a1 * da + b1 * db),
         Cc2=a1 * a1 + b1 * b1,
-        v=packet.a * b2 - packet.p0 * a2 + conv_q,
+        v=v,
         t=t,
     ), L
 
@@ -139,5 +153,6 @@ def expectation_position(packet: GaussianPacket, params: OscillatorParams, t):
     v grows like e^{2 w t} (w = sqrt(-gamma)) where A grows like e^{4 w t}, so it is
     unscaled on its own: NumericalConsistencyError only once v leaves the double range.
     """
-    s, L = _scaled_shape(packet, params, t)
-    return _unscale(L, s.v)[0]
+    flow = _packet_flow(packet.hbar, params, t)
+    v, _ = _centre_and_width(packet.a, packet.p0, flow)
+    return _unscale(flow[0], v)[0]

@@ -3,7 +3,9 @@
 A Gaussian packet launched from a < 0 with mean momentum p0 >= 0 against the
 barrier V = -omega^2 x^2 + Q(t) x; P(t) is the probability mass left of 0,
 which stays a closed-form erf expression because the density remains
-Gaussian for all times.
+Gaussian for all times.  The barrier's flow does not depend on the packet and
+p0 enters the density centre linearly, so figure1_series evaluates the flow
+once on its time grid and takes every p0 as one more array axis.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, UnsupportedConfigurationError
 from .flow import Constant, Cosine, DrivePolicy, OscillatorParams
-from .gaussian import GaussianPacket, _scaled_shape
+from .gaussian import GaussianPacket, _centre_and_width, _packet_flow
 # looked up in this module by name by the benchmark's tracer (perfbench/tracer.py)
 from .gaussian import packet_shape  # noqa: F401
 from .special import erfc
@@ -65,11 +67,17 @@ def _drive_terms(drive: DrivePolicy) -> tuple[float, float, float]:
     )
 
 
+def _survival(hbar: float, v, A):
+    """erfc(v/sqrt(hbar A))/2 of a scaled centre and width (_centre_and_width)."""
+    return 0.5 * erfc(v / np.sqrt(hbar * A))
+
+
 def survival_probability(scenario: TunnelScenario, t):
     """P(t) = mass of |psi|^2 on x < 0 = erfc(v/sqrt(hbar A))/2 at each t (a float or an array),
     finite for every t: v and sqrt(A) share the flow's growth, so their mantissas give the ratio."""
-    shape, _ = _scaled_shape(scenario.packet, scenario.oscillator(), t)
-    return 0.5 * erfc(shape.v / np.sqrt(scenario.packet.hbar * shape.A))
+    pk = scenario.packet
+    flow = _packet_flow(pk.hbar, scenario.oscillator(), t)
+    return _survival(pk.hbar, *_centre_and_width(pk.a, pk.p0, flow))
 
 
 def asymptotic_probability(scenario: TunnelScenario) -> float:
@@ -143,8 +151,14 @@ def figure1_series(
     t_grid,
     drive: DrivePolicy = Constant(0.0),
 ) -> np.ndarray:
-    """P(t) sampled on t_grid for each p0; shape (len(p0_list), len(t_grid))."""
+    """P(t) sampled on t_grid for each p0; shape (len(p0_list), *t_grid.shape).
+
+    The packets share the barrier, so one flow on t_grid serves them all and p0 is the
+    leading axis of a single erfc call; each row equals survival_probability bit for bit.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
-    packets = [GaussianPacket(a, float(p0), hbar) for p0 in p0_list]
-    rows = [survival_probability(TunnelScenario(pk, omega, drive), t_grid) for pk in packets]
-    return np.reshape(rows, (len(rows), *t_grid.shape))
+    packets = [GaussianPacket(a, float(p0), hbar) for p0 in p0_list]  # checks each p0
+    scenario = TunnelScenario(GaussianPacket(a, 0.0, hbar), omega, drive)
+    p0 = np.reshape([pk.p0 for pk in packets], (len(packets),) + (1,) * t_grid.ndim)
+    flow = _packet_flow(hbar, scenario.oscillator(), t_grid)
+    return _survival(hbar, *_centre_and_width(a, p0, flow))

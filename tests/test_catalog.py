@@ -1,6 +1,7 @@
 """Analytic catalog: point values, classifier, energies, identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -306,3 +307,43 @@ def test_normalize_sample_gives_exact_unit_mass():
     grid = wf.default_grid(state)
     wave = wf.normalize_sample(wf.sample_catalog_state(state, grid))
     assert wave.norm_sq() == pytest.approx(1.0, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# evaluators at the far-off backward images of an unstable flow
+# ---------------------------------------------------------------------------
+
+DECAYING_STATES = [
+    wf.CoherentGaussian(0.5, 0.0, 1.0),
+    wf.HarmonicEigen(2, 1.0, 1.0),
+    wf.Hermite(3),
+    wf.FreeEvolvedGaussian(0.5),
+]
+
+
+@pytest.mark.parametrize("state", DECAYING_STATES, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("t", [100.0, 200.0, 300.0])
+def test_transport_to_huge_backward_images_reads_zero_without_a_warning(state, t):
+    # gamma = -1: the backward images reach ~1e87 (t = 100) to ~1e260 (t = 300), finite,
+    # but their squares overflow; the true values there underflow to 0
+    g = wf.Grid1D.symmetric(6.0, 9)
+    ps = wf.PhaseSpaceGrid(g, g)
+    params = wf.OscillatorParams(-1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        moved = wf.propagate_field(state.wigner, params, t, ps)
+    x, xi = wf.backward_map(wf.flow_coefficients(params, t), g.nodes()[:, None], g.nodes()[None, :])
+    far = np.hypot(x, xi) > 1e10  # e^{-1e20} and below: 0 in double precision
+    assert far.sum() > 0 and np.all(moved.values[far] == 0.0)
+    near = state.wigner(x[~far], xi[~far])
+    assert np.array_equal(moved.values[~far], near) and np.all(np.isfinite(near))
+
+
+@pytest.mark.parametrize("state", DECAYING_STATES, ids=lambda s: type(s).__name__)
+def test_decaying_evaluators_are_zero_where_the_exponent_overflows(state):
+    x = np.array([1e200, -1e200, 3e155, 0.0, np.inf])
+    xi = np.array([0.0, 1e200, -3e155, 1e300, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = state.wigner(x, xi)
+    assert np.all(values == 0.0)

@@ -1,5 +1,6 @@
 """Time as an array axis: an array of times gives the per-time results bit for bit,
-and every public time function rejects a negative or non-finite time."""
+and every public time function rejects a negative or non-finite time.  figure1_series
+adds the packets' p0 as a leading axis with the per-p0 results bit for bit."""
 
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import wignerflow as wf
+from wignerflow import gaussian, tunneling
 from wignerflow.flow import _scaled_flow
 
 # 0, a tiny time, table knots (0.8, 1.1, 2.6) and a grid out beyond both tables; enough
@@ -86,6 +88,50 @@ def test_figure1_rows_equal_per_time_survival():
         scenario = wf.TunnelScenario(wf.GaussianPacket(-5.0, p0, 1.0), 1.0, drive)
         assert_same_bits(row, [wf.survival_probability(scenario, float(t)) for t in TIMES])
     assert wf.figure1_series(-5.0, 1.0, 1.0, [], TIMES).shape == (0, TIMES.size)
+    assert wf.figure1_series(-5.0, 1.0, 1.0, [], TIMES.reshape(10, 15)).shape == (0, 10, 15)
+
+
+# Packets of the paper's Figure 1: a = -5 against the barrier -omega^2 x^2, from below to
+# above the critical momentum omega |a|, plus p0 = 0 and a negative p0
+P0S = (0.0, -1.3, 3.1, 3.87298, 4.6)
+
+
+@pytest.mark.parametrize("name", list(drives(GAMMAS[1])))
+def test_figure1_series_equals_per_p0_survival_rows(name):
+    omega, drive = math.sqrt(-GAMMAS[1]), drives(GAMMAS[1])[name]
+    series = wf.figure1_series(-5.0, omega, 0.9, list(P0S), TIMES, drive)
+    assert series.shape == (len(P0S), TIMES.size)
+    for p0, row in zip(P0S, series):
+        scenario = wf.TunnelScenario(wf.GaussianPacket(-5.0, p0, 0.9), omega, drive)
+        assert_same_bits(row, wf.survival_probability(scenario, TIMES))
+    # a time grid of any shape: p0 leads, the values are the 1-D ones
+    grid = wf.figure1_series(-5.0, omega, 0.9, list(P0S), TIMES.reshape(10, 15), drive)
+    assert grid.shape == (len(P0S), 10, 15)
+    np.testing.assert_array_equal(bits(grid).reshape(series.shape), bits(series))
+
+
+def test_figure1_series_makes_one_flow_call_and_one_erfc_call(monkeypatch):
+    calls = {"flow": [], "erfc": []}
+    scaled_flow, erfc = gaussian._scaled_flow, tunneling.erfc
+
+    def counted_flow(params, t):
+        calls["flow"].append(np.shape(t))
+        return scaled_flow(params, t)
+
+    def counted_erfc(x):
+        calls["erfc"].append(np.shape(x))
+        return erfc(x)
+
+    monkeypatch.setattr(gaussian, "_scaled_flow", counted_flow)
+    monkeypatch.setattr(tunneling, "erfc", counted_erfc)
+    wf.figure1_series(-5.0, 1.0, 1.0, [4.0, 5.0, 6.0], TIMES, wf.Cosine(0.1, 0.3, 1.4))
+    assert calls == {"flow": [TIMES.shape], "erfc": [(3, *TIMES.shape)]}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_figure1_series_rejects_a_non_finite_p0(bad):
+    with pytest.raises(wf.ConfigurationError, match="finite"):
+        wf.figure1_series(-5.0, 1.0, 1.0, [4.0, bad], TIMES)
 
 
 def packet_state():
