@@ -158,7 +158,8 @@ class GaussGeneral:
 
 @dataclass(frozen=True)
 class CoherentGaussian:
-    """Minimum-uncertainty packet centred at (a, p0) with position variance hbar/2."""
+    """Minimum-uncertainty packet centred at (a, p0) with position variance hbar/2
+    (gaussian.GaussianPacket, the initial state of the closed-form packet dynamics)."""
 
     a: float = 0.0
     p0: float = 0.0
@@ -166,6 +167,8 @@ class CoherentGaussian:
 
     def __post_init__(self) -> None:
         _check_hbar(self.hbar)
+        if not (math.isfinite(self.a) and math.isfinite(self.p0)):
+            raise ConfigurationError("packet parameters must be finite")
 
     def psi(self, x):
         x = np.asarray(x, dtype=float)
@@ -185,41 +188,6 @@ class CoherentGaussian:
 
 def _hermite_norm_sq(n: int) -> float:
     return float(2.0**n) * math.factorial(n) * math.sqrt(math.pi)
-
-
-@dataclass(frozen=True)
-class Hermite:
-    """H_n(x) e^{-x^2/2}; unnormalised unless the flag is set.
-
-    The transform is the Laguerre form (-1)^n/(pi hbar) e^{-(x^2+xi^2/hbar^2)}
-    L_n(2x^2 + 2xi^2/hbar^2), which carries unit mass and therefore belongs to
-    the normalised state; the unnormalised state's transform is that form
-    scaled by ||psi||^2 = 2^n n! sqrt(pi) (the transform is quadratic).
-    """
-
-    n: int
-    hbar: float = 1.0
-    normalized: bool = False
-
-    def __post_init__(self) -> None:
-        _check_hbar(self.hbar)
-        if not 0 <= self.n <= _POLY_CAP:
-            raise ConfigurationError(f"Hermite order must be in [0, {_POLY_CAP}], got {self.n}")
-
-    def psi(self, x):
-        x = np.asarray(x, dtype=float)
-        vals = hermite_polynomial(self.n, x) * np.exp(-0.5 * x * x)
-        if self.normalized:
-            vals = vals / math.sqrt(_hermite_norm_sq(self.n))
-        return vals.astype(complex)
-
-    def wigner(self, x, xi):
-        x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
-        h = self.hbar
-        with np.errstate(over="ignore"):
-            r2 = x * x + (xi / h) ** 2
-        scale = 1.0 if self.normalized else _hermite_norm_sq(self.n)
-        return _laguerre_wigner(self.n, r2, scale * (-1.0) ** self.n / (math.pi * h))
 
 
 @dataclass(frozen=True)
@@ -327,7 +295,8 @@ class Soliton:
 
 @dataclass(frozen=True)
 class HarmonicEigen:
-    """n-th eigenstate of V(x) = omega^2 x^2 in 2m = 1 units."""
+    """n-th eigenstate of V(x) = omega^2 x^2 in 2m = 1 units; unnormalised unless the flag
+    is set, when its transform (quadratic in psi) carries the squared norm."""
 
     n: int
     omega: float = 1.0
@@ -364,11 +333,16 @@ class HarmonicEigen:
         return harmonic_energy(self.n, self.omega, self.hbar)
 
 
+def Hermite(n: int, hbar: float = 1.0, normalized: bool = False) -> HarmonicEigen:
+    """H_n(x) e^{-x^2/2}, unnormalised unless the flag is set: the oscillator level of
+    omega = hbar, whose psi this is bit for bit (its scale sqrt(omega/hbar) is exactly 1)."""
+    return HarmonicEigen(n, omega=hbar, hbar=hbar, normalized=normalized)
+
+
 AnalyticState = Union[
     Box,
     GaussGeneral,
     CoherentGaussian,
-    Hermite,
     FreeEvolvedGaussian,
     DeltaBound,
     Soliton,
@@ -380,7 +354,7 @@ def hudson_positivity(state: AnalyticState) -> bool:
     """True iff the state is Gaussian, i.e. its transform is non-negative."""
     if isinstance(state, (GaussGeneral, CoherentGaussian, FreeEvolvedGaussian)):
         return True
-    if isinstance(state, (Hermite, HarmonicEigen)):
+    if isinstance(state, HarmonicEigen):
         return state.n == 0  # the ground state is itself a Gaussian
     return False
 
@@ -425,8 +399,6 @@ def default_grid(state: AnalyticState) -> Grid1D:
         mu = -state.b1 / (2.0 * state.a1)
         hw = 8.5 / math.sqrt(state.a1)
         return Grid1D.from_span(mu - hw, mu + hw, 1025)
-    if isinstance(state, Hermite):
-        return Grid1D.symmetric(13.0, 1281)  # n-independent so eigenstates share a grid
     if isinstance(state, FreeEvolvedGaussian):
         hw = 5.5 * math.sqrt(1.0 + 16.0 * h * h * state.t * state.t)
         return Grid1D.symmetric(hw, 1025)

@@ -344,17 +344,25 @@ def _as_evaluator(initial: InitialField):
     return initial
 
 
+def _check_backward_range(coeffs: FlowCoefficients, x, xi) -> None:
+    """NumericalConsistencyError unless backward_map(coeffs, x, xi) is finite everywhere."""
+    # rounding is monotone, so a finite |c1| max|x| + |c2| max|xi| + |c3| bounds every image
+    x_max, xi_max = (float(np.max(np.abs(v), initial=0.0)) for v in (x, xi))
+    if math.isnan(x_max + xi_max):
+        raise ConfigurationError("backward map query point is nan")
+    for c1, c2, c3 in ((coeffs.a1, coeffs.a2, coeffs.a3), (coeffs.b1, coeffs.b2, coeffs.b3)):
+        c1, c2, c3 = (float(np.max(np.abs(c))) for c in (c1, c2, c3))
+        if not math.isfinite(c1 * x_max + c2 * xi_max + c3):
+            raise NumericalConsistencyError(
+                f"backward map at t = {float(np.max(coeffs.t)):.6g} exceeds the double range"
+            )
+
+
 def _evaluate_transported(initial, coeffs: FlowCoefficients, x_nodes, xi_nodes) -> np.ndarray:
     """initial at the backward images of the mesh, filled in row chunks of bounded scratch."""
     x = np.asarray(x_nodes, float)[:, None]
     xi = np.asarray(xi_nodes, float)[None, :]
-    # rounding is monotone, so a finite |c1| max|x| + |c2| max|xi| + |c3| bounds every image
-    x_max, xi_max = (float(np.max(np.abs(v), initial=0.0)) for v in (x, xi))
-    for c1, c2, c3 in ((coeffs.a1, coeffs.a2, coeffs.a3), (coeffs.b1, coeffs.b2, coeffs.b3)):
-        if not math.isfinite(abs(float(c1)) * x_max + abs(float(c2)) * xi_max + abs(float(c3))):
-            raise NumericalConsistencyError(
-                f"backward map at t = {float(coeffs.t):.6g} exceeds the double range"
-            )
+    _check_backward_range(coeffs, x, xi)
     out = np.empty((x.shape[0], xi.shape[1]))
     # scratch per cell: the backward map and the bilinear gather's temporaries, ~100 bytes
     for rows in _row_chunks(x.shape[0], 128 * xi.shape[1]):

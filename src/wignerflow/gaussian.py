@@ -1,39 +1,42 @@
 """Closed-form dynamics of the minimum-uncertainty Gaussian packet.
 
-Under V(x, t) = gamma x^2 + Q(t) x the transported Gaussian field stays the
-exponential of a quadratic in xi, so the density, the wavefunction (up to a
-global phase, fixed to zero here at every time) and the evolved field are
-all explicit in the six flow coefficients.
+The packet is the coherent state ``catalog.CoherentGaussian`` and, like every
+initial field, it evolves by transport: W(x, xi, t) = W0(X, Xi) at the backward
+image (X, Xi) of (x, xi).  Because W0 is Gaussian, so are the density and the
+wavefunction (up to a global phase, fixed to zero here at every time); they are
+explicit in the flow through the density centre v and width A.  For gamma < 0
+these grow like e^{2 w t} and e^{4 w t} (w = sqrt(-gamma)), so the observables
+read them divided by the flow's scale: the density and |psi| stay finite out to
+2 w t ~ 745 and underflow to 0 beyond, while packet_shape, which unscales every
+field, raises NumericalConsistencyError from 4 w t ~ 709 on, and so does
+wavefunction where its phase, ~ x^2, leaves the double range.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .flow import OscillatorParams, _scaled_flow, _unscale
+from .catalog import CoherentGaussian
+from .errors import ConfigurationError, NumericalConsistencyError
+from .flow import (
+    OscillatorParams,
+    _check_backward_range,
+    _scaled_flow,
+    _unscale,
+    backward_map,
+    propagate_field,
+)
 # looked up in this module by name by the benchmark's tracer (perfbench/tracer.py)
 from .flow import drive_convolutions, flow_coefficients  # noqa: F401
 from .grids import PhaseSpaceGrid
 from .transform import WignerField
 
-
-@dataclass(frozen=True)
-class GaussianPacket:
-    """Initial state with mean position a, mean momentum p0, width hbar/2."""
-
-    a: float = 0.0
-    p0: float = 0.0
-    hbar: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.hbar <= 0:
-            raise ConfigurationError(f"hbar must be positive, got {self.hbar}")
-        if not (math.isfinite(self.a) and math.isfinite(self.p0)):
-            raise ConfigurationError("packet parameters must be finite")
+# the initial state, with mean position a, mean momentum p0 and width hbar/2
+GaussianPacket = CoherentGaussian
 
 
 @dataclass(frozen=True)
@@ -55,11 +58,11 @@ class PacketShape:
     t: float
 
 
-def _packet_flow(hbar: float, params: OscillatorParams, t):
-    """_scaled_flow(params, t) for packets of Planck constant hbar."""
+def _packet_flow(hbar: float, params: OscillatorParams, t, flow=None):
+    """flow(params, t), by default _scaled_flow(params, t), for packets of Planck constant hbar."""
     if abs(params.hbar - hbar) > 1e-12 * hbar:
         raise ConfigurationError("packet and oscillator must share hbar")
-    return _scaled_flow(params, t)
+    return (flow or _scaled_flow)(params, t)
 
 
 def _centre_and_width(a, p0, flow) -> tuple:
@@ -100,51 +103,65 @@ def packet_shape(packet: GaussianPacket, params: OscillatorParams, t) -> PacketS
 
 
 def density(packet: GaussianPacket, params: OscillatorParams, x, t):
-    """|psi(x, t)|^2 = exp(-(x - v)^2/(hbar A)) / sqrt(pi hbar A); x and t broadcast."""
-    s = packet_shape(packet, params, t)
+    """|psi(x, t)|^2 = exp(-(x - v)^2/(hbar A)) / sqrt(pi hbar A); x and t broadcast.
+
+    Read from the scaled v' = v e^{-L}, A' = A e^{-2L} as
+    e^{-L} exp(-(x e^{-L} - v')^2/(hbar A')) / sqrt(pi hbar A').
+    """
+    flow = _packet_flow(packet.hbar, params, t)
+    v, A = _centre_and_width(packet.a, packet.p0, flow)
+    decay = np.exp(-flow[0])
+    h = packet.hbar
     x = np.asarray(x, dtype=float)
-    return np.exp(-((x - s.v) ** 2) / (packet.hbar * s.A)) / np.sqrt(np.pi * packet.hbar * s.A)
+    with np.errstate(over="ignore"):  # a far-off point's square is inf, its value 0
+        return np.exp(-((x * decay - v) ** 2) / (h * A)) * decay / np.sqrt(np.pi * h * A)
 
 
 def wavefunction(packet: GaussianPacket, params: OscillatorParams, x, t: float):
     """psi(x, t) with the (undetermined) global phase fixed to zero.
 
-    The x-dependent phase is -B(x/2) x / (2 hbar A); consumers needing phase
-    continuity across times must track the global factor themselves.
+    The x-dependent phase is -B(x/2) x / (2 hbar A), a ratio of fields that share the
+    flow's scale; the modulus is read like density's.  For gamma < 0 the phase grows
+    like e^{4 w t} radians near the packet: resolved to 1e-2 up to w t ~ 9, its rounding
+    error reaches a radian from w t ~ 10 on, and where it leaves the double range (near
+    the packet from 4 w t ~ 709) this raises NumericalConsistencyError.  Consumers
+    needing phase continuity across times must track the global factor themselves.
     """
-    s = packet_shape(packet, params, t)
+    s, L = _scaled_shape(packet, params, t)
     x = np.asarray(x, dtype=float)
     h = packet.hbar
-    b_half = s.Bc1 * x / 2.0 + s.Bc0
-    phase = -b_half * x / (2.0 * h * s.A)
+    with np.errstate(over="ignore"):
+        b_half = s.Bc1 * x / 2.0 + s.Bc0
+        phase = -b_half * x / (2.0 * h * s.A)
+    if not np.isfinite(phase).all():
+        raise NumericalConsistencyError(
+            f"phase of psi at t up to {np.max(t):.6g} exceeds the double range"
+        )
+    decay = np.exp(-L)
     return (
-        (math.pi * h * s.A) ** -0.25
+        (math.pi * h * s.A) ** -0.25 * np.exp(-0.5 * L)
         * np.exp(1j * phase)
-        * np.exp(-((x - s.v) ** 2) / (2.0 * h * s.A))
+        * np.exp(-((x * decay - s.v) ** 2) / (2.0 * h * s.A))
     )
 
 
-def wigner_evolved(packet: GaussianPacket, params: OscillatorParams, x, xi, t: float):
-    """Evolved field exp(-[A xi^2 + B(x) xi + C(x)]/hbar)/(pi hbar)."""
-    s = packet_shape(packet, params, t)
-    x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
-    h = packet.hbar
-    quad = (
-        s.A * xi * xi
-        + (s.Bc1 * x + s.Bc0) * xi
-        + s.Cc2 * x * x
-        + s.Cc1 * x
-        + s.Cc0
-    )
-    return np.exp(-quad / h) / (math.pi * h)
+def wigner_evolved(packet: GaussianPacket, params: OscillatorParams, x, xi, t):
+    """Evolved field W0(X, Xi) at the backward image of (x, xi): the paper's
+    exp(-[A xi^2 + B(x) xi + C(x)]/hbar)/(pi hbar), without expanding the quadratic.
+
+    NumericalConsistencyError where a backward image leaves the double range.
+    """
+    coeffs = _packet_flow(packet.hbar, params, t, flow_coefficients)
+    _check_backward_range(coeffs, x, xi)
+    return packet.wigner(*backward_map(coeffs, x, xi))
 
 
 def wigner_evolved_field(
     packet: GaussianPacket, params: OscillatorParams, t: float, ps_grid: PhaseSpaceGrid
 ) -> WignerField:
-    x = ps_grid.x_grid.nodes()[:, None]
-    xi = ps_grid.xi_grid.nodes()[None, :]
-    return WignerField(ps_grid, wigner_evolved(packet, params, x, xi, t), packet.hbar)
+    """The packet's field transported by propagate_field onto ps_grid."""
+    evolve = functools.partial(propagate_field, packet.wigner, ps_grid=ps_grid)
+    return _packet_flow(packet.hbar, params, t, evolve)
 
 
 def expectation_position(packet: GaussianPacket, params: OscillatorParams, t):

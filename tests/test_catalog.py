@@ -115,6 +115,33 @@ def test_hudson_classification_against_grid_minimum(catalog_fields, state_id):
         assert grid_min < -1e-9
 
 
+@pytest.mark.parametrize("make", [
+    lambda: wf.Box(0.0),
+    lambda: wf.CoherentGaussian(0.0, 0.0, 0.0),
+    lambda: wf.CoherentGaussian(math.nan, 0.0),
+    lambda: wf.CoherentGaussian(0.0, math.inf),
+    lambda: wf.Hermite(61),
+    lambda: wf.HarmonicEigen(1, omega=0.0),
+    lambda: wf.DeltaBound(1.0),
+    lambda: wf.Soliton(0.0),
+])
+def test_catalog_states_reject_invalid_parameters(make):
+    with pytest.raises(ConfigurationError):
+        make()
+
+
+def test_hermite_is_the_oscillator_level_of_omega_hbar():
+    for n, hbar, normalized in ((0, 1.0, True), (3, 0.7, False), (5, 2.5, True)):
+        state = wf.Hermite(n, hbar, normalized)
+        assert state == wf.HarmonicEigen(n, omega=hbar, hbar=hbar, normalized=normalized)
+        xs = np.linspace(-6.0, 6.0, 97)
+        plain = wf.hermite_polynomial(n, xs) * np.exp(-0.5 * xs * xs)
+        if normalized:
+            plain = plain / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
+        np.testing.assert_array_equal(state.psi(xs), plain.astype(complex))  # bit for bit
+    assert wf.default_grid(wf.Hermite(4)) == wf.Grid1D.symmetric(12.0, 1281)
+
+
 def test_harmonic_energy_values():
     assert wf.harmonic_energy(0, 1.0, 1.0) == 1.0
     assert wf.harmonic_energy(2, 0.5, 1.0) == 2.5
@@ -319,9 +346,10 @@ DECAYING_STATES = [
     wf.Hermite(3),
     wf.FreeEvolvedGaussian(0.5),
 ]
+DECAYING_IDS = ["CoherentGaussian", "HarmonicEigen", "Hermite", "FreeEvolvedGaussian"]
 
 
-@pytest.mark.parametrize("state", DECAYING_STATES, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("state", DECAYING_STATES, ids=DECAYING_IDS)
 @pytest.mark.parametrize("t", [100.0, 200.0, 300.0])
 def test_transport_to_huge_backward_images_reads_zero_without_a_warning(state, t):
     # gamma = -1: the backward images reach ~1e87 (t = 100) to ~1e260 (t = 300), finite,
@@ -339,7 +367,7 @@ def test_transport_to_huge_backward_images_reads_zero_without_a_warning(state, t
     assert np.array_equal(moved.values[~far], near) and np.all(np.isfinite(near))
 
 
-@pytest.mark.parametrize("state", DECAYING_STATES, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("state", DECAYING_STATES, ids=DECAYING_IDS)
 def test_decaying_evaluators_are_zero_where_the_exponent_overflows(state):
     x = np.array([1e200, -1e200, 3e155, 0.0, np.inf])
     xi = np.array([0.0, 1e200, -3e155, 1e300, 0.0])

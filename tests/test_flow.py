@@ -231,15 +231,18 @@ def test_harmonic_eigenstate_is_stationary():
 
 
 def test_propagated_gaussian_matches_closed_form_evolution():
+    # the reference is the paper's expanded quadratic, built here from packet_shape
     packet = wf.GaussianPacket(-0.8, 0.6, 1.0)
-    params = wf.OscillatorParams(-1.0, wf.Constant(0.0), 1.0)
     ps = _small_ps(8.0, 81)
-    t = 0.9
-    prop = wf.propagate_field(
-        wf.CoherentGaussian(packet.a, packet.p0, 1.0).wigner, params, t, ps
-    )
-    closed = wf.wigner_evolved_field(packet, params, t, ps)
-    assert np.max(np.abs(prop.values - closed.values)) <= 1e-10
+    x, xi = ps.x_grid.nodes()[:, None], ps.xi_grid.nodes()[None, :]
+    for params, t in ((wf.OscillatorParams(-1.0, wf.Constant(0.0), 1.0), 0.9),
+                      (wf.OscillatorParams(0.6, wf.Cosine(0.3, 0.5, 1.3), 1.0), 1.7)):
+        s = wf.packet_shape(packet, params, t)
+        quad = s.A * xi * xi + (s.Bc1 * x + s.Bc0) * xi + s.Cc2 * x * x + s.Cc1 * x + s.Cc0
+        expanded = np.exp(-quad / packet.hbar) / (math.pi * packet.hbar)
+        closed = wf.wigner_evolved_field(packet, params, t, ps)
+        assert np.max(np.abs(closed.values - expanded)) <= 1e-10
+        assert np.max(expanded) > 0.1  # the packet is on the grid
 
 
 def test_propagate_conserves_mass():

@@ -205,3 +205,76 @@ def test_expectation_position_raises_past_the_double_range():
     params = wf.OscillatorParams(-1.0, wf.Cosine(0.2, 0.6, 1.7), 0.9)
     with pytest.raises(wf.NumericalConsistencyError):
         wf.expectation_position(wf.GaussianPacket(-5.0, 4.0, 0.9), params, 360.0)
+
+
+# ---------------------------------------------------------------------------
+# Gaussian observables of the inverted oscillator gamma = -1 (w = 1)
+
+PACKET = wf.GaussianPacket(-1.0, 0.7, 1.0)
+DRIVE = wf.Cosine(0.2, 0.6, 1.7)
+UNSTABLE = wf.OscillatorParams(-1.0, DRIVE, PACKET.hbar)
+
+
+def _exact_packet_field(e, x, xi):
+    """W0 of PACKET at the exact backward image of the double point (x, xi)."""
+    with mp.workdps(50):
+        X = e["a1"] * x + e["a2"] * xi + e["a3"]
+        Xi = e["b1"] * x + e["b2"] * xi + e["b3"]
+        h = PACKET.hbar
+        return mp.exp(-((X - PACKET.a) ** 2 + (Xi - PACKET.p0) ** 2) / h) / (mp.pi * h)
+
+
+@pytest.mark.parametrize("t", [1.0, 3.0, 5.0, 8.0])
+def test_wigner_evolved_matches_oracle_at_gamma_minus_one(t):
+    # The backward image of a point near the packet, |x| ~ e^{2 w t}, carries an absolute
+    # rounding error ~ eps e^{4 w t}: at the forward image of (a, p0), the peak, it enters
+    # to second order, at the forward image of (a + 0.3, p0 - 0.2) to first order.
+    e = exact(-1.0, wf.Constant(0.0), t)
+    for shift, tol in (((0.0, 0.0), 1e-9 if t <= 5.0 else 1e-6),
+                       ((0.3, -0.2), 1e-9 if t <= 5.0 else 1e-3)):
+        with mp.workdps(50):
+            u, v = PACKET.a + shift[0] - e["a3"], PACKET.p0 + shift[1] - e["b3"]
+            x, xi = float(e["b2"] * u - e["a2"] * v), float(-e["b1"] * u + e["a1"] * v)
+        ref = _exact_packet_field(e, x, xi)
+        got = float(wf.wigner_evolved(PACKET, wf.OscillatorParams(-1.0), x, xi, t))
+        assert abs(got - ref) <= tol * ref, (shift, got, mp.nstr(ref, 17))
+
+
+@pytest.mark.parametrize("two_w_t", [20.0, 300.0, 600.0, 700.0])
+def test_density_and_modulus_match_oracle_out_to_two_w_t_700(two_w_t):
+    # the density peak ~ e^{-2 w t} is still a normal double at 2 w t = 700, while the
+    # unscaled width A ~ e^{4 w t} left the double range at 4 w t ~ 709
+    t = two_w_t / 2.0
+    e = exact(-1.0, DRIVE, t)
+    h = PACKET.hbar
+    with mp.workdps(50):
+        v = PACKET.a * e["b2"] - PACKET.p0 * e["a2"] + e["conv_q"]
+        A = e["a2"] ** 2 + e["b2"] ** 2
+        near = [float(v + k * mp.sqrt(h * A)) for k in (-1.5, 0.0, 0.7, 2.0)]
+        # x e^{-L} ~ 0 once 2 w t >> 345: the left tail, where the phase is still finite
+        far = [-1e150, 0.0, 3e149] if two_w_t > 345.0 else []
+
+        def ref(x):
+            return mp.exp(-((x - v) ** 2) / (h * A)) / mp.sqrt(mp.pi * h * A)
+
+    xs = np.array(near + far)
+    got = wf.density(PACKET, UNSTABLE, xs, t)
+    refs = [ref(x) for x in xs.tolist()]
+    for x, g, r in zip(xs, got, refs):
+        assert r > 1e-307 and abs(g - r) <= 1e-9 * r, (x, g, mp.nstr(r, 17))
+    # |psi|^2 alike, where the phase ~ x^2 stays in the double range (|x| below ~1e154)
+    finite = slice(None) if two_w_t < 345.0 else slice(len(near), None)
+    modulus = np.abs(wf.wavefunction(PACKET, UNSTABLE, xs[finite], t)) ** 2
+    for g, r in zip(modulus, refs[finite]):
+        assert abs(g - r) <= 1e-9 * r
+    if two_w_t > 360.0:
+        with pytest.raises(wf.NumericalConsistencyError):
+            wf.wavefunction(PACKET, UNSTABLE, xs[:len(near)], t)
+
+
+def test_backward_image_past_the_double_range_raises():
+    # at t = 354 the flow (~e^708) is finite, the image of (20, -20) is not
+    with pytest.raises(wf.NumericalConsistencyError):
+        wf.wigner_evolved(PACKET, wf.OscillatorParams(-1.0), 20.0, -20.0, 354.0)
+    with pytest.raises(wf.ConfigurationError, match="nan"):
+        wf.wigner_evolved(PACKET, wf.OscillatorParams(-1.0), np.array([0.0, math.nan]), 0.0, 1.0)
