@@ -308,40 +308,67 @@ def classical_flow(params: OscillatorParams, x, xi, t: float):
 InitialField = Union[WignerField, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
 
+def _bilinear(field: WignerField):
+    """The field's bilinear interpolant, zero off its grid, as gather(x, xi, out): it fills
+    out with the interpolant at the points (x, xi), three float arrays of one shape and at
+    least one dimension, and leaves scratch in x and xi.  The points must not be nan."""
+    xg, xig = field.grid.x_grid, field.grid.xi_grid
+    n, m = field.values.shape
+    flat = field.values.ravel()
+    # corner (i, j) sits at flat index k = i m + j; these views put (i + 1, j), (i, j + 1)
+    # and (i + 1, j + 1) at the same k
+    corners = (flat, flat[m:], flat[1:], flat[m + 1 :])
+
+    def gather(x, xi, out):
+        # fractional indices clamped to [-1, n] x [-1, m]: the grid and the zero band around it
+        for coord, grid, top in ((x, xg, n), (xi, xig, m)):
+            coord -= grid.x_min
+            coord /= grid.step
+            np.clip(coord, -1.0, top, out=coord)
+        off = (x < 0.0) | (x > n - 1) | (xi < 0.0) | (xi > m - 1)
+        # corner indices floored and clipped in float: the same integers as an int cast
+        i, j = np.floor(x), np.floor(xi)
+        np.clip(i, 0, n - 2, out=i)
+        np.clip(j, 0, m - 2, out=j)
+        wx = np.clip(np.subtract(x, i, out=x), 0.0, 1.0, out=x)
+        wj = np.clip(np.subtract(xi, j, out=xi), 0.0, 1.0, out=xi)
+        i *= m
+        k = np.add(i, j, out=i).astype(np.intp)
+        ux = np.subtract(1.0, wx, out=i)
+        uj = np.subtract(1.0, wj, out=j)
+        # c00 ux uj + c10 wx uj + c01 ux wj + c11 wx wj, summed left to right; every k
+        # lies in [0, (n - 2) m + m - 2], so mode="clip" only skips the bounds check
+        corners[0].take(k, out=out, mode="clip")
+        out *= ux
+        out *= uj
+        term = np.empty_like(out)
+        for corner, u, w in ((corners[1], wx, uj), (corners[2], ux, wj), (corners[3], wx, wj)):
+            corner.take(k, out=term, mode="clip")
+            term *= u
+            term *= w
+            out += term
+        np.copyto(out, 0.0, where=off)
+
+    return gather
+
+
 def field_evaluator(field: WignerField) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Bilinear interpolation on the field's grid, zero outside; ConfigurationError at nan."""
-    xg, xig = field.grid.x_grid, field.grid.xi_grid
-    vals = field.values
-    n, m = vals.shape
-    flat = vals.ravel()
+    gather = _bilinear(field)
 
     def evaluate(x, xi):
-        # clamped to [-1, n] x [-1, m]: the grid and the zero band around it stay as they are
-        fx = np.clip((np.asarray(x, float) - xg.x_min) / xg.step, -1.0, n)
-        fxi = np.clip((np.asarray(xi, float) - xig.x_min) / xig.step, -1.0, m)
-        if np.isnan(fx).any() or np.isnan(fxi).any():
+        x, xi = np.broadcast_arrays(x, xi)
+        shape = x.shape
+        # fresh float copies, at least 1-d so that gather can work on them in place
+        x, xi = (np.array(c, dtype=float, ndmin=1) for c in (x, xi))
+        # min propagates nan, so one reduction per coordinate finds one
+        if math.isnan(x.min(initial=0.0)) or math.isnan(xi.min(initial=0.0)):
             raise ConfigurationError("field_evaluator query point is nan")
-        inside = (fx >= 0.0) & (fx <= n - 1) & (fxi >= 0.0) & (fxi <= m - 1)
-        i = np.clip(np.floor(fx).astype(int), 0, n - 2)
-        j = np.clip(np.floor(fxi).astype(int), 0, m - 2)
-        wx = np.clip(fx - i, 0.0, 1.0)
-        wj = np.clip(fxi - j, 0.0, 1.0)
-        k = i * m + j  # flat index of corner (i, j); the others are k + m, k + 1, k + m + 1
-        v = (
-            flat.take(k) * (1 - wx) * (1 - wj)
-            + flat.take(k + m) * wx * (1 - wj)
-            + flat.take(k + 1) * (1 - wx) * wj
-            + flat.take(k + m + 1) * wx * wj
-        )
-        return np.where(inside, v, 0.0)
+        out = np.empty(x.shape)
+        gather(x, xi, out)
+        return out.reshape(shape)
 
     return evaluate
-
-
-def _as_evaluator(initial: InitialField):
-    if isinstance(initial, WignerField):
-        return field_evaluator(initial)
-    return initial
 
 
 def _check_backward_range(coeffs: FlowCoefficients, x, xi) -> None:
@@ -358,15 +385,34 @@ def _check_backward_range(coeffs: FlowCoefficients, x, xi) -> None:
             )
 
 
-def _evaluate_transported(initial, coeffs: FlowCoefficients, x_nodes, xi_nodes) -> np.ndarray:
-    """initial at the backward images of the mesh, filled in row chunks of bounded scratch."""
+def _evaluate_transported(initial: InitialField, coeffs: FlowCoefficients, x_nodes, xi_nodes):
+    """initial (a gridded field or an evaluator) at the backward images of the mesh, filled
+    in row chunks of bounded scratch."""
     x = np.asarray(x_nodes, float)[:, None]
     xi = np.asarray(xi_nodes, float)[None, :]
     _check_backward_range(coeffs, x, xi)
-    out = np.empty((x.shape[0], xi.shape[1]))
-    # scratch per cell: the backward map and the bilinear gather's temporaries, ~100 bytes
-    for rows in _row_chunks(x.shape[0], 128 * xi.shape[1]):
-        out[rows] = initial(*backward_map(coeffs, x[rows], xi))
+    shape = (x.shape[0], xi.shape[1])
+    # scratch per cell: the backward image and the bilinear gather's temporaries take about
+    # 50 bytes (65 with the last chunk's image); the rest is room for a closed-form evaluator
+    chunks = _row_chunks(shape[0], 128 * shape[1])
+    if not isinstance(initial, WignerField):
+        if len(chunks) == 1:  # the evaluator's own array is the output, not a copy of it
+            values = np.asarray(initial(*backward_map(coeffs, x, xi)), dtype=float)
+            return values if values.shape == shape else np.broadcast_to(values, shape).copy()
+        out = np.empty(shape)
+        for rows in chunks:
+            out[rows] = initial(*backward_map(coeffs, x[rows], xi))
+        return out
+    gather = _bilinear(initial)
+    # backward_map's sums a1 x + a2 xi + a3, in its order, with the xi terms formed once
+    a2_xi, b2_xi = coeffs.a2 * xi, coeffs.b2 * xi
+    out = np.empty(shape)
+    for rows in chunks:
+        big_x = np.add(coeffs.a1 * x[rows], a2_xi)
+        big_x += coeffs.a3
+        big_xi = np.add(coeffs.b1 * x[rows], b2_xi)
+        big_xi += coeffs.b3
+        gather(big_x, big_xi, out[rows])
     return out
 
 
@@ -382,10 +428,7 @@ def propagate_field(
     about one output field.
     """
     coeffs = flow_coefficients(params, t)
-    evaluator = _as_evaluator(initial)
-    values = _evaluate_transported(
-        evaluator, coeffs, ps_grid.x_grid.nodes(), ps_grid.xi_grid.nodes()
-    )
+    values = _evaluate_transported(initial, coeffs, ps_grid.x_grid.nodes(), ps_grid.xi_grid.nodes())
     return WignerField(ps_grid, values, params.hbar)
 
 
@@ -406,7 +449,7 @@ def liouville_residual(
     """
     if min(dt, dx, dxi) <= 0:
         raise ConfigurationError("finite-difference steps must be positive")
-    evaluator = _as_evaluator(initial)
+    evaluator = field_evaluator(initial) if isinstance(initial, WignerField) else initial
     xs = ps_grid.x_grid.nodes()
     xis = ps_grid.xi_grid.nodes()
     coeffs = flow_coefficients(params, np.array([t - dt, t, t + dt]))

@@ -9,7 +9,7 @@ these grow like e^{2 w t} and e^{4 w t} (w = sqrt(-gamma)), so the observables
 read them divided by the flow's scale: the density and |psi| stay finite out to
 2 w t ~ 745 and underflow to 0 beyond, while packet_shape, which unscales every
 field, raises NumericalConsistencyError from 4 w t ~ 709 on, and so does
-wavefunction where its phase, ~ x^2, leaves the double range.
+wavefunction where its phase, ~ x^2, leaves the double range while |psi| is not 0.
 """
 
 from __future__ import annotations
@@ -74,6 +74,14 @@ def _centre_and_width(a, p0, flow) -> tuple:
     return a * b2 - p0 * a2 + conv_q, a2 * a2 + b2 * b2
 
 
+def _offset(x, decay, v):
+    """x e^{-L} - v', the scaled distance from the centre; an infinite x stays infinite
+    where e^{-L} underflows to 0 (inf * 0 would be nan), every finite x keeps its bits."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isinf(x), x, x * decay) - v
+
+
 def _scaled_shape(packet: GaussianPacket, params: OscillatorParams, t) -> tuple[PacketShape, float]:
     """(shape, L): PacketShape with A, B, C divided by e^{2L} and v by e^L, L the flow's
     log-scale (0 unless gamma < 0), so v/sqrt(A) stays finite where the fields overflow."""
@@ -112,9 +120,8 @@ def density(packet: GaussianPacket, params: OscillatorParams, x, t):
     v, A = _centre_and_width(packet.a, packet.p0, flow)
     decay = np.exp(-flow[0])
     h = packet.hbar
-    x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):  # a far-off point's square is inf, its value 0
-        return np.exp(-((x * decay - v) ** 2) / (h * A)) * decay / np.sqrt(np.pi * h * A)
+        return np.exp(-(_offset(x, decay, v) ** 2) / (h * A)) * decay / np.sqrt(np.pi * h * A)
 
 
 def wavefunction(packet: GaussianPacket, params: OscillatorParams, x, t: float):
@@ -124,25 +131,25 @@ def wavefunction(packet: GaussianPacket, params: OscillatorParams, x, t: float):
     flow's scale; the modulus is read like density's.  For gamma < 0 the phase grows
     like e^{4 w t} radians near the packet: resolved to 1e-2 up to w t ~ 9, its rounding
     error reaches a radian from w t ~ 10 on, and where it leaves the double range (near
-    the packet from 4 w t ~ 709) this raises NumericalConsistencyError.  Consumers
+    the packet from 4 w t ~ 709) this raises NumericalConsistencyError; where |psi|
+    underflows to 0 (far from the packet) psi is 0 whatever the phase.  Consumers
     needing phase continuity across times must track the global factor themselves.
     """
     s, L = _scaled_shape(packet, params, t)
     x = np.asarray(x, dtype=float)
     h = packet.hbar
-    with np.errstate(over="ignore"):
+    amplitude = (math.pi * h * s.A) ** -0.25 * np.exp(-0.5 * L)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, where |psi| is not 0
         b_half = s.Bc1 * x / 2.0 + s.Bc0
         phase = -b_half * x / (2.0 * h * s.A)
-    if not np.isfinite(phase).all():
+        envelope = np.exp(-(_offset(x, np.exp(-L), s.v) ** 2) / (2.0 * h * s.A))
+    lost = ~np.isfinite(phase)
+    if (lost & (amplitude * envelope != 0.0)).any():
         raise NumericalConsistencyError(
             f"phase of psi at t up to {np.max(t):.6g} exceeds the double range"
         )
-    decay = np.exp(-L)
-    return (
-        (math.pi * h * s.A) ** -0.25 * np.exp(-0.5 * L)
-        * np.exp(1j * phase)
-        * np.exp(-((x * decay - s.v) ** 2) / (2.0 * h * s.A))
-    )
+    # where the modulus underflows to 0 the phase does not matter: psi is 0 there
+    return amplitude * np.exp(1j * np.where(lost, 0.0, phase)) * envelope
 
 
 def wigner_evolved(packet: GaussianPacket, params: OscillatorParams, x, xi, t):

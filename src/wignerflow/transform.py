@@ -277,15 +277,25 @@ def _lattice_phase_sums(field: WignerField, q: np.ndarray, rows_at) -> np.ndarra
     at s = q_r (l - c) mod 2M.
     """
     m = field.grid.xi_grid.count
+    c = (m - 1) // 2
     table = np.exp(1j * math.pi / m * np.arange(2 * m))
-    shift = np.arange(m) - (m - 1) // 2
+    # the narrowest integers that hold every q_r (l - c), whose largest |l - c| is m - 1 - c:
+    # int32 divides by a scalar fast
+    span = int(np.max(np.abs(q), initial=0)) * (m - 1 - c)
+    index_type = np.dtype(np.int32 if span < 2**31 else np.int64)
+    shift = np.arange(-c, m - c, dtype=index_type)
     out = np.empty(q.size, dtype=complex)
-    # per row: the int64 index (8 M), the complex phases (16 M) and at most three
-    # float rows (24 M) while rows_at builds its rows
-    for sl in _row_chunks(q.size, 48 * m, fixed_bytes=table.nbytes + shift.nbytes + out.nbytes):
-        idx = np.multiply.outer(q[sl], shift)
-        np.remainder(idx, 2 * m, out=idx)
-        phases = table[idx]
+    # per row at most 40 M bytes: the complex phases (16 M) and at most three float rows
+    # (24 M) while rows_at builds its rows; before that, the w-byte index with its reduction
+    # (3 w M) or with take's intp copy and the phases (at most 28 M)
+    chunks = _row_chunks(q.size, 40 * m, fixed_bytes=table.nbytes + shift.nbytes + out.nbytes)
+    buf = np.empty((chunks[0].stop, m), dtype=complex)
+    for sl in chunks:
+        idx = np.multiply.outer(q[sl].astype(index_type), shift)
+        idx -= idx // (2 * m) * (2 * m)  # idx mod 2M, the same integers as np.remainder
+        # idx lies in [0, 2M), so mode="clip" only skips the bounds check
+        phases = table.take(idx, out=buf[: sl.stop - sl.start], mode="clip")
+        del idx  # its room goes to rows_at
         phases *= rows_at(sl)
         out[sl] = phases.sum(axis=1)
     return field.grid.xi_grid.step * out

@@ -375,6 +375,36 @@ def test_many_row_chunks_equal_one(monkeypatch):
         assert np.array_equal(chunked, whole)
 
 
+def test_one_chunk_mesh_is_the_evaluators_own_array():
+    state = wf.CoherentGaussian(0.4, -0.3, 1.0)
+    ps = _small_ps(6.0, 61)
+    params = wf.OscillatorParams(0.7, wf.Cosine(0.1, 0.2, 0.9), 1.0)
+    made = []
+
+    def closed_form(x, xi):
+        made.append(state.wigner(x, xi))
+        return made[-1]
+
+    moved = wf.propagate_field(closed_form, params, 0.6, ps)
+    assert len(made) == 1 and moved.values is made[0]
+    # an evaluator answering with a broadcastable constant still fills the mesh
+    constant = wf.propagate_field(lambda x, xi: 0.25, params, 0.6, ps)
+    assert constant.values.shape == ps.shape and np.all(constant.values == 0.25)
+
+
+def test_field_evaluator_broadcasts_its_query_like_the_pointwise_formula():
+    field = wf.propagate_field(wf.CoherentGaussian(0.2, 0.1, 1.0).wigner, wf.OscillatorParams(0.0), 0.0,
+                               _small_ps(6.0, 61))
+    ev = wf.field_evaluator(field)
+    x = np.linspace(-7.0, 7.0, 23)[:, None]
+    xi = np.linspace(-6.5, 6.1, 17)[None, :]
+    grid_values = ev(x, xi)
+    assert grid_values.shape == (23, 17)
+    pointwise = [[float(ev(a, b)) for b in xi.ravel()] for a in x.ravel()]
+    assert np.array_equal(grid_values, pointwise)
+    assert np.shape(ev(0.3, -0.2)) == () and ev([0.3], -0.2).shape == (1,)
+
+
 def test_gridded_transport_peak_memory_is_the_output_plus_one_chunk(catalog_fields):
     _, _, ps, field = catalog_fields("coherent")
     params = wf.OscillatorParams(0.8, wf.Cosine(0.1, 0.2, 0.7), 1.0)

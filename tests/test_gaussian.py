@@ -1,6 +1,7 @@
 """Closed-form Gaussian packet dynamics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -287,3 +288,34 @@ def test_shape_raises_where_it_leaves_the_double_range():
         with pytest.raises(NumericalConsistencyError):
             wf.packet_shape(packet, params, t)
 
+
+def test_density_is_zero_at_an_infinite_x_once_the_flow_scale_underflows():
+    packet = wf.GaussianPacket(-1.0, 0.7)
+    params = wf.OscillatorParams(-1.0)
+    xs = np.array([-math.inf, -0.4, 0.0, 2.5, math.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (100.0, 380.0):  # e^{-L} = e^{-2 w t} underflows to 0 from 2 w t ~ 745
+            got = wf.density(packet, params, xs, t)
+            assert got[0] == got[-1] == 0.0
+            assert got[1:-1].tobytes() == wf.density(packet, params, xs[1:-1], t).tobytes()
+            assert wf.density(packet, params, math.inf, t) == 0.0
+
+
+def test_wavefunction_is_zero_where_its_modulus_underflows_whatever_the_phase():
+    packet = wf.GaussianPacket(-1.0, 0.7)
+    params = wf.OscillatorParams(0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wf.wavefunction(packet, params, 1e200, 1.0) == 0.0  # the phase overflows here
+        xs = np.array([-math.inf, -1e200, 0.3, 1e200, math.inf])
+        for t in (0.0, 1.0):  # at t = 0 the phase's x^2 coefficient is 0, and 0 * inf is nan
+            got = wf.wavefunction(packet, params, xs, t)
+            assert np.all(got[[0, 1, 3, 4]] == 0.0)
+            assert got[2] == wf.wavefunction(packet, params, 0.3, t) != 0.0
+    # at the packet's centre the modulus is not 0, so a phase past the double range raises
+    unstable = wf.OscillatorParams(-1.0)
+    centre = wf.expectation_position(packet, unstable, 190.0)
+    assert wf.density(packet, unstable, centre, 190.0) > 0.0
+    with pytest.raises(NumericalConsistencyError):
+        wf.wavefunction(packet, unstable, centre, 190.0)

@@ -414,6 +414,58 @@ def test_inversion_scratch_stays_within_one_chunk(catalog_fields, products, anch
     assert peak <= transform._CHUNK_BYTES
 
 
+def _reference_phase_sums(field, q, rows_at):
+    """The lattice phase sums in one whole-array pass: an int64 outer product reduced by
+    np.remainder and a fancy-index gather, the reference the chunked kernel must match."""
+    m = field.grid.xi_grid.count
+    table = np.exp(1j * math.pi / m * np.arange(2 * m))
+    idx = np.remainder(np.multiply.outer(q.astype(np.int64), np.arange(m) - (m - 1) // 2), 2 * m)
+    return field.grid.xi_grid.step * (table[idx] * rows_at(slice(None))).sum(axis=1)
+
+
+@pytest.mark.parametrize("state_id", ["coherent", "gauss_general"])
+def test_inversion_and_purity_equal_the_reference_phase_sums(catalog_fields, state_id, monkeypatch):
+    _, _, ps, field = catalog_fields(state_id)
+    assert ps.shape == (1025, 2187)
+    recovered = wf.invert_wigner(field).values
+    purity = wf.purity_separability_check(field)
+    monkeypatch.setattr(transform, "_lattice_phase_sums", _reference_phase_sums)
+    assert recovered.tobytes() == wf.invert_wigner(field).values.tobytes()
+    assert purity == wf.purity_separability_check(field)
+
+
+@pytest.mark.parametrize("past_int32", [0, 1])
+def test_phase_sums_take_wide_integers_where_the_products_need_them(past_int32):
+    grid = wf.Grid1D.symmetric(9.0, 129)
+    field = wf.wigner_transform(wf.sample_catalog_state(wf.CoherentGaussian(0.3, -0.4, 1.0), grid),
+                                wf.natural_grid(grid, 1.0))
+    m = field.grid.xi_grid.count
+    reach = max((m - 1) // 2, m - 1 - (m - 1) // 2)  # max |l - c|
+    # the largest q whose products q (l - c) all fit int32, and one past it, where they reach 2^31
+    q_max = (2**31 - 1) // reach + past_int32
+    assert (q_max * reach >= 2**31) == bool(past_int32)
+    rng = np.random.default_rng(5)
+    q = np.concatenate(([q_max, -q_max, 0, 1], rng.integers(-q_max, q_max + 1, 40)))
+    mids = rng.integers(0, grid.count, q.size)
+
+    def rows_at(sl):
+        return field.values[mids[sl]]
+
+    got = transform._lattice_phase_sums(field, q, rows_at)
+    assert got.tobytes() == _reference_phase_sums(field, q, rows_at).tobytes()
+
+
+def test_inversion_peak_memory_is_the_output_plus_one_chunk(catalog_fields):
+    _, _, _, field = catalog_fields("box")
+    tracemalloc.start()
+    try:
+        recovered = wf.invert_wigner(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= recovered.values.nbytes + transform._CHUNK_BYTES
+
+
 @pytest.mark.parametrize("reconstruct", [wf.invert_wigner, wf.purity_separability_check])
 def test_reconstruction_needs_the_natural_lattice(reconstruct):
     grid = wf.Grid1D.symmetric(9.0, 129)
