@@ -76,8 +76,12 @@ def _centre_and_width(a, p0, flow) -> tuple:
 
 def _offset(x, decay, v):
     """x e^{-L} - v', the scaled distance from the centre; an infinite x stays infinite
-    where e^{-L} underflows to 0 (inf * 0 would be nan), every finite x keeps its bits."""
+    where e^{-L} underflows to 0 (inf * 0 would be nan), every finite x keeps its bits.
+    ConfigurationError at a nan x."""
     x = np.asarray(x, dtype=float)
+    # min propagates nan, so one reduction finds one
+    if math.isnan(x.min(initial=0.0)):
+        raise ConfigurationError("packet query point is nan")
     with np.errstate(invalid="ignore"):
         return np.where(np.isinf(x), x, x * decay) - v
 

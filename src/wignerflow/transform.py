@@ -93,10 +93,6 @@ def _check_sample(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> None:
         )
 
 
-def _is_natural(wave: WaveSample, xi_grid: Grid1D) -> bool:
-    return is_natural_xi_grid(wave.grid, wave.hbar, xi_grid)
-
-
 def _row_chunks(n_rows: int, row_bytes: int, fixed_bytes: int = 0) -> list[slice]:
     """Row slices whose scratch fits _CHUNK_BYTES: row_bytes per row on top of
     fixed_bytes and NumPy's ufunc buffer (np.getbufsize() complex items)."""
@@ -105,40 +101,37 @@ def _row_chunks(n_rows: int, row_bytes: int, fixed_bytes: int = 0) -> list[slice
     return [slice(k, min(k + rows, n_rows)) for k in range(0, n_rows, rows)]
 
 
-def _transform_values(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> np.ndarray:
-    """Complex discrete transform values before the realness check."""
-    _check_sample(wave, ps_grid)
+def _lag_windows(wave: WaveSample) -> np.ndarray:
+    """(n, 2n-1) view whose row k is psi(x_k + j d), j = -(n-1)..(n-1).
 
+    Zero padding (3n - 2 complex entries) realises the extension of psi beyond
+    the grid; row k is pad[k : k + 2n - 1].
+    """
+    n = wave.grid.count
+    pad = np.zeros(3 * n - 2, dtype=complex)
+    pad[n - 1 : 2 * n - 1] = wave.values
+    return np.lib.stride_tricks.sliding_window_view(pad, 2 * n - 1)
+
+
+def _direct_sum(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> np.ndarray:
+    """Complex transform values at any xi nodes, before the realness check.
+
+    nu[k, j] = psi(x_k + j d) conj(psi(x_k - j d)) is a lag window times its
+    reversed conjugate, summed against the kernel e^{-i j dy xi}.
+    """
     n = wave.grid.count
     m = 2 * n - 1
     dy = 2.0 * wave.grid.step / wave.hbar
-    # Zero padding realises the extension of psi beyond the grid; row k of the
-    # sliding window is pad[k : k+m], and nu[k, j] = psi(x_k + j d) conj(psi(x_k - j d))
-    # is that window times its reversed conjugate (j runs -(n-1)..(n-1)).
-    pad = np.zeros(3 * n - 2, dtype=complex)
-    pad[n - 1 : 2 * n - 1] = wave.values
-    windows = np.lib.stride_tricks.sliding_window_view(pad, m)  # (n, m) view
-
-    natural = _is_natural(wave, ps_grid.xi_grid)
+    windows = _lag_windows(wave)
     m_out = ps_grid.xi_grid.count
-    if not natural:
-        j = np.arange(-(n - 1), n)
-        kernel = np.exp(-1j * np.outer(j * dy, ps_grid.xi_grid.nodes()))  # (m, n_xi)
+    j = np.arange(-(n - 1), n)
+    kernel = np.exp(-1j * np.outer(j * dy, ps_grid.xi_grid.nodes()))  # (m, n_xi)
 
     out = np.empty(ps_grid.shape, dtype=complex)
     for sl in _row_chunks(n, 16 * max(m, m_out)):
         win = windows[sl]
         nu = win * np.conj(win[:, ::-1])
-        if natural:
-            # FFT layout: j >= 0 at the front, j < 0 wrapped to the back;
-            # zero padding up to the (FFT-friendly) frequency count.
-            nu_pad = np.zeros((nu.shape[0], m_out), dtype=complex)
-            nu_pad[:, :n] = nu[:, n - 1 :]
-            nu_pad[:, m_out - (n - 1) :] = nu[:, : n - 1]
-            spectrum = np.fft.fft(nu_pad, axis=1)
-            out[sl] = np.fft.fftshift(spectrum, axes=1) * (dy / (2.0 * math.pi))
-        else:
-            out[sl] = nu @ kernel * (dy / (2.0 * math.pi))
+        out[sl] = nu @ kernel * (dy / (2.0 * math.pi))
     return out
 
 
@@ -153,15 +146,14 @@ def _half_spectrum(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> np.ndarray:
     m = ps_grid.xi_grid.count
     c = (m - 1) // 2
     dy = 2.0 * wave.grid.step / wave.hbar
-    pad = np.zeros(3 * n - 2, dtype=complex)
-    pad[n - 1 : 2 * n - 1] = wave.values
-    windows = np.lib.stride_tricks.sliding_window_view(pad, 2 * n - 1)  # (n, 2n-1) view
+    windows = _lag_windows(wave)
     # conj of the twiddle and the quadrature weight, with j c reduced mod M exactly
     weights = np.exp(-2j * math.pi / m * (np.arange(n) * c % m)) * (dy / (2.0 * math.pi))
 
     out = np.empty(ps_grid.shape)
-    # per row: the complex lag products and the float row irfft returns
-    chunks = _row_chunks(n, 16 * n + 8 * m, fixed_bytes=pad.nbytes + weights.nbytes)
+    # per row: the complex lag products and the float row irfft returns;
+    # fixed: the zero padding behind the windows and the weights
+    chunks = _row_chunks(n, 16 * n + 8 * m, fixed_bytes=16 * (3 * n - 2) + weights.nbytes)
     buf = np.empty((chunks[0].stop, n), dtype=complex)
     for sl in chunks:
         conj_a = buf[: sl.stop - sl.start]
@@ -181,14 +173,14 @@ def wigner_transform(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> WignerField:
     exact lattice identity position_marginal = |psi|^2 within IM_TOL
     (relative to max|psi|^2).  The xi-sum only sees the j = 0 lag, so the
     guard catches normalisation and zero-lag faults but not faults in the
-    j >= 1 terms; the tests pin those against _transform_values.  Otherwise
-    the discrete sum is evaluated exactly at the requested frequencies; the
-    result is real by symmetry of the summand, and the floating-point
-    imaginary residue is checked against IM_TOL (relative to the field peak
-    when that exceeds unity) and dropped.
+    j >= 1 terms; the tests pin those against a full-lag complex FFT.
+    Otherwise the discrete sum is evaluated exactly at the requested
+    frequencies; the result is real by symmetry of the summand, and the
+    floating-point imaginary residue is checked against IM_TOL (relative
+    to the field peak when that exceeds unity) and dropped.
     """
-    if _is_natural(wave, ps_grid.xi_grid):
-        _check_sample(wave, ps_grid)
+    _check_sample(wave, ps_grid)
+    if is_natural_xi_grid(wave.grid, wave.hbar, ps_grid.xi_grid):
         field = WignerField(ps_grid, _half_spectrum(wave, ps_grid), wave.hbar)
         density = np.abs(wave.values) ** 2
         gap = float(np.max(np.abs(position_marginal(field) - density)))
@@ -199,7 +191,7 @@ def wigner_transform(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> WignerField:
             )
         return field
 
-    out = _transform_values(wave, ps_grid)
+    out = _direct_sum(wave, ps_grid)
     residue = float(np.max(np.abs(out.imag)))
     peak = float(np.max(np.abs(out.real)))
     if residue > tol.IM_TOL * max(1.0, peak):
@@ -257,7 +249,6 @@ class InversionInfo:
     x_star_index: int
     secondary_index: int | None
     relative_phase: float
-    clipped: bool
 
 
 def _require_natural(field: WignerField) -> None:
@@ -392,7 +383,7 @@ def invert_wigner(
 
     wave = WaveSample(g, values, field.hbar)
     if with_info:
-        info = InversionInfo(g.nodes()[k_star], k_star, k2, alpha, False)
+        info = InversionInfo(g.nodes()[k_star], k_star, k2, alpha)
         return wave, info
     return wave
 

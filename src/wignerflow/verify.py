@@ -24,7 +24,6 @@ from .catalog import (
 from .grids import Grid1D, natural_grid
 from .transform import (
     WaveSample,
-    _transform_values,
     invert_wigner,
     momentum_marginal,
     overlap_identity,
@@ -68,11 +67,6 @@ def run_invariant_suite() -> list[tuple]:
             grid = default_grid(state)
         wave = normalize_sample(sample_catalog_state(state, grid))
         ps = natural_grid(grid, state.hbar)
-
-        raw = _transform_values(wave, ps)
-        peak = float(np.max(np.abs(raw.real)))
-        record("realness_residue", label, float(np.max(np.abs(raw.imag))),
-               tol.IM_TOL * max(1.0, peak))
 
         field = wigner_transform(wave, ps)
         marg = position_marginal(field)

@@ -319,3 +319,20 @@ def test_wavefunction_is_zero_where_its_modulus_underflows_whatever_the_phase():
     assert wf.density(packet, unstable, centre, 190.0) > 0.0
     with pytest.raises(NumericalConsistencyError):
         wf.wavefunction(packet, unstable, centre, 190.0)
+
+
+@pytest.mark.parametrize(
+    "observable",
+    [
+        wf.density,
+        wf.wavefunction,
+        lambda packet, params, x, t: wf.wigner_evolved(packet, params, x, 0.3, t),
+    ],
+    ids=["density", "wavefunction", "wigner_evolved"],
+)
+def test_nan_query_point_is_a_configuration_error(observable):
+    packet = wf.GaussianPacket(-1.0, 0.7)
+    params = wf.OscillatorParams(0.5)
+    for x in (math.nan, np.array([-0.4, math.nan, 2.5])):
+        with pytest.raises(ConfigurationError):
+            observable(packet, params, x, 1.0)

@@ -15,7 +15,6 @@ from wignerflow.errors import (
     NotInvertibleError,
     NumericalConsistencyError,
 )
-from wignerflow.transform import _transform_values
 
 from conftest import CATALOG, fidelity
 
@@ -193,7 +192,6 @@ def test_inversion_with_info_and_explicit_anchor():
     field = wf.wigner_transform(wave, ps)
     recovered, info = wf.invert_wigner(field, x_star=1.0, with_info=True)
     assert abs(info.x_star - 1.0) <= grid.step
-    assert not info.clipped
     assert fidelity(recovered, wave) >= 1.0 - 1e-6
     with pytest.raises(ConfigurationError):
         wf.invert_wigner(field, x_star=99.0)
@@ -275,9 +273,10 @@ def test_purity_indeterminate_on_empty_field():
 # ---------------------------------------------------------------------------
 
 def test_realness_residue_below_tolerance():
+    # the residue wigner_transform checks and drops: off the natural lattice, the direct sum
     grid = wf.Grid1D.symmetric(9.0, 257)
     wave = wf.sample_catalog_state(wf.CoherentGaussian(0.7, 1.3, 1.0), grid)
-    raw = _transform_values(wave, wf.natural_grid(grid, 1.0))
+    raw = transform._direct_sum(wave, wf.PhaseSpaceGrid(grid, wf.symmetric_xi_grid(6.0, 301)))
     assert np.max(np.abs(raw.imag)) <= 1e-10
 
 
@@ -317,19 +316,40 @@ def test_parity_property(catalog_fields, state_id):
 # half-spectrum path against the complex oracle
 # ---------------------------------------------------------------------------
 
-def _max_row_gap(values, ref):
-    """max |values - ref.real| row block by row block (ref may be a large complex array)."""
-    return max(
-        float(np.max(np.abs(values[k : k + 256] - ref.real[k : k + 256])))
-        for k in range(0, values.shape[0], 256)
-    )
+def _complex_fft_blocks(wave, ps, rows=256):
+    """(row slice, complex values) of the full-lag complex FFT transform on the natural
+    lattice, a block of rows at a time: every lag j = -(n-1)..(n-1) in FFT layout (j >= 0 at
+    the front, j < 0 wrapped to the back), zero-padded to the M frequencies and shifted."""
+    n = wave.grid.count
+    m = ps.xi_grid.count
+    dy = 2.0 * wave.grid.step / wave.hbar
+    pad = np.zeros(3 * n - 2, dtype=complex)
+    pad[n - 1 : 2 * n - 1] = wave.values
+    windows = np.lib.stride_tricks.sliding_window_view(pad, 2 * n - 1)
+    for k in range(0, n, rows):
+        win = windows[k : k + rows]
+        nu = win * np.conj(win[:, ::-1])
+        nu_pad = np.zeros((nu.shape[0], m), dtype=complex)
+        nu_pad[:, :n] = nu[:, n - 1 :]
+        nu_pad[:, m - (n - 1) :] = nu[:, : n - 1]
+        spectrum = np.fft.fftshift(np.fft.fft(nu_pad, axis=1), axes=1)
+        yield slice(k, k + nu.shape[0]), spectrum * (dy / (2.0 * math.pi))
+
+
+def _gap_to_complex_oracle(values, wave, ps):
+    """(max |values - ref.real|, max |ref.real|), with ref the complex FFT's row blocks."""
+    gap = peak = 0.0
+    for sl, ref in _complex_fft_blocks(wave, ps):
+        gap = max(gap, float(np.max(np.abs(values[sl] - ref.real))))
+        peak = max(peak, float(np.max(np.abs(ref.real))))
+    return gap, peak
 
 
 @pytest.mark.parametrize("state_id", sorted(CATALOG))
 def test_half_spectrum_matches_complex_oracle_on_catalog(catalog_fields, state_id):
     _, wave, ps, field = catalog_fields(state_id)
-    ref = _transform_values(wave, ps)
-    assert _max_row_gap(field.values, ref) <= 1e-12 * float(np.max(np.abs(ref.real)))
+    gap, peak = _gap_to_complex_oracle(field.values, wave, ps)
+    assert gap <= 1e-12 * peak
 
 
 @pytest.mark.parametrize("count, xi_count", [(257, 515), (3, 5), (3, 7)])
@@ -341,22 +361,28 @@ def test_half_spectrum_matches_complex_oracle_on_any_natural_count(count, xi_cou
     grid = wf.Grid1D.symmetric(5.0, count)
     wave = wf.WaveSample(grid, values, 0.7)
     ps = wf.natural_grid(grid, 0.7, count=xi_count)
-    ref = _transform_values(wave, ps)
-    got = wf.wigner_transform(wave, ps).values
-    assert np.max(np.abs(got - ref.real)) <= 1e-12 * float(np.max(np.abs(ref.real)))
+    gap, peak = _gap_to_complex_oracle(wf.wigner_transform(wave, ps).values, wave, ps)
+    assert gap <= 1e-12 * peak
 
 
-def test_symmetric_non_natural_grid_takes_the_direct_sum(monkeypatch):
+@pytest.mark.parametrize("natural", [False, True], ids=["non_natural", "natural"])
+def test_symmetric_non_natural_grid_takes_the_direct_sum(monkeypatch, natural):
+    # each xi grid reaches exactly one kernel: the half spectrum on the natural lattice,
+    # the direct sum on any other symmetric grid
     grid = wf.Grid1D.symmetric(9.0, 129)
     wave = wf.sample_catalog_state(wf.CoherentGaussian(0.4, -0.8, 1.0), grid)
-    ps = wf.PhaseSpaceGrid(grid, wf.symmetric_xi_grid(6.0, 301))
+    if natural:
+        ps = wf.natural_grid(grid, 1.0)
+        expected, other = transform._half_spectrum(wave, ps), "_direct_sum"
+    else:
+        ps = wf.PhaseSpaceGrid(grid, wf.symmetric_xi_grid(6.0, 301))
+        expected, other = transform._direct_sum(wave, ps).real, "_half_spectrum"
 
     def unreachable(*args):
-        raise AssertionError("the half-spectrum path ran on a non-natural grid")
+        raise AssertionError(f"{other} ran on a {'natural' if natural else 'non-natural'} grid")
 
-    monkeypatch.setattr(transform, "_half_spectrum", unreachable)
-    field = wf.wigner_transform(wave, ps)
-    assert np.array_equal(field.values, _transform_values(wave, ps).real)
+    monkeypatch.setattr(transform, other, unreachable)
+    assert np.array_equal(wf.wigner_transform(wave, ps).values, expected)
 
 
 def test_natural_path_guard_fires_when_the_xi_sum_misses_the_density(monkeypatch):
