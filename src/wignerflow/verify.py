@@ -24,6 +24,7 @@ from .catalog import (
 from .grids import Grid1D, natural_grid
 from .transform import (
     WaveSample,
+    _row_chunks,
     invert_wigner,
     momentum_marginal,
     overlap_identity,
@@ -49,9 +50,12 @@ def _suite_states():
 def _momentum_oracle(wave: WaveSample, xi: np.ndarray) -> np.ndarray:
     """(2 pi / hbar) |psihat(xi/hbar)|^2 with the 1/(2 pi) transform convention."""
     xs = wave.grid.nodes()
-    ft = wave.grid.step / (2.0 * math.pi) * (
-        wave.values[None, :] * np.exp(-1j * np.outer(xi / wave.hbar, xs))
-    ).sum(axis=1)
+    ft = np.empty(len(xi), dtype=complex)
+    # per xi row: the complex exp table row and its product with psi
+    for sl in _row_chunks(len(xi), 32 * len(xs)):
+        ft[sl] = wave.grid.step / (2.0 * math.pi) * (
+            wave.values[None, :] * np.exp(-1j * np.outer(xi[sl] / wave.hbar, xs))
+        ).sum(axis=1)
     return 2.0 * math.pi / wave.hbar * np.abs(ft) ** 2
 
 

@@ -332,8 +332,8 @@ def _row_by_row_text(table: CsvTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, 2, 7, 64, 1001])
-def test_csv_rendering_matches_the_row_by_row_reference(n_rows):
+def _reference_table(n_rows: int) -> CsvTable:
+    """-0.0, nan payloads, repeating and distinct floats, ints and text, with tolerances."""
     rng = np.random.default_rng(1000 + n_rows)
     payload_nan = np.array([0x7FF8000000000123], dtype=np.int64).view(np.float64)[0]
     special = np.array([
@@ -350,12 +350,38 @@ def test_csv_rendering_matches_the_row_by_row_reference(n_rows):
         "n": rng.integers(-10**15, 10**15, n_rows),
         "status": rng.choice(np.array(["pass", "fail", "a b"]), n_rows),
     }
-    table = CsvTable(tuple(columns), list(columns.values()),
-                     {"distinct": (1e-12, 0.0), "mixed": (0.0, 2.5e-9)})
+    return CsvTable(tuple(columns), list(columns.values()),
+                    {"distinct": (1e-12, 0.0), "mixed": (0.0, 2.5e-9)})
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 7, 64, 1001])
+def test_csv_rendering_matches_the_row_by_row_reference(n_rows):
+    table = _reference_table(n_rows)
     text = table.to_text()
     assert text == _row_by_row_text(table)
     if n_rows:
         assert text.splitlines()[3].split(",")[4] == "-0"
+
+
+BLOCK = 5
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_streamed_csv_matches_the_row_by_row_reference_across_blocks(
+    n_rows, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", BLOCK)
+    table = _reference_table(n_rows)
+    reference = _row_by_row_text(table)
+    assert len(list(table._blocks())) == 1 + -(-n_rows // BLOCK)  # header, then the row blocks
+
+    table.write(tmp_path / "table.csv")
+    assert (tmp_path / "table.csv").read_bytes() == reference.encode("utf-8")
+
+    monkeypatch.setattr(cli, "compute", lambda config: (table, {}))
+    (tmp_path / "cfg.json").write_text(json.dumps(TUNNEL_CFG), encoding="utf-8")
+    assert cli.main(["tunnel", "--config", str(tmp_path / "cfg.json")]) == 0
+    assert capsys.readouterr().out == reference
 
 
 def test_csv_rejects_ragged_rows():
@@ -412,6 +438,21 @@ def test_csv_rendering_peak_memory_is_bounded_by_the_text():
         tracemalloc.stop()
     assert len(table.rows) == 257 * 525
     assert peak <= 3.5 * len(text)
+
+
+def test_csv_write_peak_memory_is_bounded_by_the_columns(tmp_path):
+    # rows are rendered and written a block at a time: what stays is the
+    # per-column dedup index, never the 8.8 MB text or one object per cell
+    table, _ = cli.compute(cli.parse_config(json.dumps(FULL_SIZE["transform"][0])))
+    column_bytes = sum(col.nbytes for col in table.columns)
+    tracemalloc.start()
+    try:
+        table.write(tmp_path / "transform.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "transform.csv").stat().st_size > 2 * column_bytes
+    assert peak <= 4 * column_bytes
 
 
 def test_golden_comparison_pass_and_fail(tmp_path):
