@@ -10,13 +10,14 @@ never by division.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, reject_nan
 from .grids import Grid1D
 from .transform import WaveSample, sample_state
 
@@ -51,16 +52,27 @@ def laguerre_polynomial(n: int, x):
     return l
 
 
-# exp(-y) is 0 from y ~ 745 on, while L_n(2y) (n <= 60) stays finite up to this cap;
-# capping y there keeps every value and makes a far-off point, whose y overflows, 0
-# instead of 0 * inf
-_LAGUERRE_Y_CAP = 1e4
+def _closed_form(formula):
+    """psi or wigner under the catalog's one rule: the query points broadcast as float arrays,
+    a nan point raises ConfigurationError, and a point where the arithmetic leaves the double
+    range (inf, or nan from inf - inf, 0 * inf or cos(inf)) reads 0.  Every state decays there
+    (positive definite Gaussian exponents, e^{-y} L_n(2y), e^{-2 kappa |x|}/(kappa^2 hbar^2 +
+    xi^2), the sech-type soliton, the box compact in x with sin(z)/z in xi), so the true value
+    is at or below the bottom of the double range.  Finite values keep their bits, and one sum
+    (it propagates inf and nan) clears the common all-finite case."""
 
+    @functools.wraps(formula)
+    def evaluate(self, *points):
+        points = [np.asarray(p, dtype=float) for p in points]
+        reject_nan("catalog", *points)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = formula(self, *np.broadcast_arrays(*points))
+        if not np.isfinite(values.sum()):
+            values = np.asarray(values)  # a NumPy scalar as a 0-d array, an array as itself
+            values[~np.isfinite(values)] = 0.0
+        return values if values.ndim else values[()]  # a 0-d query gives a NumPy scalar
 
-def _laguerre_wigner(n: int, y, prefactor: float):
-    """prefactor e^{-y} L_n(2y), the Wigner form of the n-th oscillator level."""
-    y = np.minimum(y, _LAGUERRE_Y_CAP)
-    return prefactor * np.exp(-y) * laguerre_polynomial(n, 2.0 * y)
+    return evaluate
 
 
 def _sinc(z):
@@ -69,21 +81,12 @@ def _sinc(z):
 
 
 def _x_over_sinh(z):
-    """z/sinh(z), stable at 0 and for large |z| (underflows to 0)."""
-    z = np.asarray(z, dtype=float)
+    """z/sinh(z), by its series near 0; 0 where sinh overflows (|z| > ~710), nan at inf."""
     small = np.abs(z) < 1e-4
-    capped = np.clip(np.where(small, 1.0, z), -700.0, 700.0)
     z2 = z * z
     series = 1.0 - z2 / 6.0 + 7.0 * z2 * z2 / 360.0
-    with np.errstate(over="ignore"):
-        direct = np.where(small, 1.0, capped / np.sinh(capped))
-    return np.where(small, series, direct)
-
-
-def _sech(z):
-    z = np.asarray(z, dtype=float)
-    e = np.exp(-np.abs(z))
-    return 2.0 * e / (1.0 + e * e)
+    z = np.where(small, 1.0, z)
+    return np.where(small, series, z / np.sinh(z))
 
 
 def _check_hbar(hbar: float) -> None:
@@ -103,17 +106,14 @@ class Box:
         if self.R <= 0:
             raise ConfigurationError(f"box half-width must be positive, got {self.R}")
 
+    @_closed_form
     def psi(self, x):
-        x = np.asarray(x, dtype=float)
         return np.where(np.abs(x) <= self.R, 1.0 / math.sqrt(2.0 * self.R), 0.0).astype(complex)
 
+    @_closed_form
     def wigner(self, x, xi):
-        x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
-        reach = self.R - np.abs(x)
-        inside = reach >= 0.0
-        reach = np.where(inside, reach, 0.0)
-        vals = reach / (math.pi * self.R * self.hbar) * _sinc(2.0 * xi * reach / self.hbar)
-        return np.where(inside, vals, 0.0)
+        reach = np.maximum(self.R - np.abs(x), 0.0)  # 0 outside the box, and so is the value
+        return reach / (math.pi * self.R * self.hbar) * _sinc(2.0 * xi * reach / self.hbar)
 
 
 @dataclass(frozen=True)
@@ -133,15 +133,15 @@ class GaussGeneral:
         if self.a1 <= 0:
             raise ConfigurationError(f"need a1 > 0 for square integrability, got {self.a1}")
 
+    @_closed_form
     def psi(self, x):
-        x = np.asarray(x, dtype=float)
         alpha = self.a1 + 1j * self.a2
         beta = self.b1 + 1j * self.b2
         gamma = self.c1 + 1j * self.c2
         return np.exp(-0.5 * (alpha * x * x + beta * x + gamma))
 
+    @_closed_form
     def wigner(self, x, xi):
-        x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
         h = self.hbar
         a1, a2, b1, b2, c1 = self.a1, self.a2, self.b1, self.b2, self.c1
         num = (
@@ -170,8 +170,8 @@ class CoherentGaussian:
         if not (math.isfinite(self.a) and math.isfinite(self.p0)):
             raise ConfigurationError("packet parameters must be finite")
 
+    @_closed_form
     def psi(self, x):
-        x = np.asarray(x, dtype=float)
         h = self.hbar
         return (
             (math.pi * h) ** -0.25
@@ -179,15 +179,10 @@ class CoherentGaussian:
             * np.exp(1j * self.p0 * x / h)
         )
 
+    @_closed_form
     def wigner(self, x, xi):
-        x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
         h = self.hbar
-        with np.errstate(over="ignore"):  # a far-off point's square is inf, its value 0
-            return np.exp(-((x - self.a) ** 2 + (xi - self.p0) ** 2) / h) / (math.pi * h)
-
-
-def _hermite_norm_sq(n: int) -> float:
-    return float(2.0**n) * math.factorial(n) * math.sqrt(math.pi)
+        return np.exp(-((x - self.a) ** 2 + (xi - self.p0) ** 2) / h) / (math.pi * h)
 
 
 @dataclass(frozen=True)
@@ -202,8 +197,8 @@ class FreeEvolvedGaussian:
         if self.t < 0:
             raise ConfigurationError(f"evolution time must be non-negative, got {self.t}")
 
+    @_closed_form
     def psi(self, x):
-        x = np.asarray(x, dtype=float)
         h, t = self.hbar, self.t
         denom = 1.0 + 16.0 * h * h * t * t
         return (
@@ -212,14 +207,13 @@ class FreeEvolvedGaussian:
             * np.exp(-x * x * (1.0 - 4j * h * t) / denom)
         )
 
+    @_closed_form
     def wigner(self, x, xi):
-        x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
         h, t = self.hbar, self.t
-        with np.errstate(over="ignore"):  # a far-off point's square is inf, its value 0
-            return (
-                np.exp(-xi * xi / (2.0 * h * h)) * np.exp(-2.0 * (x - 2.0 * xi * t) ** 2)
-                / (math.pi * h)
-            )
+        return (
+            np.exp(-xi * xi / (2.0 * h * h)) * np.exp(-2.0 * (x - 2.0 * xi * t) ** 2)
+            / (math.pi * h)
+        )
 
 
 @dataclass(frozen=True)
@@ -244,15 +238,15 @@ class DeltaBound:
     def energy(self) -> float:
         return -self.gamma**2 / (4.0 * self.hbar**2)
 
+    @_closed_form
     def psi(self, x):
-        x = np.asarray(x, dtype=float)
         k = self.kappa
         return (math.sqrt(k) * np.exp(-k * np.abs(x))).astype(complex)
 
+    @_closed_form
     def wigner(self, x, xi):
         # Derived by splitting the y integral at the cusp images y = +-2|x|/hbar;
         # this form reproduces the position marginal kappa*e^{-2 kappa |x|} exactly.
-        x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
         h, k = self.hbar, self.kappa
         ax = np.abs(x)
         phase = 2.0 * ax * xi / h
@@ -277,14 +271,15 @@ class Soliton:
     def width_rate(self) -> float:
         return -self.nu / (4.0 * self.hbar**2)
 
+    @_closed_form
     def psi(self, x):
         """Spatial profile; the global e^{i nu^2 t/(16 hbar^3)} phase is omitted."""
-        x = np.asarray(x, dtype=float)
         amp = math.sqrt(-self.nu) / (math.sqrt(8.0) * self.hbar)
-        return (amp * _sech(self.width_rate * x)).astype(complex)
+        e = np.exp(-np.abs(self.width_rate * x))  # sech(z) = 2 e^{-|z|} / (1 + e^{-2|z|})
+        return (amp * (2.0 * e / (1.0 + e * e))).astype(complex)
 
+    @_closed_form
     def wigner(self, x, xi):
-        x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
         h = self.hbar
         u = self.nu * x / (2.0 * h * h)
         w = 4.0 * math.pi * xi * h / self.nu
@@ -311,23 +306,24 @@ class HarmonicEigen:
             raise ConfigurationError(f"eigenstate order must be in [0, {_POLY_CAP}], got {self.n}")
 
     def _norm_sq(self) -> float:
-        return math.sqrt(self.hbar / self.omega) * _hermite_norm_sq(self.n)
+        hermite_norm_sq = float(2.0**self.n) * math.factorial(self.n) * math.sqrt(math.pi)
+        return math.sqrt(self.hbar / self.omega) * hermite_norm_sq
 
+    @_closed_form
     def psi(self, x):
-        x = np.asarray(x, dtype=float)
         u = math.sqrt(self.omega / self.hbar) * x
         vals = hermite_polynomial(self.n, u) * np.exp(-0.5 * u * u)
         if self.normalized:
             vals = vals / math.sqrt(self._norm_sq())
         return vals.astype(complex)
 
+    @_closed_form
     def wigner(self, x, xi):
-        x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
         h, w = self.hbar, self.omega
-        with np.errstate(over="ignore"):
-            y = (xi * xi + w * w * x * x) / (h * w)
+        y = (xi * xi + w * w * x * x) / (h * w)
         scale = 1.0 if self.normalized else self._norm_sq()
-        return _laguerre_wigner(self.n, y, scale * (-1.0) ** self.n / (math.pi * h))
+        prefactor = scale * (-1.0) ** self.n / (math.pi * h)  # of e^{-y} L_n(2y)
+        return prefactor * np.exp(-y) * laguerre_polynomial(self.n, 2.0 * y)
 
     def energy(self) -> float:
         return harmonic_energy(self.n, self.omega, self.hbar)
@@ -452,12 +448,8 @@ def box_l1_growth(R: float, hbar: float, Xi: float) -> float:
     upper = 2.0 * Xi * R / hbar
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        out = np.empty_like(u)
-        small = u < 1e-6
-        out[small] = 0.5 - u[small] ** 2 / 24.0
-        rest = u[~small]
-        out[~small] = _abs_sin_primitive(rest) / (rest * rest)
-        return out
+        with np.errstate(divide="ignore", invalid="ignore"):  # u = 0 takes the series
+            return np.where(u < 1e-6, 0.5 - u**2 / 24.0, _abs_sin_primitive(u) / (u * u))
 
     edges = [0.0] + [k * math.pi for k in range(1, int(upper / math.pi) + 1)] + [upper]
     total = 0.0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 
 class WignerflowError(Exception):
     """Base class for all errors raised by this package."""
@@ -29,3 +31,9 @@ class IndeterminateResultError(WignerflowError):
 
 class UnsupportedConfigurationError(WignerflowError):
     """The requested quantity is not defined for this configuration."""
+
+
+def reject_nan(what: str, *points) -> None:
+    """ConfigurationError at a nan in the float arrays points (min propagates nan)."""
+    if any(math.isnan(p.min(initial=0.0)) for p in points):
+        raise ConfigurationError(f"{what} query point is nan")

@@ -19,8 +19,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .catalog import HarmonicEigen
-from .errors import ConfigurationError, NumericalConsistencyError
+from .catalog import DeltaBound, HarmonicEigen
+from .errors import ConfigurationError, NumericalConsistencyError, reject_nan
 from .grids import PhaseSpaceGrid
 from .transform import WignerField, _row_chunks
 
@@ -69,6 +69,8 @@ DrivePolicy = Union[Constant, Cosine, Tabulated]
 def drive_value(drive: DrivePolicy, t):
     """Q(t), vectorised over t."""
     t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ConfigurationError("drive time must be finite")
     if isinstance(drive, Constant):
         return np.full_like(t, drive.lam)
     if isinstance(drive, Cosine):
@@ -278,9 +280,10 @@ def drive_convolutions(params: OscillatorParams, t) -> tuple[float, float]:
 
 
 def backward_map(coeffs: FlowCoefficients, x, xi):
-    """(X, Xi): the phase-space point whose forward image at time t is (x, xi)."""
+    """(X, Xi) whose image at time t is (x, xi); NumericalConsistencyError past the double range."""
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
+    _check_backward_range(coeffs, x, xi)
     return (
         coeffs.a1 * x + coeffs.a2 * xi + coeffs.a3,
         coeffs.b1 * x + coeffs.b2 * xi + coeffs.b3,
@@ -288,9 +291,12 @@ def backward_map(coeffs: FlowCoefficients, x, xi):
 
 
 def forward_map(coeffs: FlowCoefficients, x0, xi0):
-    """Inverse of backward_map (unit determinant, so no division)."""
-    u = np.asarray(x0, dtype=float) - coeffs.a3
-    v = np.asarray(xi0, dtype=float) - coeffs.b3
+    """Inverse of backward_map (unit determinant, so no division), with the same range rule."""
+    with np.errstate(over="ignore"):  # an overflowing shift fails the range check
+        u = np.asarray(x0, dtype=float) - coeffs.a3
+        v = np.asarray(xi0, dtype=float) - coeffs.b3
+    linear = FlowCoefficients(coeffs.b2, coeffs.a2, 0.0, coeffs.b1, coeffs.a1, 0.0, coeffs.t)
+    _check_backward_range(linear, u, v)  # the signs do not enter the bound
     return (coeffs.b2 * u - coeffs.a2 * v, -coeffs.b1 * u + coeffs.a1 * v)
 
 
@@ -300,9 +306,7 @@ def classical_flow(params: OscillatorParams, x, xi, t: float):
     coincides with the backward map composing the transported field."""
     L, (a1, a2, _, b1, b2, _), conv = _scaled_flow(params, t)
     a1, a2, b1, b2, conv_q, conv_p = _unscale(L, a1, a2, b1, b2, *conv)
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    return a1 * x + a2 * xi + conv_q, b1 * x + b2 * xi + conv_p
+    return backward_map(FlowCoefficients(a1, a2, conv_q, b1, b2, conv_p, t), x, xi)
 
 
 InitialField = Union[WignerField, Callable[[np.ndarray, np.ndarray], np.ndarray]]
@@ -361,9 +365,7 @@ def field_evaluator(field: WignerField) -> Callable[[np.ndarray, np.ndarray], np
         shape = x.shape
         # fresh float copies, at least 1-d so that gather can work on them in place
         x, xi = (np.array(c, dtype=float, ndmin=1) for c in (x, xi))
-        # min propagates nan, so one reduction per coordinate finds one
-        if math.isnan(x.min(initial=0.0)) or math.isnan(xi.min(initial=0.0)):
-            raise ConfigurationError("field_evaluator query point is nan")
+        reject_nan("field_evaluator", x, xi)
         out = np.empty(x.shape)
         gather(x, xi, out)
         return out.reshape(shape)
@@ -372,16 +374,16 @@ def field_evaluator(field: WignerField) -> Callable[[np.ndarray, np.ndarray], np
 
 
 def _check_backward_range(coeffs: FlowCoefficients, x, xi) -> None:
-    """NumericalConsistencyError unless backward_map(coeffs, x, xi) is finite everywhere."""
+    """ConfigurationError at a nan point, NumericalConsistencyError unless the image is finite."""
     # rounding is monotone, so a finite |c1| max|x| + |c2| max|xi| + |c3| bounds every image
     x_max, xi_max = (float(np.max(np.abs(v), initial=0.0)) for v in (x, xi))
     if math.isnan(x_max + xi_max):
-        raise ConfigurationError("backward map query point is nan")
+        raise ConfigurationError("flow map query point is nan")
     for c1, c2, c3 in ((coeffs.a1, coeffs.a2, coeffs.a3), (coeffs.b1, coeffs.b2, coeffs.b3)):
         c1, c2, c3 = (float(np.max(np.abs(c))) for c in (c1, c2, c3))
         if not math.isfinite(c1 * x_max + c2 * xi_max + c3):
             raise NumericalConsistencyError(
-                f"backward map at t = {float(np.max(coeffs.t)):.6g} exceeds the double range"
+                f"flow map at t = {float(np.max(coeffs.t)):.6g} exceeds the double range"
             )
 
 
@@ -512,8 +514,6 @@ def delta_stationary_residual(
     pi*hbar/(2|x|).  x-derivatives use centred differences; the |x| kink at
     0 is excluded (require |x| > fd_step).
     """
-    from .catalog import DeltaBound
-
     state = DeltaBound(gamma, hbar)
     x, xi = point
     if abs(x) <= fd_step:
@@ -536,13 +536,9 @@ def delta_stationary_residual(
     int_cos = float(hq / 3.0 * np.sum(weights * w_row * np.cos(phase)))
     int_sin = float(hq / 3.0 * np.sum(weights * w_row * np.sin(phase)))
 
-    w0 = float(state.wigner(x, xi))
-    wxx = (
-        float(state.wigner(x + fd_step, xi)) - 2.0 * w0 + float(state.wigner(x - fd_step, xi))
-    ) / fd_step**2
-    wx = (
-        float(state.wigner(x + fd_step, xi)) - float(state.wigner(x - fd_step, xi))
-    ) / (2.0 * fd_step)
+    w0, w_p, w_m = (float(state.wigner(x + d, xi)) for d in (0.0, fd_step, -fd_step))
+    wxx = (w_p - 2.0 * w0 + w_m) / fd_step**2
+    wx = (w_p - w_m) / (2.0 * fd_step)
 
     energy = -(gamma * gamma) / (4.0 * hbar * hbar)
     r40 = energy * w0 - (

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CoherentGaussian
-from .errors import ConfigurationError, NumericalConsistencyError
+from .errors import ConfigurationError, NumericalConsistencyError, reject_nan
 from .flow import (
     OscillatorParams,
-    _check_backward_range,
     _scaled_flow,
     _unscale,
     backward_map,
@@ -79,13 +78,12 @@ def _offset(x, decay, v):
     where e^{-L} underflows to 0 (inf * 0 would be nan), every finite x keeps its bits.
     ConfigurationError at a nan x."""
     x = np.asarray(x, dtype=float)
-    # min propagates nan, so one reduction finds one
-    if math.isnan(x.min(initial=0.0)):
-        raise ConfigurationError("packet query point is nan")
+    reject_nan("packet", x)
     with np.errstate(invalid="ignore"):
         return np.where(np.isinf(x), x, x * decay) - v
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a far packet centre gives a non-finite field
 def _scaled_shape(packet: GaussianPacket, params: OscillatorParams, t) -> tuple[PacketShape, float]:
     """(shape, L): PacketShape with A, B, C divided by e^{2L} and v by e^L, L the flow's
     log-scale (0 unless gamma < 0), so v/sqrt(A) stays finite where the fields overflow."""
@@ -163,7 +161,6 @@ def wigner_evolved(packet: GaussianPacket, params: OscillatorParams, x, xi, t):
     NumericalConsistencyError where a backward image leaves the double range.
     """
     coeffs = _packet_flow(packet.hbar, params, t, flow_coefficients)
-    _check_backward_range(coeffs, x, xi)
     return packet.wigner(*backward_map(coeffs, x, xi))
 
 

@@ -16,7 +16,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigurationError, UnsupportedConfigurationError
+from .errors import ConfigurationError, NumericalConsistencyError, UnsupportedConfigurationError
 from .flow import Constant, Cosine, DrivePolicy, OscillatorParams
 from .gaussian import GaussianPacket, _centre_and_width, _packet_flow
 # looked up in this module by name by the benchmark's tracer (perfbench/tracer.py)
@@ -113,7 +113,12 @@ def energies(scenario: TunnelScenario) -> tuple[float, float]:
         raise UnsupportedConfigurationError("energies are defined for the undriven barrier only")
     pk = scenario.packet
     w = scenario.omega
-    e_c = pk.p0**2 - w * w * pk.a**2
+    try:
+        e_c = pk.p0**2 - w * w * pk.a**2
+    except OverflowError:  # a square past the double range
+        e_c = math.inf
+    if not math.isfinite(e_c):
+        raise NumericalConsistencyError("the packet's energy exceeds the double range")
     return 0.5 * (1.0 - w * w) * pk.hbar + e_c, e_c
 
 
@@ -126,6 +131,8 @@ def classify_regime(scenario: TunnelScenario) -> Regime:
 
 def asymptotic_time(omega: float) -> float:
     """Time beyond which P(t) sits within ~e^{-2 omega t} of its limit."""
+    if not omega > 0:
+        raise ConfigurationError(f"omega must be positive, got {omega}")
     return max(15.0 / (2.0 * omega), 10.0)
 
 

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -345,8 +346,12 @@ DECAYING_STATES = [
     wf.HarmonicEigen(2, 1.0, 1.0),
     wf.Hermite(3),
     wf.FreeEvolvedGaussian(0.5),
+    wf.GaussGeneral(1.2, 0.3, 0.2),
+    wf.DeltaBound(-1.0),
+    wf.Soliton(-1.0),
 ]
-DECAYING_IDS = ["CoherentGaussian", "HarmonicEigen", "Hermite", "FreeEvolvedGaussian"]
+DECAYING_IDS = ["CoherentGaussian", "HarmonicEigen", "Hermite", "FreeEvolvedGaussian",
+                "GaussGeneral", "DeltaBound", "Soliton"]
 
 
 @pytest.mark.parametrize("state", DECAYING_STATES, ids=DECAYING_IDS)
@@ -361,7 +366,7 @@ def test_transport_to_huge_backward_images_reads_zero_without_a_warning(state, t
         warnings.simplefilter("error")
         moved = wf.propagate_field(state.wigner, params, t, ps)
     x, xi = wf.backward_map(wf.flow_coefficients(params, t), g.nodes()[:, None], g.nodes()[None, :])
-    far = np.hypot(x, xi) > 1e10  # e^{-1e20} and below: 0 in double precision
+    far = np.hypot(x, xi) > 1e10  # e^{-1e10} and below: 0 in double precision
     assert far.sum() > 0 and np.all(moved.values[far] == 0.0)
     near = state.wigner(x[~far], xi[~far])
     assert np.array_equal(moved.values[~far], near) and np.all(np.isfinite(near))
@@ -375,3 +380,45 @@ def test_decaying_evaluators_are_zero_where_the_exponent_overflows(state):
         warnings.simplefilter("error")
         values = state.wigner(x, xi)
     assert np.all(values == 0.0)
+
+
+@pytest.mark.parametrize("state_id", ALL_IDS)
+def test_every_state_transports_to_huge_backward_images_as_a_finite_field(state_id):
+    g = wf.Grid1D.symmetric(6.0, 9)
+    ps = wf.PhaseSpaceGrid(g, g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (100.0, 200.0, 300.0):
+            moved = wf.propagate_field(CATALOG[state_id].wigner, wf.OscillatorParams(-1.0), t, ps)
+            assert np.all(np.isfinite(moved.values))
+
+
+@pytest.mark.parametrize("state_id", ALL_IDS)
+def test_nan_query_point_is_a_configuration_error_in_every_evaluator(state_id):
+    state = CATALOG[state_id]
+    calls = [
+        lambda: state.psi(math.nan),
+        lambda: state.psi(np.array([0.0, math.nan])),
+        lambda: state.wigner(math.nan, 0.0),
+        lambda: state.wigner(0.0, math.nan),
+        lambda: state.wigner(np.array([[0.5], [math.nan]]), np.array([0.0, 1.0])),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigurationError, match="query point is nan"):
+            call()
+
+
+@pytest.mark.parametrize("z", [650.0, 705.0, 720.0, 740.0, 800.0, 1e5])
+def test_x_over_sinh_tail_matches_mpmath(z):
+    # relative accuracy while z/sinh(z) is a normal double; below the smallest normal double
+    # (from |z| ~ 714 on) a result of 0 is within the bottom of the double range
+    from wignerflow.catalog import _x_over_sinh
+
+    for s in (z, -z):
+        with mpmath.workdps(40):
+            exact = float(mpmath.mpf(s) / mpmath.sinh(mpmath.mpf(s)))
+        with np.errstate(over="ignore"):  # as inside every catalog evaluator
+            got = float(_x_over_sinh(np.array([s]))[0])
+        tiny = np.finfo(float).tiny
+        assert abs(got - exact) <= 4.0 * np.finfo(float).eps * exact + tiny, (s, got, exact)
+        assert got == 0.0 or exact >= tiny

@@ -629,3 +629,33 @@ def test_unrepresentable_coefficients_raise_a_library_error():
     # an undriven flow has zero drive terms at every time
     assert wf.drive_convolutions(wf.OscillatorParams(-1.0), 1e4) == (0.0, 0.0)
 
+
+
+def test_flow_maps_raise_where_the_image_leaves_the_double_range():
+    params = wf.OscillatorParams(-1.0, wf.Constant(1.0))
+    coeffs = wf.flow_coefficients(params, 30.0)  # entries ~ 1e25
+    shifted = wf.FlowCoefficients(1.0, 0.0, -1e308, 0.0, 1.0, 0.0, 0.0)  # x0 - a3 overflows
+    calls = [
+        lambda x, xi: wf.backward_map(coeffs, x, xi),
+        lambda x, xi: wf.forward_map(coeffs, x, xi),
+        lambda x, xi: wf.classical_flow(params, x, xi, 30.0),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            for x, xi in ((math.inf, 0.0), (0.0, -math.inf), (1e300, 1.0)):
+                with pytest.raises(NumericalConsistencyError):
+                    call(x, xi)
+            with pytest.raises(ConfigurationError):
+                call(math.nan, 0.0)
+        with pytest.raises(NumericalConsistencyError):
+            wf.forward_map(shifted, 1e308, 0.0)
+        assert wf.forward_map(shifted, -1e308, 0.0) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("drive", [wf.Constant(1.0), wf.Cosine(0.1, 0.5, 2.0),
+                                   wf.Tabulated([0.0, 1.0], [0.0, 1.0])])
+def test_drive_value_rejects_a_time_that_is_not_finite(drive):
+    for t in (math.inf, -math.inf, math.nan, np.array([0.0, math.nan])):
+        with pytest.raises(ConfigurationError, match="drive time must be finite"):
+            wf.drive_value(drive, t)

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 import wignerflow as wf
-from wignerflow.errors import UnsupportedConfigurationError
+from wignerflow.errors import (
+    ConfigurationError,
+    NumericalConsistencyError,
+    UnsupportedConfigurationError,
+)
 
 
 def scenario(a=-5.0, p0=4.0, omega=1.0, hbar=1.0, drive=None):
@@ -194,3 +198,18 @@ def test_survival_tends_to_its_limit_out_to_omega_t_1000():
     for row, p0 in zip(series, (4.0, 5.0, 6.0)):
         assert np.max(np.abs(row[10:] - wf.asymptotic_probability(scenario(p0=p0)))) <= 1e-12
 
+
+
+def test_energies_past_the_double_range_raise():
+    # p0**2 raises OverflowError from 1e155 on; w*w*a**2 rounds to inf without raising
+    for sc in (scenario(a=0.0, p0=1e200), scenario(a=1e154, p0=0.0, omega=2.0)):
+        with pytest.raises(NumericalConsistencyError, match="energy exceeds the double range"):
+            wf.energies(sc)
+        with pytest.raises(NumericalConsistencyError):
+            wf.tunnel_report(sc)
+
+
+@pytest.mark.parametrize("omega", [0.0, -1.0, math.nan])
+def test_asymptotic_time_rejects_an_omega_that_is_not_positive(omega):
+    with pytest.raises(ConfigurationError):
+        wf.asymptotic_time(omega)
