@@ -47,14 +47,17 @@ class Cosine:
 
 @dataclass(frozen=True)
 class Tabulated:
-    """Q(t) linearly interpolated between samples; constant beyond the table."""
+    """Q(t) linearly interpolated between samples; constant beyond the table.  The samples
+    are kept as read-only copies, so later writes to the caller's arrays cannot reach them."""
 
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        t = np.array(self.times, dtype=float)
+        v = np.array(self.values, dtype=float)
+        for samples in (t, v):
+            samples.flags.writeable = False
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
         if t.ndim != 1 or t.size < 2 or t.shape != v.shape:
@@ -159,13 +162,16 @@ def _entries(gamma: float, t):
     return tuple(np.exp(L) * e for e in _homogeneous(gamma, t, c, s))
 
 
-def _unscale(L, *mantissas):
-    """mantissa * e^L, elementwise; NumericalConsistencyError if any element leaves the range."""
+def _unscale(what: str, L, *mantissas):
+    """mantissa * e^L, elementwise; NumericalConsistencyError naming what (the quantities the
+    mantissas scale) if any element leaves the range."""
     half = np.exp(np.minimum(L, 2.0 * math.log(sys.float_info.max)) / 2.0)
     with np.errstate(over="ignore"):
         values = tuple(m * half * half for m in mantissas)
     if not np.isfinite(values).all():
-        raise NumericalConsistencyError(f"flow growth e^{np.max(L):.6g} exceeds the double range")
+        raise NumericalConsistencyError(
+            f"{what} left the double range at scale e^{np.max(L):.6g}"
+        )
     return values
 
 
@@ -231,14 +237,38 @@ def _tabulated_terms(gamma: float, drive: Tabulated, t, L):
     return totals
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a time too large shows as a non-finite value
+# (params, (shape, bytes) of t, result) of the latest _scaled_flow call, read and replaced
+# as one tuple, so a concurrent caller sees a whole entry or none
+_last_flow = None
+
+
 def _scaled_flow(params: OscillatorParams, t):
     """(L, (a1, a2, a3, b1, b2, b3), (conv_q, conv_p)) of t's shape, every value divided by e^L.
 
     The drive terms are a3 = Int_0^t Q(s) a2(s) ds, b3 = Int_0^t Q(s) b2(s) ds,
     conv_q = Int_0^t Q(s) a2(t - s) ds and conv_p = Int_0^t Q(s) b2(t - s) ds.
+
+    The latest result is kept and returned read-only while the same params object (identity,
+    so gamma = 0.0 and -0.0 stay apart) asks again at the same times: the observables of one
+    packet at one time share a single flow evaluation.
     """
+    global _last_flow
     t = np.asarray(t, dtype=float)
+    key = (t.shape, t.tobytes())
+    last = _last_flow
+    if last is not None and last[0] is params and last[1] == key:
+        return last[2]
+    result = _compute_flow(params, t)
+    for value in (result[0], *result[1], *result[2]):
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    _last_flow = (params, key, result)
+    return result
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a time too large shows as a non-finite value
+def _compute_flow(params: OscillatorParams, t: np.ndarray):
+    """_scaled_flow without the memo."""
     bad = t[~(np.isfinite(t) & (t >= 0.0))]
     if bad.size:
         raise ConfigurationError(f"flow time must be finite and non-negative, got {bad[0]}")
@@ -262,7 +292,7 @@ def flow_coefficients(params: OscillatorParams, t) -> FlowCoefficients:
     """Map coefficients of t's shape at finite times t >= 0 (else ConfigurationError);
     NumericalConsistencyError past the double range (gamma < 0, 2 sqrt(-gamma) t beyond ~709)."""
     L, coeffs, _ = _scaled_flow(params, t)
-    return FlowCoefficients(*_unscale(L, *coeffs), t)
+    return FlowCoefficients(*_unscale("flow coefficients", L, *coeffs), t)
 
 
 def drive_convolutions(params: OscillatorParams, t) -> tuple[float, float]:
@@ -276,7 +306,7 @@ def drive_convolutions(params: OscillatorParams, t) -> tuple[float, float]:
     forms stay single-scale and are accurate wherever they are representable.
     """
     L, _, conv = _scaled_flow(params, t)
-    return _unscale(L, *conv)
+    return _unscale("drive convolutions", L, *conv)
 
 
 def backward_map(coeffs: FlowCoefficients, x, xi):
@@ -305,7 +335,7 @@ def classical_flow(params: OscillatorParams, x, xi, t: float):
     (q' = -2p, p' = +dV/dq), so that for a time-independent drive it
     coincides with the backward map composing the transported field."""
     L, (a1, a2, _, b1, b2, _), conv = _scaled_flow(params, t)
-    a1, a2, b1, b2, conv_q, conv_p = _unscale(L, a1, a2, b1, b2, *conv)
+    a1, a2, b1, b2, conv_q, conv_p = _unscale("flow coefficients", L, a1, a2, b1, b2, *conv)
     return backward_map(FlowCoefficients(a1, a2, conv_q, b1, b2, conv_p, t), x, xi)
 
 

@@ -108,8 +108,9 @@ def _scaled_shape(packet: GaussianPacket, params: OscillatorParams, t) -> tuple[
 def packet_shape(packet: GaussianPacket, params: OscillatorParams, t) -> PacketShape:
     """Shape at a float or an array of times; NumericalConsistencyError past the double range."""
     s, L = _scaled_shape(packet, params, t)
-    quadratic = _unscale(2.0 * L, s.A, s.Bc0, s.Bc1, s.Cc0, s.Cc1, s.Cc2)
-    return PacketShape(*quadratic, *_unscale(L, s.v), t)
+    fields = (s.A, s.Bc0, s.Bc1, s.Cc0, s.Cc1, s.Cc2)
+    quadratic = _unscale("the packet's quadratic terms", 2.0 * L, *fields)
+    return PacketShape(*quadratic, *_unscale("the packet centre", L, s.v), t)
 
 
 def density(packet: GaussianPacket, params: OscillatorParams, x, t):
@@ -180,4 +181,4 @@ def expectation_position(packet: GaussianPacket, params: OscillatorParams, t):
     """
     flow = _packet_flow(packet.hbar, params, t)
     v, _ = _centre_and_width(packet.a, packet.p0, flow)
-    return _unscale(flow[0], v)[0]
+    return _unscale("the packet centre", flow[0], v)[0]

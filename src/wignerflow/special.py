@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import reject_nan
+
 _ERX = 8.45062911510467529297e-01
 _EFX = 1.28379167095512586316e-01
 
@@ -132,10 +134,11 @@ def _tail_factor(ax: np.ndarray) -> np.ndarray:
 
 
 def erf(x):
-    """Error function, max error below 1e-15 on the real line."""
+    """Error function, max error below 1e-15 on the real line; ConfigurationError at nan."""
     x_arr = np.asarray(x, dtype=np.float64)
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
+    reject_nan("erf", x_arr)
     ax = np.abs(x_arr)
     out = np.empty_like(x_arr)
 
@@ -158,15 +161,16 @@ def erf(x):
         out[tail] = np.sign(x_arr[tail]) * (1.0 - r)
 
     out[ax >= 6.0] = np.sign(x_arr[ax >= 6.0])
-    out[np.isnan(x_arr)] = np.nan
     return float(out[0]) if scalar else out
 
 
 def erfc(x):
-    """Complementary error function, relatively accurate into the far tail."""
+    """Complementary error function, relatively accurate into the far tail; ConfigurationError
+    at nan."""
     x_arr = np.asarray(x, dtype=np.float64)
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
+    reject_nan("erfc", x_arr)
     ax = np.abs(x_arr)
     out = np.empty_like(x_arr)
 
@@ -181,5 +185,4 @@ def erfc(x):
 
     far = ax >= 28.0
     out[far] = np.where(x_arr[far] > 0, 0.0, 2.0)
-    out[np.isnan(x_arr)] = np.nan
     return float(out[0]) if scalar else out

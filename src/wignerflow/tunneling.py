@@ -36,8 +36,9 @@ class TunnelScenario:
     drive: DrivePolicy = Constant(0.0)
 
     def __post_init__(self) -> None:
-        if self.omega <= 0:
-            raise ConfigurationError(f"omega must be positive, got {self.omega}")
+        w = float(self.omega)
+        if not (w > 0 and math.isfinite(4.0 * w * w)):
+            raise ConfigurationError(f"omega must be positive with 4 omega^2 finite, got {w}")
 
     def oscillator(self) -> OscillatorParams:
         return OscillatorParams(-self.omega**2, self.drive, self.packet.hbar)
@@ -97,14 +98,19 @@ def asymptotic_probability(scenario: TunnelScenario) -> float:
 
 
 def critical_momentum(scenario: TunnelScenario) -> float:
-    """Initial mean momentum at which the limit probability is exactly 1/2."""
+    """Initial mean momentum at which the limit probability is exactly 1/2;
+    NumericalConsistencyError where it leaves the double range."""
     pk = scenario.packet
     w = scenario.omega
     if _is_undriven(scenario.drive):
-        return abs(w * pk.a)
-    lam, b, omega_d = _drive_terms(scenario.drive)
-    d = omega_d**2 + 4.0 * w**2
-    return (lam * d + 4.0 * b * w * w - 2.0 * w * w * pk.a * d) / (2.0 * w * d)
+        p_crit = abs(w * pk.a)
+    else:
+        lam, b, omega_d = _drive_terms(scenario.drive)
+        d = omega_d**2 + 4.0 * w**2
+        p_crit = (lam * d + 4.0 * b * w * w - 2.0 * w * w * pk.a * d) / (2.0 * w * d)
+    if not math.isfinite(p_crit):
+        raise NumericalConsistencyError("the critical momentum exceeds the double range")
+    return p_crit
 
 
 def energies(scenario: TunnelScenario) -> tuple[float, float]:

@@ -2,7 +2,7 @@
 raises a WignerflowError, and never lets a warning or another exception escape.
 
 Hypothesis draws the query arguments (points x and xi, times t, packet centres a and p0,
-and the omega of asymptotic_time) as log-uniform magnitudes of both signs from 1e-300 to
+and the barrier omega of the tunneling functions) as log-uniform magnitudes of both signs from 1e-300 to
 1e300, plus 0 and +-inf.  The oscillator, drive and grid parameters come from fixed sets.
 The draws are derandomized, so every run checks the same examples.
 """
@@ -130,9 +130,9 @@ def test_gaussian_functions_are_finite_or_raise(params, a, p0, t, x, xi):
        omega=magnitudes())
 def test_tunneling_functions_are_finite_or_raise(drive, a, p0, t, omega):
     def scenario():
-        return wf.TunnelScenario(wf.GaussianPacket(a, p0), 1.0, drive)
+        return wf.TunnelScenario(wf.GaussianPacket(a, p0), omega, drive)
 
     _finite_or_raises(lambda: wf.survival_probability(scenario(), t))
     _finite_or_raises(lambda: wf.tunnel_report(scenario()))
-    _finite_or_raises(lambda: wf.figure1_series(a, 1.0, 1.0, [p0], [t], drive))
+    _finite_or_raises(lambda: wf.figure1_series(a, omega, 1.0, [p0], [t], drive))
     _finite_or_raises(lambda: wf.asymptotic_time(omega))

@@ -203,7 +203,7 @@ def test_expectation_position_matches_oracle_while_representable(two_w_t):
 
 def test_expectation_position_raises_past_the_double_range():
     params = wf.OscillatorParams(-1.0, wf.Cosine(0.2, 0.6, 1.7), 0.9)
-    with pytest.raises(wf.NumericalConsistencyError):
+    with pytest.raises(wf.NumericalConsistencyError, match="the packet centre left"):
         wf.expectation_position(wf.GaussianPacket(-5.0, 4.0, 0.9), params, 360.0)
 
 

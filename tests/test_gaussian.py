@@ -289,6 +289,14 @@ def test_shape_raises_where_it_leaves_the_double_range():
             wf.packet_shape(packet, params, t)
 
 
+def test_shape_overflow_names_the_packets_quadratic_terms():
+    # the flow is the identity at t = 0; the centre's square C0 = p0^2 overflows
+    cases = [(wf.GaussianPacket(-1.0, -1e155), 0.0), (wf.GaussianPacket(-5.0, 4.0), 180.0)]
+    for packet, t in cases:
+        with pytest.raises(NumericalConsistencyError, match="the packet's quadratic terms left"):
+            wf.packet_shape(packet, wf.OscillatorParams(-1.0), t)
+
+
 def test_density_is_zero_at_an_infinite_x_once_the_flow_scale_underflows():
     packet = wf.GaussianPacket(-1.0, 0.7)
     params = wf.OscillatorParams(-1.0)

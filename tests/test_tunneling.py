@@ -209,6 +209,24 @@ def test_energies_past_the_double_range_raise():
             wf.tunnel_report(sc)
 
 
+@pytest.mark.parametrize("omega", [1e154, 1.4e154, 1e200, math.inf, math.nan])
+def test_scenario_rejects_an_omega_whose_square_leaves_the_double_range(omega):
+    with pytest.raises(ConfigurationError, match="omega"):
+        scenario(omega=omega, drive=wf.Cosine(0.1, 0.2, 1.0))
+
+
+def test_scenario_accepts_an_omega_whose_square_stays_in_the_double_range():
+    sc = scenario(omega=6.7e153)  # 4 omega^2 just below the double range
+    assert sc.oscillator().gamma == -(6.7e153**2)
+
+
+def test_critical_momentum_past_the_double_range_raises():
+    cosine = wf.Cosine(0.1, 0.2, 1.0)
+    for sc in (scenario(a=-1e200, omega=1e150), scenario(a=-1.0, omega=1e153, drive=cosine)):
+        with pytest.raises(NumericalConsistencyError, match="critical momentum"):
+            wf.critical_momentum(sc)
+
+
 @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan])
 def test_asymptotic_time_rejects_an_omega_that_is_not_positive(omega):
     with pytest.raises(ConfigurationError):
