@@ -345,6 +345,7 @@ def load_config(path: str | Path) -> RunConfig:
 
 _CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "U": "%s"}  # by NumPy dtype kind
 _BLOCK_ROWS = 8192  # rows per rendered block: 1k-16k time alike, 64k doubles the write peak
+_MAX_REPORT = 10  # mismatching cells a golden comparison reports
 
 
 class _Rows(Sequence):
@@ -602,7 +603,7 @@ def _cells_match(new: np.ndarray, gold: np.ndarray, abs_tol: float, rel_tol: flo
     return close | (np.isnan(new) & np.isnan(gold))
 
 
-def verify_golden(config: RunConfig, golden_path: str | Path, max_report: int = 10) -> GoldenReport:
+def verify_golden(config: RunConfig, golden_path: str | Path) -> GoldenReport:
     """Recompute the config's main table and compare against a golden CSV.
 
     Per-column absolute/relative tolerances come from '# tolerance <col>
@@ -637,7 +638,7 @@ def verify_golden(config: RunConfig, golden_path: str | Path, max_report: int = 
     messages = [
         f"row {i}, column {fresh.header[j]}: got {_cell(fresh.columns[j], i)}, "
         f"golden {_cell(golden.columns[j], i)}"
-        for i, j in np.argwhere(mismatch)[: max(max_report, 1)]
+        for i, j in np.argwhere(mismatch)[:_MAX_REPORT]
     ]
     return GoldenReport(not messages, False, messages)
 

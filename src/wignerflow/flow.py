@@ -35,14 +35,23 @@ class Constant:
 
     lam: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.lam):
+            raise ConfigurationError(f"drive parameters must be finite, got {self}")
+
 
 @dataclass(frozen=True)
 class Cosine:
-    """Q(t) = lam + b*cos(Omega*t)."""
+    """Q(t) = lam + b*cos(Omega*t); Omega^2 must be finite (the resonance test squares it)."""
 
     lam: float
     b: float
     Omega: float
+
+    def __post_init__(self) -> None:
+        w = float(self.Omega)
+        if not (math.isfinite(self.lam) and math.isfinite(self.b) and math.isfinite(w * w)):
+            raise ConfigurationError(f"drive parameters and Omega^2 must be finite, got {self}")
 
 
 @dataclass(frozen=True)
@@ -62,23 +71,28 @@ class Tabulated:
         object.__setattr__(self, "values", v)
         if t.ndim != 1 or t.size < 2 or t.shape != v.shape:
             raise ConfigurationError("tabulated drive needs matching 1-D arrays of length >= 2")
-        if not np.all(np.diff(t) > 0):
-            raise ConfigurationError("tabulated drive times must be strictly ascending")
+        if not (np.isfinite(t).all() and np.isfinite(v).all() and np.all(np.diff(t) > 0)):
+            raise ConfigurationError("tabulated drive needs finite samples, rising times")
 
 
 DrivePolicy = Union[Constant, Cosine, Tabulated]
 
 
 def drive_value(drive: DrivePolicy, t):
-    """Q(t), vectorised over t."""
+    """Q(t), vectorised over t; NumericalConsistencyError past the double range."""
     t = np.asarray(t, dtype=float)
     if not np.isfinite(t).all():
         raise ConfigurationError("drive time must be finite")
     if isinstance(drive, Constant):
         return np.full_like(t, drive.lam)
-    if isinstance(drive, Cosine):
-        return drive.lam + drive.b * np.cos(drive.Omega * t)
-    return np.interp(t, drive.times, drive.values)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        if isinstance(drive, Cosine):
+            q = drive.lam + drive.b * np.cos(drive.Omega * t)
+        else:
+            q = np.interp(t, drive.times, drive.values)
+    if not np.isfinite(q).all():
+        raise NumericalConsistencyError(f"drive at t up to {np.max(t):.6g} leaves the double range")
+    return q
 
 
 @dataclass(frozen=True)
@@ -423,28 +437,21 @@ def _evaluate_transported(initial: InitialField, coeffs: FlowCoefficients, x_nod
     x = np.asarray(x_nodes, float)[:, None]
     xi = np.asarray(xi_nodes, float)[None, :]
     _check_backward_range(coeffs, x, xi)
-    shape = (x.shape[0], xi.shape[1])
-    # scratch per cell: the backward image and the bilinear gather's temporaries take about
-    # 50 bytes (65 with the last chunk's image); the rest is room for a closed-form evaluator
-    chunks = _row_chunks(shape[0], 128 * shape[1])
-    if not isinstance(initial, WignerField):
-        if len(chunks) == 1:  # the evaluator's own array is the output, not a copy of it
-            values = np.asarray(initial(*backward_map(coeffs, x, xi)), dtype=float)
-            return values if values.shape == shape else np.broadcast_to(values, shape).copy()
-        out = np.empty(shape)
-        for rows in chunks:
-            out[rows] = initial(*backward_map(coeffs, x[rows], xi))
-        return out
-    gather = _bilinear(initial)
+    out = np.empty((x.shape[0], xi.shape[1]))
+    gather = _bilinear(initial) if isinstance(initial, WignerField) else None
     # backward_map's sums a1 x + a2 xi + a3, in its order, with the xi terms formed once
     a2_xi, b2_xi = coeffs.a2 * xi, coeffs.b2 * xi
-    out = np.empty(shape)
-    for rows in chunks:
+    # scratch per cell: the backward image and the bilinear gather's temporaries take about
+    # 50 bytes (65 with the last chunk's image); the rest is room for a closed-form evaluator
+    for rows in _row_chunks(out.shape[0], 128 * out.shape[1]):
         big_x = np.add(coeffs.a1 * x[rows], a2_xi)
         big_x += coeffs.a3
         big_xi = np.add(coeffs.b1 * x[rows], b2_xi)
         big_xi += coeffs.b3
-        gather(big_x, big_xi, out[rows])
+        if gather is None:
+            out[rows] = initial(big_x, big_xi)
+        else:
+            gather(big_x, big_xi, out[rows])
     return out
 
 
@@ -481,18 +488,13 @@ def liouville_residual(
     """
     if min(dt, dx, dxi) <= 0:
         raise ConfigurationError("finite-difference steps must be positive")
-    evaluator = field_evaluator(initial) if isinstance(initial, WignerField) else initial
-    xs = ps_grid.x_grid.nodes()
-    xis = ps_grid.xi_grid.nodes()
+    xs, xis = ps_grid.x_grid.nodes(), ps_grid.xi_grid.nodes()
     coeffs = flow_coefficients(params, np.array([t - dt, t, t + dt]))
     before, now, after = (FlowCoefficients(*fields) for fields in zip(*vars(coeffs).values()))
 
-    w_tp = _evaluate_transported(evaluator, after, xs, xis)
-    w_tm = _evaluate_transported(evaluator, before, xs, xis)
-    w_xp = _evaluate_transported(evaluator, now, xs + dx, xis)
-    w_xm = _evaluate_transported(evaluator, now, xs - dx, xis)
-    w_kp = _evaluate_transported(evaluator, now, xs, xis + dxi)
-    w_km = _evaluate_transported(evaluator, now, xs, xis - dxi)
+    samples = ((after, xs, xis), (before, xs, xis), (now, xs + dx, xis), (now, xs - dx, xis),
+               (now, xs, xis + dxi), (now, xs, xis - dxi))
+    w_tp, w_tm, w_xp, w_xm, w_kp, w_km = (_evaluate_transported(initial, *s) for s in samples)
 
     q_now = float(drive_value(params.drive, t))
     dw_dt = (w_tp - w_tm) / (2.0 * dt)
@@ -516,11 +518,12 @@ def stationary_residual(
     if min(dx, dxi) <= 0:
         raise ConfigurationError("finite-difference steps must be positive")
     h = state.hbar
-    w0 = float(state.wigner(x, xi))
-    wxx = (float(state.wigner(x + dx, xi)) - 2.0 * w0 + float(state.wigner(x - dx, xi))) / dx**2
-    wkk = (float(state.wigner(x, xi + dxi)) - 2.0 * w0 + float(state.wigner(x, xi - dxi))) / dxi**2
-    wx = (float(state.wigner(x + dx, xi)) - float(state.wigner(x - dx, xi))) / (2.0 * dx)
-    wk = (float(state.wigner(x, xi + dxi)) - float(state.wigner(x, xi - dxi))) / (2.0 * dxi)
+    stencil = ((x, xi), (x + dx, xi), (x - dx, xi), (x, xi + dxi), (x, xi - dxi))
+    w0, w_xp, w_xm, w_kp, w_km = (float(state.wigner(*p)) for p in stencil)
+    wxx = (w_xp - 2.0 * w0 + w_xm) / dx**2
+    wkk = (w_kp - 2.0 * w0 + w_km) / dxi**2
+    wx = (w_xp - w_xm) / (2.0 * dx)
+    wk = (w_kp - w_km) / (2.0 * dxi)
 
     v = state.omega**2 * x * x
     v2 = 2.0 * state.omega**2

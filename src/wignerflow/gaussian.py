@@ -14,7 +14,6 @@ wavefunction where its phase, ~ x^2, leaves the double range while |psi| is not 
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -57,11 +56,11 @@ class PacketShape:
     t: float
 
 
-def _packet_flow(hbar: float, params: OscillatorParams, t, flow=None):
-    """flow(params, t), by default _scaled_flow(params, t), for packets of Planck constant hbar."""
+def _packet_flow(hbar: float, params: OscillatorParams, t):
+    """_scaled_flow(params, t) for packets of Planck constant hbar."""
     if abs(params.hbar - hbar) > 1e-12 * hbar:
         raise ConfigurationError("packet and oscillator must share hbar")
-    return (flow or _scaled_flow)(params, t)
+    return _scaled_flow(params, t)
 
 
 def _centre_and_width(a, p0, flow) -> tuple:
@@ -161,16 +160,16 @@ def wigner_evolved(packet: GaussianPacket, params: OscillatorParams, x, xi, t):
 
     NumericalConsistencyError where a backward image leaves the double range.
     """
-    coeffs = _packet_flow(packet.hbar, params, t, flow_coefficients)
-    return packet.wigner(*backward_map(coeffs, x, xi))
+    _packet_flow(packet.hbar, params, t)  # flow_coefficients reads this flow from the memo
+    return packet.wigner(*backward_map(flow_coefficients(params, t), x, xi))
 
 
 def wigner_evolved_field(
     packet: GaussianPacket, params: OscillatorParams, t: float, ps_grid: PhaseSpaceGrid
 ) -> WignerField:
     """The packet's field transported by propagate_field onto ps_grid."""
-    evolve = functools.partial(propagate_field, packet.wigner, ps_grid=ps_grid)
-    return _packet_flow(packet.hbar, params, t, evolve)
+    _packet_flow(packet.hbar, params, t)  # propagate_field reads this flow from the memo
+    return propagate_field(packet.wigner, params, t, ps_grid)
 
 
 def expectation_position(packet: GaussianPacket, params: OscillatorParams, t):

@@ -27,6 +27,7 @@ from .errors import (
 from .grids import Grid1D, PhaseSpaceGrid, is_natural_xi_grid
 
 _CHUNK_BYTES = 1 << 22  # scratch per chunk of rows; cache-sized chunks beat large ones
+_PURITY_NODES = 14  # marginal nodes purity_separability_check samples at most
 
 
 @dataclass(frozen=True)
@@ -445,7 +446,7 @@ def continuity_gap(
 # Pure-state diagnostic
 # ---------------------------------------------------------------------------
 
-def purity_separability_check(field: WignerField, max_nodes: int = 14) -> float:
+def purity_separability_check(field: WignerField) -> float:
     """Cross-ratio residual of the reconstructed kernel Q(x1, x2).
 
     Q(x1, x2) = Integral W((x1+x2)/2, xi) e^{i(x1-x2)xi/hbar} dxi equals
@@ -464,8 +465,8 @@ def purity_separability_check(field: WignerField, max_nodes: int = 14) -> float:
     k_star = int(np.argmax(marg))
     candidates = np.flatnonzero(np.abs(marg) >= 1e-3 * peak)
     candidates = candidates[(candidates + k_star) % 2 == 0]
-    if candidates.size > max_nodes:
-        sel = np.linspace(0, candidates.size - 1, max_nodes).round().astype(int)
+    if candidates.size > _PURITY_NODES:
+        sel = np.linspace(0, candidates.size - 1, _PURITY_NODES).round().astype(int)
         candidates = candidates[np.unique(sel)]
     if candidates.size < 2:
         raise IndeterminateResultError("not enough usable nodes for the cross-ratio check")

@@ -57,56 +57,45 @@ def _is_undriven(drive: DrivePolicy) -> bool:
     return isinstance(drive, Constant) and drive.lam == 0.0
 
 
-def _drive_terms(drive: DrivePolicy) -> tuple[float, float, float]:
-    """(lam, b, Omega) of a closed-form drive."""
-    if isinstance(drive, Constant):
-        return drive.lam, 0.0, 1.0
-    if isinstance(drive, Cosine):
-        return drive.lam, drive.b, drive.Omega
-    raise UnsupportedConfigurationError(
-        "asymptotics are only defined for constant or cosine drives"
-    )
-
-
-def _survival(hbar: float, v, A):
-    """erfc(v/sqrt(hbar A))/2 of a scaled centre and width (_centre_and_width)."""
-    return 0.5 * erfc(v / np.sqrt(hbar * A))
+def _drive_terms(scenario: TunnelScenario) -> tuple[float, float, float]:
+    """(lam, b, d) of a closed-form drive, d = Omega^2 + 4 omega^2 the denominator of its
+    resonance weight; NumericalConsistencyError where 2 omega d underflows to 0."""
+    drive, w = scenario.drive, scenario.omega
+    if not isinstance(drive, (Constant, Cosine)):
+        raise UnsupportedConfigurationError("asymptotics need a constant or cosine drive")
+    b, omega_d = (drive.b, drive.Omega) if isinstance(drive, Cosine) else (0.0, 1.0)
+    d = omega_d**2 + 4.0 * w**2
+    if 2.0 * w * d == 0.0:
+        raise NumericalConsistencyError("the drive's resonance weight exceeds the double range")
+    return drive.lam, b, d
 
 
 def survival_probability(scenario: TunnelScenario, t):
-    """P(t) = mass of |psi|^2 on x < 0 = erfc(v/sqrt(hbar A))/2 at each t (a float or an array),
-    finite for every t: v and sqrt(A) share the flow's growth, so their mantissas give the ratio."""
+    """P(t) at each t (a float or an array): row 0 of figure1_series for the one packet."""
     pk = scenario.packet
-    flow = _packet_flow(pk.hbar, scenario.oscillator(), t)
-    return _survival(pk.hbar, *_centre_and_width(pk.a, pk.p0, flow))
+    return figure1_series(pk.a, scenario.omega, pk.hbar, [pk.p0], t, scenario.drive)[0]
 
 
 def asymptotic_probability(scenario: TunnelScenario) -> float:
     """Limit of P(t): the hyperbolic growth of v and sqrt(A) share a rate,
     so the erf argument converges; the cosine drive contributes only through
     its resonance-weighted mean."""
-    pk = scenario.packet
-    w = scenario.omega
-    lam, b, omega_d = _drive_terms(scenario.drive)
-    arg = (
-        -lam / (2.0 * w)
-        + pk.a * w
-        + pk.p0
-        - 2.0 * b * w / (omega_d**2 + 4.0 * w**2)
-    ) / (math.sqrt(pk.hbar) * math.sqrt(1.0 + w * w))
+    pk, w = scenario.packet, scenario.omega
+    lam, b, d = _drive_terms(scenario)
+    arg = (-lam / (2.0 * w) + pk.a * w + pk.p0 - 2.0 * b * w / d) / (
+        math.sqrt(pk.hbar) * math.sqrt(1.0 + w * w)
+    )
     return 0.5 * erfc(arg)
 
 
 def critical_momentum(scenario: TunnelScenario) -> float:
     """Initial mean momentum at which the limit probability is exactly 1/2;
     NumericalConsistencyError where it leaves the double range."""
-    pk = scenario.packet
-    w = scenario.omega
+    pk, w = scenario.packet, scenario.omega
     if _is_undriven(scenario.drive):
         p_crit = abs(w * pk.a)
     else:
-        lam, b, omega_d = _drive_terms(scenario.drive)
-        d = omega_d**2 + 4.0 * w**2
+        lam, b, d = _drive_terms(scenario)
         p_crit = (lam * d + 4.0 * b * w * w - 2.0 * w * w * pk.a * d) / (2.0 * w * d)
     if not math.isfinite(p_crit):
         raise NumericalConsistencyError("the critical momentum exceeds the double range")
@@ -117,8 +106,7 @@ def energies(scenario: TunnelScenario) -> tuple[float, float]:
     """(E_q, E_c) of the undriven barrier; E_q - E_c = (1 - omega^2) hbar / 2."""
     if not _is_undriven(scenario.drive):
         raise UnsupportedConfigurationError("energies are defined for the undriven barrier only")
-    pk = scenario.packet
-    w = scenario.omega
+    pk, w = scenario.packet, scenario.omega
     try:
         e_c = pk.p0**2 - w * w * pk.a**2
     except OverflowError:  # a square past the double range
@@ -164,14 +152,21 @@ def figure1_series(
     t_grid,
     drive: DrivePolicy = Constant(0.0),
 ) -> np.ndarray:
-    """P(t) sampled on t_grid for each p0; shape (len(p0_list), *t_grid.shape).
+    """P(t) = mass of |psi|^2 on x < 0 = erfc(v/sqrt(hbar A))/2 sampled on t_grid for each
+    p0; shape (len(p0_list), *t_grid.shape).
 
-    The packets share the barrier, so one flow on t_grid serves them all and p0 is the
-    leading axis of a single erfc call; each row equals survival_probability bit for bit.
+    v and sqrt(A) share the flow's growth, so their scaled mantissas (_centre_and_width) give
+    the ratio; NumericalConsistencyError only where those leave the double range (a huge
+    centre, or t past ~1e154 on a barrier so flat that omega^2 underflows).  The packets
+    share the barrier, so one flow on t_grid serves them all and p0 is the leading axis of
+    a single erfc call.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     packets = [GaussianPacket(a, float(p0), hbar) for p0 in p0_list]  # checks each p0
     scenario = TunnelScenario(GaussianPacket(a, 0.0, hbar), omega, drive)
     p0 = np.reshape([pk.p0 for pk in packets], (len(packets),) + (1,) * t_grid.ndim)
-    flow = _packet_flow(hbar, scenario.oscillator(), t_grid)
-    return _survival(hbar, *_centre_and_width(a, p0, flow))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        v, A = _centre_and_width(a, p0, _packet_flow(hbar, scenario.oscillator(), t_grid))
+    if not (np.isfinite(v).all() and np.isfinite(A).all()):
+        raise NumericalConsistencyError("the packet centre or width exceeds the double range")
+    return 0.5 * erfc(v / np.sqrt(hbar * A))

@@ -147,6 +147,17 @@ def test_tunnel_rejects_tabulated_drive_at_parse_time(tmp_path):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["tunnel", "propagate"])
+def test_cosine_omega_whose_square_overflows_is_a_config_error(tmp_path, capsys, command):
+    cfg = json.loads((DATA / f"{command}.json").read_text())
+    cfg["drive"]["Omega"] = 1e160
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main([command, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: ") and "Omega" in err[0]
+
+
 def test_repeated_key_is_a_config_error_at_any_depth(tmp_path, capsys):
     top = '{"command": "tunnel", "a": -5, "p0": 4, "p0": 6, "omega": 1, "t_max": 15}'
     nested = ('{"command": "tunnel", "a": -5, "p0": 4, "omega": 1, "t_max": 15,'

@@ -2,9 +2,10 @@
 raises a WignerflowError, and never lets a warning or another exception escape.
 
 Hypothesis draws the query arguments (points x and xi, times t, packet centres a and p0,
-and the barrier omega of the tunneling functions) as log-uniform magnitudes of both signs from 1e-300 to
-1e300, plus 0 and +-inf.  The oscillator, drive and grid parameters come from fixed sets.
-The draws are derandomized, so every run checks the same examples.
+and the barrier omega of the tunneling functions) and the constant and cosine drive
+parameters (lam, b, Omega) as log-uniform magnitudes of both signs from 1e-300 to 1e300,
+plus 0 and +-inf.  The curvature gamma, the tabulated drive, hbar and the grids come from
+fixed sets.  The draws are derandomized, so every run checks the same examples.
 """
 
 import dataclasses
@@ -28,6 +29,7 @@ PARAMS = [
     wf.OscillatorParams(-0.25, wf.Cosine(0.3, 0.2, 1.0)),  # resonant: Omega = 2 sqrt(|gamma|)
     wf.OscillatorParams(0.0, wf.Tabulated([0.0, 1.0, 3.0], [0.0, 1.0, -0.5])),
 ]
+GAMMAS = [-1.0, -0.25, 0.0, 2.0]
 DRIVES = [wf.Constant(0.0), wf.Constant(0.4), wf.Cosine(0.1, 0.5, 2.0)]
 COEFFS = [
     wf.flow_coefficients(wf.OscillatorParams(1.0), 0.0),
@@ -136,3 +138,25 @@ def test_tunneling_functions_are_finite_or_raise(drive, a, p0, t, omega):
     _finite_or_raises(lambda: wf.tunnel_report(scenario()))
     _finite_or_raises(lambda: wf.figure1_series(a, omega, 1.0, [p0], [t], drive))
     _finite_or_raises(lambda: wf.asymptotic_time(omega))
+
+
+@CONTRACT
+@given(cosine=st.booleans(), lam=magnitudes(), b=magnitudes(), Omega=magnitudes(),
+       gamma=st.sampled_from(GAMMAS), omega=magnitudes(), t=magnitudes())
+def test_functions_of_a_drawn_drive_are_finite_or_raise(cosine, lam, b, Omega, gamma, omega, t):
+    def drive():
+        return wf.Cosine(lam, b, Omega) if cosine else wf.Constant(lam)
+
+    def params():
+        return wf.OscillatorParams(gamma, drive())
+
+    def scenario():
+        return wf.TunnelScenario(wf.GaussianPacket(-3.0, 2.0), omega, drive())
+
+    _finite_or_raises(lambda: wf.drive_value(drive(), t))
+    _finite_or_raises(lambda: wf.flow_coefficients(params(), t))
+    _finite_or_raises(lambda: wf.drive_convolutions(params(), t))
+    _finite_or_raises(lambda: wf.classical_flow(params(), 0.5, -0.3, t))
+    _finite_or_raises(lambda: wf.packet_shape(wf.GaussianPacket(-3.0, 2.0), params(), t))
+    _finite_or_raises(lambda: wf.survival_probability(scenario(), t))
+    _finite_or_raises(lambda: wf.tunnel_report(scenario()))

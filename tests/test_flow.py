@@ -1,6 +1,7 @@
 """Flow coefficients, propagation, classical flow, residual diagnostics."""
 
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -375,7 +376,7 @@ def test_many_row_chunks_equal_one(monkeypatch):
         assert np.array_equal(chunked, whole)
 
 
-def test_one_chunk_mesh_is_the_evaluators_own_array():
+def test_one_chunk_mesh_calls_the_evaluator_once_and_a_constant_fills_it():
     state = wf.CoherentGaussian(0.4, -0.3, 1.0)
     ps = _small_ps(6.0, 61)
     params = wf.OscillatorParams(0.7, wf.Cosine(0.1, 0.2, 0.9), 1.0)
@@ -386,7 +387,7 @@ def test_one_chunk_mesh_is_the_evaluators_own_array():
         return made[-1]
 
     moved = wf.propagate_field(closed_form, params, 0.6, ps)
-    assert len(made) == 1 and moved.values is made[0]
+    assert len(made) == 1 and np.array_equal(moved.values, made[0])
     # an evaluator answering with a broadcastable constant still fills the mesh
     constant = wf.propagate_field(lambda x, xi: 0.25, params, 0.6, ps)
     assert constant.values.shape == ps.shape and np.all(constant.values == 0.25)
@@ -651,6 +652,37 @@ def test_flow_maps_raise_where_the_image_leaves_the_double_range():
         with pytest.raises(NumericalConsistencyError):
             wf.forward_map(shifted, 1e308, 0.0)
         assert wf.forward_map(shifted, -1e308, 0.0) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda bad: wf.Constant(bad),
+    lambda bad: wf.Cosine(bad, 0.2, 1.0),
+    lambda bad: wf.Cosine(0.1, bad, 1.0),
+    lambda bad: wf.Cosine(0.1, 0.2, bad),
+    lambda bad: wf.Tabulated([0.0, bad], [0.0, 1.0]),
+    lambda bad: wf.Tabulated([0.0, 1.0], [bad, 1.0]),
+])
+def test_drives_reject_a_parameter_that_is_not_finite(make):
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigurationError):
+            make(bad)
+
+
+def test_cosine_drive_rejects_an_omega_whose_square_is_not_finite():
+    edge = math.sqrt(sys.float_info.max)
+    assert wf.Cosine(0.1, 0.2, -edge).Omega == -edge
+    for omega in (1.5e154, -1e160, 1e300):
+        with pytest.raises(ConfigurationError, match="Omega"):
+            wf.Cosine(0.1, 0.2, omega)
+
+
+def test_drive_value_past_the_double_range_raises():
+    with pytest.raises(NumericalConsistencyError):
+        wf.drive_value(wf.Cosine(0.1, 0.2, 1e154), 1e160)  # Omega t overflows
+    with pytest.raises(NumericalConsistencyError):
+        wf.drive_value(wf.Cosine(1e308, 1e308, 0.0), 1.0)
+    with pytest.raises(NumericalConsistencyError):
+        wf.drive_value(wf.Tabulated([0.0, 1.0], [1e308, -1e308]), 0.5)
 
 
 @pytest.mark.parametrize("drive", [wf.Constant(1.0), wf.Cosine(0.1, 0.5, 2.0),
