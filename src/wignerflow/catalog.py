@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigurationError, reject_nan
+from .errors import ConfigurationError, check_params, reject_nan
 from .grids import Grid1D
 from .transform import WaveSample, sample_state
 
@@ -89,11 +89,6 @@ def _x_over_sinh(z):
     return np.where(small, series, z / np.sinh(z))
 
 
-def _check_hbar(hbar: float) -> None:
-    if hbar <= 0:
-        raise ConfigurationError(f"hbar must be positive, got {hbar}")
-
-
 @dataclass(frozen=True)
 class Box:
     """Normalised characteristic function of [-R, R]."""
@@ -102,9 +97,7 @@ class Box:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_hbar(self.hbar)
-        if self.R <= 0:
-            raise ConfigurationError(f"box half-width must be positive, got {self.R}")
+        check_params("> 0", R=self.R, hbar=self.hbar)
 
     @_closed_form
     def psi(self, x):
@@ -129,9 +122,8 @@ class GaussGeneral:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_hbar(self.hbar)
-        if self.a1 <= 0:
-            raise ConfigurationError(f"need a1 > 0 for square integrability, got {self.a1}")
+        check_params("> 0", a1=self.a1, hbar=self.hbar)  # a1 > 0: square integrable
+        check_params(a2=self.a2, b1=self.b1, b2=self.b2, c1=self.c1, c2=self.c2)
 
     @_closed_form
     def psi(self, x):
@@ -166,9 +158,8 @@ class CoherentGaussian:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_hbar(self.hbar)
-        if not (math.isfinite(self.a) and math.isfinite(self.p0)):
-            raise ConfigurationError("packet parameters must be finite")
+        check_params(a=self.a, p0=self.p0)
+        check_params("> 0", hbar=self.hbar)
 
     @_closed_form
     def psi(self, x):
@@ -193,9 +184,8 @@ class FreeEvolvedGaussian:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_hbar(self.hbar)
-        if self.t < 0:
-            raise ConfigurationError(f"evolution time must be non-negative, got {self.t}")
+        check_params(">= 0", t=self.t)
+        check_params("> 0", hbar=self.hbar)
 
     @_closed_form
     def psi(self, x):
@@ -224,11 +214,8 @@ class DeltaBound:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_hbar(self.hbar)
-        if self.gamma >= 0:
-            raise ConfigurationError(
-                f"the delta potential binds only for gamma < 0, got {self.gamma}"
-            )
+        check_params("< 0", gamma=self.gamma)
+        check_params("> 0", hbar=self.hbar)
 
     @property
     def kappa(self) -> float:
@@ -263,9 +250,8 @@ class Soliton:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_hbar(self.hbar)
-        if self.nu >= 0:
-            raise ConfigurationError(f"the soliton needs attractive nu < 0, got {self.nu}")
+        check_params("< 0", nu=self.nu)
+        check_params("> 0", hbar=self.hbar)
 
     @property
     def width_rate(self) -> float:
@@ -299,9 +285,7 @@ class HarmonicEigen:
     normalized: bool = False
 
     def __post_init__(self) -> None:
-        _check_hbar(self.hbar)
-        if self.omega <= 0:
-            raise ConfigurationError(f"omega must be positive, got {self.omega}")
+        check_params("> 0", omega=self.omega, hbar=self.hbar)
         if not 0 <= self.n <= _POLY_CAP:
             raise ConfigurationError(f"eigenstate order must be in [0, {_POLY_CAP}], got {self.n}")
 
@@ -359,8 +343,8 @@ def harmonic_energy(n: int, omega: float, hbar: float) -> float:
     """Eigenvalue (2n+1) * omega * hbar of the 2m = 1 oscillator."""
     if n < 0 or int(n) != n:
         raise ConfigurationError(f"quantum number must be a non-negative integer, got {n}")
-    if omega < 0 or hbar <= 0:
-        raise ConfigurationError("need omega >= 0 and hbar > 0")
+    check_params(">= 0", omega=omega)
+    check_params("> 0", hbar=hbar)
     return (2 * n + 1) * omega * hbar
 
 
@@ -440,10 +424,8 @@ def box_l1_growth(R: float, hbar: float, Xi: float) -> float:
     1-D xi quadrature done piecewise between the kinks of that primitive.
     Grows like log(Xi); the rectangle-window mass diverges in the limit.
     """
-    if R <= 0 or hbar <= 0:
-        raise ConfigurationError("need R > 0 and hbar > 0")
-    if Xi <= 1.0:
-        raise ConfigurationError(f"the xi cutoff must exceed 1, got {Xi}")
+    check_params("> 0", R=R, hbar=hbar)
+    check_params("> 1", Xi=Xi)
 
     upper = 2.0 * Xi * R / hbar
 

@@ -33,6 +33,28 @@ class UnsupportedConfigurationError(WignerflowError):
     """The requested quantity is not defined for this configuration."""
 
 
+_BOUNDS = {
+    "> 0": lambda v: v > 0.0,
+    ">= 0": lambda v: v >= 0.0,
+    "< 0": lambda v: v < 0.0,
+    "> 1": lambda v: v > 1.0,
+}
+
+
+def check_params(bound: str = "", /, **params) -> None:
+    """ConfigurationError naming the first parameter that is not a finite real number within
+    bound ("> 0", ">= 0", "< 0", "> 1" or none): the one rule for every scalar parameter, so
+    that no nan or inf enters the arithmetic, whose non-finite results the catalog reads as 0."""
+    for name, value in params.items():
+        try:
+            ok = math.isfinite(value) and (not bound or _BOUNDS[bound](value))
+        except (TypeError, OverflowError):  # not a real number, or an int past the floats
+            ok = False
+        if not ok:
+            within = f" and {bound}" if bound else ""
+            raise ConfigurationError(f"{name} must be finite{within}, got {value}")
+
+
 def reject_nan(what: str, *points) -> None:
     """ConfigurationError at a nan in the float arrays points (min propagates nan)."""
     if any(math.isnan(p.min(initial=0.0)) for p in points):

@@ -20,7 +20,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .catalog import DeltaBound, HarmonicEigen
-from .errors import ConfigurationError, NumericalConsistencyError, reject_nan
+from .errors import ConfigurationError, NumericalConsistencyError, check_params, reject_nan
 from .grids import PhaseSpaceGrid
 from .transform import WignerField, _row_chunks
 
@@ -36,8 +36,7 @@ class Constant:
     lam: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.lam):
-            raise ConfigurationError(f"drive parameters must be finite, got {self}")
+        check_params(lam=self.lam)
 
 
 @dataclass(frozen=True)
@@ -49,9 +48,9 @@ class Cosine:
     Omega: float
 
     def __post_init__(self) -> None:
+        check_params(lam=self.lam, b=self.b, Omega=self.Omega)
         w = float(self.Omega)
-        if not (math.isfinite(self.lam) and math.isfinite(self.b) and math.isfinite(w * w)):
-            raise ConfigurationError(f"drive parameters and Omega^2 must be finite, got {self}")
+        check_params(Omega_squared=w * w)
 
 
 @dataclass(frozen=True)
@@ -104,10 +103,8 @@ class OscillatorParams:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.gamma):
-            raise ConfigurationError("gamma must be finite")
-        if self.hbar <= 0:
-            raise ConfigurationError(f"hbar must be positive, got {self.hbar}")
+        check_params(gamma=self.gamma)
+        check_params("> 0", hbar=self.hbar)
 
 
 @dataclass(frozen=True)
@@ -168,12 +165,6 @@ def _homogeneous(gamma: float, t, c, s):
     a1 = c * c - gamma * t * t * s * s
     a2 = -2.0 * t * c * s
     return a1, a2, -gamma * a2, a1
-
-
-def _entries(gamma: float, t):
-    """Unscaled homogeneous entries (a1, a2, b1, b2) at a float or an array of t >= 0."""
-    c, s, L = _angle(gamma, t)
-    return tuple(np.exp(L) * e for e in _homogeneous(gamma, t, c, s))
 
 
 def _unscale(what: str, L, *mantissas):
@@ -486,8 +477,7 @@ def liouville_residual(
     space-shifted meshes), so the residual measures pure discretisation
     error and decays at second order in (dt, dx, dxi).
     """
-    if min(dt, dx, dxi) <= 0:
-        raise ConfigurationError("finite-difference steps must be positive")
+    check_params("> 0", dt=dt, dx=dx, dxi=dxi)
     xs, xis = ps_grid.x_grid.nodes(), ps_grid.xi_grid.nodes()
     coeffs = flow_coefficients(params, np.array([t - dt, t, t + dt]))
     before, now, after = (FlowCoefficients(*fields) for fields in zip(*vars(coeffs).values()))
@@ -515,8 +505,8 @@ def stationary_residual(
     constraint (rB), both evaluated at one phase-space point."""
     x, xi = point
     dx, dxi = steps
-    if min(dx, dxi) <= 0:
-        raise ConfigurationError("finite-difference steps must be positive")
+    check_params(E=E, x=x, xi=xi)
+    check_params("> 0", dx=dx, dxi=dxi)
     h = state.hbar
     stencil = ((x, xi), (x + dx, xi), (x - dx, xi), (x, xi + dxi), (x, xi - dxi))
     w0, w_xp, w_xm, w_kp, w_km = (float(state.wigner(*p)) for p in stencil)
@@ -549,13 +539,15 @@ def delta_stationary_residual(
     """
     state = DeltaBound(gamma, hbar)
     x, xi = point
+    check_params(x=x, xi=xi, xi_cutoff=xi_cutoff)
+    if quad_step is None:
+        quad_step = min(0.05, math.pi * hbar / (50.0 * max(abs(x), 0.1)))
+    check_params("> 0", fd_step=fd_step, quad_step=quad_step)
     if abs(x) <= fd_step:
         raise ConfigurationError("evaluation point must avoid the kink at x = 0")
     if xi_cutoff <= abs(xi):
         raise ConfigurationError("xi_cutoff must exceed the evaluation |xi|")
 
-    if quad_step is None:
-        quad_step = min(0.05, math.pi * hbar / (50.0 * max(abs(x), 0.1)))
     n = int(math.ceil(2.0 * xi_cutoff / quad_step))
     n += n % 2  # Simpson needs an even interval count
     xi_p = np.linspace(-xi_cutoff, xi_cutoff, n + 1)

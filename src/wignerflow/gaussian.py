@@ -65,11 +65,22 @@ def _packet_flow(hbar: float, params: OscillatorParams, t):
 
 def _centre_and_width(a, p0, flow) -> tuple:
     """(v, A) of the packets launched from (a, p0), divided by e^L and e^{2L}: v broadcasts
-    a and p0 against the flow's times, A depends on the times alone."""
+    a and p0 against the flow's times, A depends on the times alone.  Callers evaluate it
+    with overflow and invalid operations ignored, so a value past the double range reads
+    inf or nan."""
     _, (_, a2, _, _, b2, _), (conv_q, _) = flow
     # v = -b2*da + a2*db restructured so the e^{4wt}-scale parts enter as the
     # single-scale convolution conv_q = a2 b3 - b2 a3 (no cancellation).
     return a * b2 - p0 * a2 + conv_q, a2 * a2 + b2 * b2
+
+
+def _finite_centre_and_width(a, p0, flow) -> tuple:
+    """_centre_and_width, under the same errstate; NumericalConsistencyError where v or A
+    leaves the double range."""
+    v, A = _centre_and_width(a, p0, flow)
+    if not (np.isfinite(v) & np.isfinite(A)).all():
+        raise NumericalConsistencyError("the packet centre or width exceeds the double range")
+    return v, A
 
 
 def _offset(x, decay, v):
@@ -119,10 +130,11 @@ def density(packet: GaussianPacket, params: OscillatorParams, x, t):
     e^{-L} exp(-(x e^{-L} - v')^2/(hbar A')) / sqrt(pi hbar A').
     """
     flow = _packet_flow(packet.hbar, params, t)
-    v, A = _centre_and_width(packet.a, packet.p0, flow)
     decay = np.exp(-flow[0])
     h = packet.hbar
-    with np.errstate(over="ignore"):  # a far-off point's square is inf, its value 0
+    # v and A are checked; a far-off point's square is inf, its value 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        v, A = _finite_centre_and_width(packet.a, packet.p0, flow)
         return np.exp(-(_offset(x, decay, v) ** 2) / (h * A)) * decay / np.sqrt(np.pi * h * A)
 
 
@@ -140,8 +152,8 @@ def wavefunction(packet: GaussianPacket, params: OscillatorParams, x, t: float):
     s, L = _scaled_shape(packet, params, t)
     x = np.asarray(x, dtype=float)
     h = packet.hbar
-    amplitude = (math.pi * h * s.A) ** -0.25 * np.exp(-0.5 * L)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, where |psi| is not 0
+        amplitude = (math.pi * h * s.A) ** -0.25 * np.exp(-0.5 * L)  # 0 where hbar A overflows
         b_half = s.Bc1 * x / 2.0 + s.Bc0
         phase = -b_half * x / (2.0 * h * s.A)
         envelope = np.exp(-(_offset(x, np.exp(-L), s.v) ** 2) / (2.0 * h * s.A))
@@ -179,5 +191,6 @@ def expectation_position(packet: GaussianPacket, params: OscillatorParams, t):
     unscaled on its own: NumericalConsistencyError only once v leaves the double range.
     """
     flow = _packet_flow(packet.hbar, params, t)
-    v, _ = _centre_and_width(packet.a, packet.p0, flow)
+    with np.errstate(over="ignore", invalid="ignore"):  # A may overflow where v does not
+        v, _ = _centre_and_width(packet.a, packet.p0, flow)
     return _unscale("the packet centre", flow[0], v)[0]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_params
 
 _REL_TOL = 1e-12
 
@@ -21,12 +21,10 @@ class Grid1D:
     count: int
 
     def __post_init__(self) -> None:
-        if not (self.step > 0 and math.isfinite(self.step)):
-            raise ConfigurationError(f"grid step must be positive and finite, got {self.step}")
+        check_params(x_min=self.x_min)
+        check_params("> 0", step=self.step)
         if self.count < 2:
             raise ConfigurationError(f"grid needs at least 2 nodes, got {self.count}")
-        if not math.isfinite(self.x_min):
-            raise ConfigurationError("grid x_min must be finite")
 
     @property
     def x_max(self) -> float:
@@ -108,8 +106,7 @@ def natural_xi_grid(x_grid: Grid1D, hbar: float, count: int | None = None) -> Gr
     telescopes exactly to |psi(x)|^2 and the inverse transform is exact.
     The default count is the smallest FFT-friendly such M.
     """
-    if hbar <= 0:
-        raise ConfigurationError(f"hbar must be positive, got {hbar}")
+    check_params("> 0", hbar=hbar)
     minimum = 2 * x_grid.count - 1
     if count is None:
         count = fast_odd_length(minimum)

@@ -23,6 +23,7 @@ from .errors import (
     IndeterminateResultError,
     NotInvertibleError,
     NumericalConsistencyError,
+    check_params,
 )
 from .grids import Grid1D, PhaseSpaceGrid, is_natural_xi_grid
 
@@ -45,8 +46,7 @@ class WaveSample:
             raise ConfigurationError(
                 f"wave has {v.shape} values for a grid of {self.grid.count} nodes"
             )
-        if self.hbar <= 0:
-            raise ConfigurationError(f"hbar must be positive, got {self.hbar}")
+        check_params("> 0", hbar=self.hbar)
         if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
             raise ConfigurationError("wave values must be finite")
 
@@ -68,8 +68,7 @@ class WignerField:
         object.__setattr__(self, "values", v)
         if v.shape != self.grid.shape:
             raise ConfigurationError(f"field shape {v.shape} != grid shape {self.grid.shape}")
-        if self.hbar <= 0:
-            raise ConfigurationError(f"hbar must be positive, got {self.hbar}")
+        check_params("> 0", hbar=self.hbar)
         # min and max propagate nan and reach any inf, with no N x M temporary
         if not (math.isfinite(v.min()) and math.isfinite(v.max())):
             raise ConfigurationError("field values must be finite")
@@ -354,6 +353,7 @@ def invert_wigner(
     if x_star is None:
         k_star = int(np.argmax(marg))
     else:
+        check_params(x_star=x_star)
         k_star = int(round((x_star - g.x_min) / g.step))
         if not 0 <= k_star < n:
             raise ConfigurationError(f"x_star {x_star} lies outside the grid")

@@ -16,9 +16,9 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalConsistencyError, UnsupportedConfigurationError
+from .errors import NumericalConsistencyError, UnsupportedConfigurationError, check_params
 from .flow import Constant, Cosine, DrivePolicy, OscillatorParams
-from .gaussian import GaussianPacket, _centre_and_width, _packet_flow
+from .gaussian import GaussianPacket, _finite_centre_and_width, _packet_flow
 # looked up in this module by name by the benchmark's tracer (perfbench/tracer.py)
 from .gaussian import packet_shape  # noqa: F401
 from .special import erfc
@@ -36,9 +36,9 @@ class TunnelScenario:
     drive: DrivePolicy = Constant(0.0)
 
     def __post_init__(self) -> None:
+        check_params("> 0", omega=self.omega)
         w = float(self.omega)
-        if not (w > 0 and math.isfinite(4.0 * w * w)):
-            raise ConfigurationError(f"omega must be positive with 4 omega^2 finite, got {w}")
+        check_params(four_omega_squared=4.0 * w * w)
 
     def oscillator(self) -> OscillatorParams:
         return OscillatorParams(-self.omega**2, self.drive, self.packet.hbar)
@@ -57,17 +57,17 @@ def _is_undriven(drive: DrivePolicy) -> bool:
     return isinstance(drive, Constant) and drive.lam == 0.0
 
 
-def _drive_terms(scenario: TunnelScenario) -> tuple[float, float, float]:
-    """(lam, b, d) of a closed-form drive, d = Omega^2 + 4 omega^2 the denominator of its
-    resonance weight; NumericalConsistencyError where 2 omega d underflows to 0."""
+def _critical_offset(scenario: TunnelScenario) -> float:
+    """lam/(2w) + 2b/(Omega^2/w + 4w) - w a, the initial mean momentum at which the limit
+    probability is 1/2 (b = 0 for a constant drive), unchecked: +-inf past the double range.
+    Each term is formed on its own scale, and the denominator is at least 4w > 0."""
     drive, w = scenario.drive, scenario.omega
     if not isinstance(drive, (Constant, Cosine)):
         raise UnsupportedConfigurationError("asymptotics need a constant or cosine drive")
-    b, omega_d = (drive.b, drive.Omega) if isinstance(drive, Cosine) else (0.0, 1.0)
-    d = omega_d**2 + 4.0 * w**2
-    if 2.0 * w * d == 0.0:
-        raise NumericalConsistencyError("the drive's resonance weight exceeds the double range")
-    return drive.lam, b, d
+    offset = drive.lam / (2.0 * w) - w * scenario.packet.a
+    if isinstance(drive, Cosine):
+        offset += 2.0 * drive.b / (drive.Omega * drive.Omega / w + 4.0 * w)
+    return offset
 
 
 def survival_probability(scenario: TunnelScenario, t):
@@ -81,22 +81,14 @@ def asymptotic_probability(scenario: TunnelScenario) -> float:
     so the erf argument converges; the cosine drive contributes only through
     its resonance-weighted mean."""
     pk, w = scenario.packet, scenario.omega
-    lam, b, d = _drive_terms(scenario)
-    arg = (-lam / (2.0 * w) + pk.a * w + pk.p0 - 2.0 * b * w / d) / (
-        math.sqrt(pk.hbar) * math.sqrt(1.0 + w * w)
-    )
+    arg = (pk.p0 - _critical_offset(scenario)) / (math.sqrt(pk.hbar) * math.sqrt(1.0 + w * w))
     return 0.5 * erfc(arg)
 
 
 def critical_momentum(scenario: TunnelScenario) -> float:
-    """Initial mean momentum at which the limit probability is exactly 1/2;
-    NumericalConsistencyError where it leaves the double range."""
-    pk, w = scenario.packet, scenario.omega
-    if _is_undriven(scenario.drive):
-        p_crit = abs(w * pk.a)
-    else:
-        lam, b, d = _drive_terms(scenario)
-        p_crit = (lam * d + 4.0 * b * w * w - 2.0 * w * w * pk.a * d) / (2.0 * w * d)
+    """Initial mean momentum at which the limit probability is exactly 1/2, for either sign
+    of a; NumericalConsistencyError where it leaves the double range."""
+    p_crit = _critical_offset(scenario)
     if not math.isfinite(p_crit):
         raise NumericalConsistencyError("the critical momentum exceeds the double range")
     return p_crit
@@ -107,13 +99,11 @@ def energies(scenario: TunnelScenario) -> tuple[float, float]:
     if not _is_undriven(scenario.drive):
         raise UnsupportedConfigurationError("energies are defined for the undriven barrier only")
     pk, w = scenario.packet, scenario.omega
-    try:
-        e_c = pk.p0**2 - w * w * pk.a**2
-    except OverflowError:  # a square past the double range
-        e_c = math.inf
-    if not math.isfinite(e_c):
+    e_c = pk.p0 * pk.p0 - w * w * (pk.a * pk.a)
+    e_q = 0.5 * (1.0 - w * w) * pk.hbar + e_c
+    if not (math.isfinite(e_q) and math.isfinite(e_c)):
         raise NumericalConsistencyError("the packet's energy exceeds the double range")
-    return 0.5 * (1.0 - w * w) * pk.hbar + e_c, e_c
+    return e_q, e_c
 
 
 def classify_regime(scenario: TunnelScenario) -> Regime:
@@ -125,8 +115,7 @@ def classify_regime(scenario: TunnelScenario) -> Regime:
 
 def asymptotic_time(omega: float) -> float:
     """Time beyond which P(t) sits within ~e^{-2 omega t} of its limit."""
-    if not omega > 0:
-        raise ConfigurationError(f"omega must be positive, got {omega}")
+    check_params("> 0", omega=omega)
     return max(15.0 / (2.0 * omega), 10.0)
 
 
@@ -165,8 +154,10 @@ def figure1_series(
     packets = [GaussianPacket(a, float(p0), hbar) for p0 in p0_list]  # checks each p0
     scenario = TunnelScenario(GaussianPacket(a, 0.0, hbar), omega, drive)
     p0 = np.reshape([pk.p0 for pk in packets], (len(packets),) + (1,) * t_grid.ndim)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        v, A = _centre_and_width(a, p0, _packet_flow(hbar, scenario.oscillator(), t_grid))
-    if not (np.isfinite(v).all() and np.isfinite(A).all()):
-        raise NumericalConsistencyError("the packet centre or width exceeds the double range")
-    return 0.5 * erfc(v / np.sqrt(hbar * A))
+    flow = _packet_flow(hbar, scenario.oscillator(), t_grid)
+    # v and A are checked; a width hbar A past the double range reads inf (P = 1/2), one
+    # below it 0 (a step)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v, A = _finite_centre_and_width(a, p0, flow)
+        z = v / np.sqrt(hbar * A)
+    return 0.5 * erfc(z)

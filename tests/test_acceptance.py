@@ -13,7 +13,6 @@ import scipy.integrate
 
 import wignerflow as wf
 from wignerflow import cli
-from wignerflow.flow import _entries
 
 from conftest import CATALOG, fidelity
 
@@ -148,9 +147,10 @@ def test_criterion_6_flow_validation():
         params = wf.OscillatorParams(gamma, drive)
         for t in (0.8, 2.3):
             c = wf.flow_coefficients(params, t)
-            for idx, got in ((1, c.a3), (3, c.b3)):
-                def f(s, idx=idx, gamma=gamma):
-                    return float(wf.drive_value(drive, s)) * float(_entries(gamma, s)[idx])
+            for entry, got in (("a2", c.a3), ("b2", c.b3)):
+                def f(s, entry=entry, gamma=gamma):
+                    e = wf.flow_coefficients(wf.OscillatorParams(gamma), s)
+                    return float(wf.drive_value(drive, s)) * float(getattr(e, entry))
                 ref, _ = scipy.integrate.quad(f, 0.0, t, limit=400,
                                               epsabs=1e-13, epsrel=1e-13)
                 worst_q = max(worst_q, abs(got - ref))

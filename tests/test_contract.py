@@ -4,8 +4,11 @@ raises a WignerflowError, and never lets a warning or another exception escape.
 Hypothesis draws the query arguments (points x and xi, times t, packet centres a and p0,
 and the barrier omega of the tunneling functions) and the constant and cosine drive
 parameters (lam, b, Omega) as log-uniform magnitudes of both signs from 1e-300 to 1e300,
-plus 0 and +-inf.  The curvature gamma, the tabulated drive, hbar and the grids come from
-fixed sets.  The draws are derandomized, so every run checks the same examples.
+plus 0 and +-inf, and hbar of the Gaussian and tunneling functions as a positive
+log-uniform magnitude, plus +-inf.  The curvature gamma, the tabulated drive and the grids
+come from fixed sets.  The draws are derandomized, so every run checks the same examples.
+A sweep sets each scalar parameter of the constructors and functions that take one to nan,
+inf and -inf in turn, and every such call must raise ConfigurationError.
 """
 
 import dataclasses
@@ -39,6 +42,12 @@ COEFFS = [
 _GRID = wf.Grid1D.symmetric(4.0, 9)
 PS = wf.PhaseSpaceGrid(_GRID, _GRID)
 FIELD = wf.propagate_field(wf.CoherentGaussian(0.5, -0.2).wigner, wf.OscillatorParams(0.0), 0.0, PS)
+
+
+def hbars():
+    """Planck constants: log-uniform from 1e-300 to 1e300, plus +-inf."""
+    return st.one_of(st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent),
+                     st.sampled_from([math.inf, -math.inf]))
 
 
 def magnitudes():
@@ -113,30 +122,33 @@ def test_flow_maps_are_finite_or_raise(coeffs, x, xi):
 
 
 @CONTRACT
-@given(params=st.sampled_from(PARAMS), a=magnitudes(), p0=magnitudes(), t=magnitudes(),
-       x=magnitudes(), xi=magnitudes())
-def test_gaussian_functions_are_finite_or_raise(params, a, p0, t, x, xi):
+@given(params=st.sampled_from(PARAMS), hbar=hbars(), a=magnitudes(), p0=magnitudes(),
+       t=magnitudes(), x=magnitudes(), xi=magnitudes())
+def test_gaussian_functions_are_finite_or_raise(params, hbar, a, p0, t, x, xi):
     def packet():
-        return wf.GaussianPacket(a, p0, params.hbar)
+        return wf.GaussianPacket(a, p0, hbar)
 
-    _finite_or_raises(lambda: wf.packet_shape(packet(), params, t))
-    _finite_or_raises(lambda: wf.density(packet(), params, x, t))
-    _finite_or_raises(lambda: wf.wavefunction(packet(), params, x, t))
-    _finite_or_raises(lambda: wf.wigner_evolved(packet(), params, x, xi, t))
-    _finite_or_raises(lambda: wf.wigner_evolved_field(packet(), params, t, PS))
-    _finite_or_raises(lambda: wf.expectation_position(packet(), params, t))
+    def oscillator():
+        return dataclasses.replace(params, hbar=hbar)
+
+    _finite_or_raises(lambda: wf.packet_shape(packet(), oscillator(), t))
+    _finite_or_raises(lambda: wf.density(packet(), oscillator(), x, t))
+    _finite_or_raises(lambda: wf.wavefunction(packet(), oscillator(), x, t))
+    _finite_or_raises(lambda: wf.wigner_evolved(packet(), oscillator(), x, xi, t))
+    _finite_or_raises(lambda: wf.wigner_evolved_field(packet(), oscillator(), t, PS))
+    _finite_or_raises(lambda: wf.expectation_position(packet(), oscillator(), t))
 
 
 @CONTRACT
-@given(drive=st.sampled_from(DRIVES), a=magnitudes(), p0=magnitudes(), t=magnitudes(),
-       omega=magnitudes())
-def test_tunneling_functions_are_finite_or_raise(drive, a, p0, t, omega):
+@given(drive=st.sampled_from(DRIVES), hbar=hbars(), a=magnitudes(), p0=magnitudes(),
+       t=magnitudes(), omega=magnitudes())
+def test_tunneling_functions_are_finite_or_raise(drive, hbar, a, p0, t, omega):
     def scenario():
-        return wf.TunnelScenario(wf.GaussianPacket(a, p0), omega, drive)
+        return wf.TunnelScenario(wf.GaussianPacket(a, p0, hbar), omega, drive)
 
     _finite_or_raises(lambda: wf.survival_probability(scenario(), t))
     _finite_or_raises(lambda: wf.tunnel_report(scenario()))
-    _finite_or_raises(lambda: wf.figure1_series(a, omega, 1.0, [p0], [t], drive))
+    _finite_or_raises(lambda: wf.figure1_series(a, omega, hbar, [p0], [t], drive))
     _finite_or_raises(lambda: wf.asymptotic_time(omega))
 
 
@@ -160,3 +172,73 @@ def test_functions_of_a_drawn_drive_are_finite_or_raise(cosine, lam, b, Omega, g
     _finite_or_raises(lambda: wf.packet_shape(wf.GaussianPacket(-3.0, 2.0), params(), t))
     _finite_or_raises(lambda: wf.survival_probability(scenario(), t))
     _finite_or_raises(lambda: wf.tunnel_report(scenario()))
+
+
+_NATURAL = wf.natural_grid(wf.Grid1D.symmetric(9.0, 33), 1.0)
+_NATURAL_FIELD = wf.wigner_transform(
+    wf.sample_catalog_state(wf.CoherentGaussian(), _NATURAL.x_grid), _NATURAL)
+
+# (owner, call taking keyword arguments, valid keyword arguments): the sweep replaces each
+# float argument in turn by nan, inf and -inf
+PARAMETER_SWEEP = [
+    ("Box", wf.Box, dict(R=1.0, hbar=1.0)),
+    ("GaussGeneral", wf.GaussGeneral,
+     dict(a1=1.0, a2=0.1, b1=0.2, b2=-0.3, c1=0.4, c2=0.5, hbar=1.0)),
+    ("CoherentGaussian", wf.CoherentGaussian, dict(a=0.1, p0=-0.2, hbar=1.0)),
+    ("FreeEvolvedGaussian", wf.FreeEvolvedGaussian, dict(t=0.5, hbar=1.0)),
+    ("DeltaBound", wf.DeltaBound, dict(gamma=-1.0, hbar=1.0)),
+    ("Soliton", wf.Soliton, dict(nu=-1.0, hbar=1.0)),
+    ("HarmonicEigen", lambda **kw: wf.HarmonicEigen(2, **kw), dict(omega=0.7, hbar=1.0)),
+    ("harmonic_energy", lambda **kw: wf.harmonic_energy(1, **kw), dict(omega=0.7, hbar=1.0)),
+    ("box_l1_growth", wf.box_l1_growth, dict(R=1.0, hbar=1.0, Xi=2.0)),
+    ("Constant", wf.Constant, dict(lam=0.5)),
+    ("Cosine", wf.Cosine, dict(lam=0.1, b=0.2, Omega=1.0)),
+    ("OscillatorParams", wf.OscillatorParams, dict(gamma=-1.0, hbar=1.0)),
+    ("liouville_residual",
+     lambda t, dt, dx, dxi: wf.liouville_residual(
+         wf.OscillatorParams(-1.0), wf.CoherentGaussian().wigner, t, PS, dt, dx, dxi),
+     dict(t=0.5, dt=0.01, dx=0.01, dxi=0.01)),
+    ("stationary_residual",
+     lambda E, x, xi, dx, dxi: wf.stationary_residual(
+         wf.HarmonicEigen(1, 1.0, 1.0), E, (x, xi), (dx, dxi)),
+     dict(E=3.0, x=0.3, xi=0.2, dx=1e-3, dxi=1e-3)),
+    ("delta_stationary_residual",
+     lambda gamma, hbar, x, xi, xi_cutoff, fd_step, quad_step: wf.delta_stationary_residual(
+         gamma, hbar, (x, xi), xi_cutoff, fd_step, quad_step),
+     dict(gamma=-1.0, hbar=1.0, x=0.5, xi=0.1, xi_cutoff=4.0, fd_step=2e-3, quad_step=0.05)),
+    ("WaveSample", lambda hbar: wf.WaveSample(_GRID, np.ones(9), hbar), dict(hbar=1.0)),
+    ("WignerField", lambda hbar: wf.WignerField(PS, FIELD.values, hbar), dict(hbar=1.0)),
+    ("invert_wigner", lambda x_star: wf.invert_wigner(_NATURAL_FIELD, x_star), dict(x_star=0.5)),
+    ("Grid1D", lambda x_min, step: wf.Grid1D(x_min, step, 9), dict(x_min=-1.0, step=0.25)),
+    ("natural_xi_grid", lambda hbar: wf.natural_xi_grid(_GRID, hbar), dict(hbar=1.0)),
+    ("asymptotic_time", wf.asymptotic_time, dict(omega=1.0)),
+    ("TunnelScenario", lambda omega: wf.TunnelScenario(wf.GaussianPacket(-3.0, 2.0), omega),
+     dict(omega=1.0)),
+    ("figure1_series", lambda a, omega, hbar: wf.figure1_series(a, omega, hbar, [2.0], [1.0]),
+     dict(a=-3.0, omega=1.0, hbar=1.0)),
+]
+
+
+def _breach(call, kwargs):
+    """None if call(**kwargs) raises ConfigurationError with no warning, else what it did."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = call(**kwargs)
+        except wf.ConfigurationError:
+            return None
+        except Exception as exc:  # a warning turned error, or a raw exception
+            return f"raised {type(exc).__name__}: {exc}"
+    return f"returned a {type(result).__name__}"
+
+
+def test_every_scalar_parameter_must_be_finite():
+    breaches = []
+    for owner, call, valid in PARAMETER_SWEEP:
+        _finite_or_raises(lambda: call(**valid), may_raise=False)  # the base call is valid
+        for name in valid:
+            for bad in (math.nan, math.inf, -math.inf):
+                found = _breach(call, {**valid, name: bad})
+                if found is not None:
+                    breaches.append(f"{owner}({name}={bad}) {found}")
+    assert not breaches, f"{len(breaches)} breaches:\n" + "\n".join(breaches)

@@ -12,7 +12,6 @@ import scipy.integrate
 import wignerflow as wf
 from wignerflow import flow, transform
 from wignerflow.errors import ConfigurationError, NumericalConsistencyError
-from wignerflow.flow import _entries
 
 COEFF_NAMES = ("a1", "a2", "a3", "b1", "b2", "b3")
 
@@ -79,9 +78,10 @@ def test_wronskian_across_regimes_seeded():
             assert abs(c.wronskian() + 1.0) <= 1e-10
 
 
-def _quad_oracle(gamma, drive, t, entry_index):
+def _quad_oracle(gamma, drive, t, entry):
     def f(s):
-        return float(wf.drive_value(drive, s)) * float(_entries(gamma, s)[entry_index])
+        c = wf.flow_coefficients(wf.OscillatorParams(gamma), s)
+        return float(wf.drive_value(drive, s)) * float(getattr(c, entry))
 
     val, err = scipy.integrate.quad(f, 0.0, t, limit=400, epsabs=1e-13, epsrel=1e-13)
     assert err < 1e-11
@@ -94,8 +94,8 @@ def test_cosine_drive_closed_forms_match_quadrature(gamma):
     params = wf.OscillatorParams(gamma, drive)
     for t in (0.8, 2.3):
         c = wf.flow_coefficients(params, t)
-        assert c.a3 == pytest.approx(_quad_oracle(gamma, drive, t, 1), abs=1e-10)
-        assert c.b3 == pytest.approx(_quad_oracle(gamma, drive, t, 3), abs=1e-10)
+        assert c.a3 == pytest.approx(_quad_oracle(gamma, drive, t, "a2"), abs=1e-10)
+        assert c.b3 == pytest.approx(_quad_oracle(gamma, drive, t, "b2"), abs=1e-10)
 
 
 def test_inverted_cosine_drive_matches_printed_hyperbolic_forms():
@@ -124,8 +124,8 @@ def test_near_resonant_cosine_falls_back_to_quadrature():
     params = wf.OscillatorParams(gamma, drive)
     t = 1.3
     c = wf.flow_coefficients(params, t)
-    assert c.a3 == pytest.approx(_quad_oracle(gamma, drive, t, 1), abs=1e-9)
-    assert c.b3 == pytest.approx(_quad_oracle(gamma, drive, t, 3), abs=1e-9)
+    assert c.a3 == pytest.approx(_quad_oracle(gamma, drive, t, "a2"), abs=1e-9)
+    assert c.b3 == pytest.approx(_quad_oracle(gamma, drive, t, "b2"), abs=1e-9)
 
 
 def test_tabulated_drive_reproduces_cosine():

@@ -344,3 +344,13 @@ def test_nan_query_point_is_a_configuration_error(observable):
     for x in (math.nan, np.array([-0.4, math.nan, 2.5])):
         with pytest.raises(ConfigurationError):
             observable(packet, params, x, 1.0)
+
+
+def test_flat_flow_past_the_width_range_leaks_no_warning():
+    # gamma = 0: v = a + 2 p0 t is finite at t = 1e160, A = 1 + 4 t^2 is not
+    packet, params = wf.GaussianPacket(-3.0, 2.0), wf.OscillatorParams(0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wf.expectation_position(packet, params, 1e160) == 4e160
+        with pytest.raises(NumericalConsistencyError, match="centre or width"):
+            wf.density(packet, params, 0.0, 1e160)

@@ -221,10 +221,36 @@ def test_scenario_accepts_an_omega_whose_square_stays_in_the_double_range():
 
 
 def test_critical_momentum_past_the_double_range_raises():
-    cosine = wf.Cosine(0.1, 0.2, 1.0)
-    for sc in (scenario(a=-1e200, omega=1e150), scenario(a=-1.0, omega=1e153, drive=cosine)):
-        with pytest.raises(NumericalConsistencyError, match="critical momentum"):
-            wf.critical_momentum(sc)
+    with pytest.raises(NumericalConsistencyError, match="critical momentum"):
+        wf.critical_momentum(scenario(a=-1e200, omega=1e150))
+    assert wf.asymptotic_probability(scenario(a=-1e200, omega=1e150)) == 1.0
+    # p_crit ~ omega here: formed term by term, no product leaves the double range
+    driven = scenario(a=-1.0, omega=1e153, drive=wf.Cosine(0.1, 0.2, 1.0))
+    assert wf.critical_momentum(driven) == pytest.approx(1e153, rel=1e-15)
+
+
+def test_critical_momentum_of_a_nearly_flat_barrier_is_finite():
+    # 2 omega (Omega^2 + 4 omega^2) underflows to 0; p_crit = lam/(2 omega) = -5e108
+    sc = scenario(a=-3.0, p0=2.0, omega=1e-109, drive=wf.Cosine(-1.0, 0.0, 0.0))
+    assert wf.critical_momentum(sc) == pytest.approx(-5e108, rel=1e-15)
+    assert wf.asymptotic_probability(sc) == 0.0
+
+
+@pytest.mark.parametrize("a", [2.0, 0.3, -0.7])
+def test_critical_momentum_holds_for_either_sign_of_a(a):
+    omega, p0 = 1.5, 0.5
+    undriven = [scenario(a=a, p0=p0, omega=omega, drive=d)
+                for d in (wf.Constant(0.0), wf.Cosine(0.0, 0.0, 1.0), wf.Cosine(0.0, 0.0, 2.7))]
+    p_crits = {wf.critical_momentum(sc) for sc in undriven}
+    assert p_crits == {-omega * a}  # one value for every undriven drive, of the sign of -a
+    for sc in undriven:
+        at_crit = wf.TunnelScenario(wf.GaussianPacket(a, -omega * a), omega, sc.drive)
+        assert wf.asymptotic_probability(at_crit) == 0.5
+        assert wf.classify_regime(sc) == ("supercritical" if p0 > -omega * a else "subcritical")
+    driven = scenario(a=a, omega=omega, drive=wf.Cosine(0.4, -0.3, 1.1))
+    at_crit = wf.TunnelScenario(wf.GaussianPacket(a, wf.critical_momentum(driven)), omega,
+                                driven.drive)
+    assert wf.asymptotic_probability(at_crit) == pytest.approx(0.5, abs=1e-15)
 
 
 @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan])
