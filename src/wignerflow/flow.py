@@ -50,7 +50,7 @@ class Cosine:
     def __post_init__(self) -> None:
         check_params(lam=self.lam, b=self.b, Omega=self.Omega)
         w = float(self.Omega)
-        check_params(Omega_squared=w * w)
+        check_params(**{f"Omega^2 (Omega={w})": w * w})
 
 
 @dataclass(frozen=True)

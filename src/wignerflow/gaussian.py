@@ -35,6 +35,7 @@ from .transform import WignerField
 
 # the initial state, with mean position a, mean momentum p0 and width hbar/2
 GaussianPacket = CoherentGaussian
+_SPREAD_MIN = np.pi * np.finfo(float).tiny  # the least pi hbar A with hbar A a normal double
 
 
 @dataclass(frozen=True)
@@ -74,13 +75,11 @@ def _centre_and_width(a, p0, flow) -> tuple:
     return a * b2 - p0 * a2 + conv_q, a2 * a2 + b2 * b2
 
 
-def _finite_centre_and_width(a, p0, flow) -> tuple:
-    """_centre_and_width, under the same errstate; NumericalConsistencyError where v or A
-    leaves the double range."""
-    v, A = _centre_and_width(a, p0, flow)
-    if not (np.isfinite(v) & np.isfinite(A)).all():
+def _check_spread(spread, v=0.0) -> None:
+    """NumericalConsistencyError where the centre v or the spread pi hbar A is not a normal
+    double: past the range the height would read 0, below it the profile a step or nan."""
+    if not (np.isfinite(v) & (spread >= _SPREAD_MIN) & (spread < np.inf)).all():
         raise NumericalConsistencyError("the packet centre or width exceeds the double range")
-    return v, A
 
 
 def _offset(x, decay, v):
@@ -132,9 +131,10 @@ def density(packet: GaussianPacket, params: OscillatorParams, x, t):
     flow = _packet_flow(packet.hbar, params, t)
     decay = np.exp(-flow[0])
     h = packet.hbar
-    # v and A are checked; a far-off point's square is inf, its value 0
+    # v and hbar A are checked; a far-off point's square is inf, its value 0
     with np.errstate(over="ignore", invalid="ignore"):
-        v, A = _finite_centre_and_width(packet.a, packet.p0, flow)
+        v, A = _centre_and_width(packet.a, packet.p0, flow)
+        _check_spread(np.pi * h * A, v)
         return np.exp(-(_offset(x, decay, v) ** 2) / (h * A)) * decay / np.sqrt(np.pi * h * A)
 
 
@@ -153,7 +153,9 @@ def wavefunction(packet: GaussianPacket, params: OscillatorParams, x, t: float):
     x = np.asarray(x, dtype=float)
     h = packet.hbar
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, where |psi| is not 0
-        amplitude = (math.pi * h * s.A) ** -0.25 * np.exp(-0.5 * L)  # 0 where hbar A overflows
+        spread = math.pi * h * s.A
+        _check_spread(spread)
+        amplitude = spread**-0.25 * np.exp(-0.5 * L)
         b_half = s.Bc1 * x / 2.0 + s.Bc0
         phase = -b_half * x / (2.0 * h * s.A)
         envelope = np.exp(-(_offset(x, np.exp(-L), s.v) ** 2) / (2.0 * h * s.A))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericalConsistencyError, UnsupportedConfigurationError, check_params
 from .flow import Constant, Cosine, DrivePolicy, OscillatorParams
-from .gaussian import GaussianPacket, _finite_centre_and_width, _packet_flow
+from .gaussian import GaussianPacket, _centre_and_width, _check_spread, _packet_flow
 # looked up in this module by name by the benchmark's tracer (perfbench/tracer.py)
 from .gaussian import packet_shape  # noqa: F401
 from .special import erfc
@@ -38,7 +38,7 @@ class TunnelScenario:
     def __post_init__(self) -> None:
         check_params("> 0", omega=self.omega)
         w = float(self.omega)
-        check_params(four_omega_squared=4.0 * w * w)
+        check_params(**{f"4 omega^2 (omega={w})": 4.0 * w * w})
 
     def oscillator(self) -> OscillatorParams:
         return OscillatorParams(-self.omega**2, self.drive, self.packet.hbar)
@@ -145,8 +145,8 @@ def figure1_series(
     p0; shape (len(p0_list), *t_grid.shape).
 
     v and sqrt(A) share the flow's growth, so their scaled mantissas (_centre_and_width) give
-    the ratio; NumericalConsistencyError only where those leave the double range (a huge
-    centre, or t past ~1e154 on a barrier so flat that omega^2 underflows).  The packets
+    the ratio; NumericalConsistencyError only where v or the width hbar A leaves the normal
+    doubles (_check_spread), as at t past ~1e154 on a barrier with omega^2 ~ 0.  The packets
     share the barrier, so one flow on t_grid serves them all and p0 is the leading axis of
     a single erfc call.
     """
@@ -154,10 +154,9 @@ def figure1_series(
     packets = [GaussianPacket(a, float(p0), hbar) for p0 in p0_list]  # checks each p0
     scenario = TunnelScenario(GaussianPacket(a, 0.0, hbar), omega, drive)
     p0 = np.reshape([pk.p0 for pk in packets], (len(packets),) + (1,) * t_grid.ndim)
-    flow = _packet_flow(hbar, scenario.oscillator(), t_grid)
-    # v and A are checked; a width hbar A past the double range reads inf (P = 1/2), one
-    # below it 0 (a step)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v, A = _finite_centre_and_width(a, p0, flow)
+    # v and hbar A are checked; a centre many widths off reads z = +-inf, where P is 0 or 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        v, A = _centre_and_width(a, p0, _packet_flow(hbar, scenario.oscillator(), t_grid))
+        _check_spread(np.pi * hbar * A, v)
         z = v / np.sqrt(hbar * A)
     return 0.5 * erfc(z)

@@ -5,7 +5,7 @@ Hypothesis draws the query arguments (points x and xi, times t, packet centres a
 and the barrier omega of the tunneling functions) and the constant and cosine drive
 parameters (lam, b, Omega) as log-uniform magnitudes of both signs from 1e-300 to 1e300,
 plus 0 and +-inf, and hbar of the Gaussian and tunneling functions as a positive
-log-uniform magnitude, plus +-inf.  The curvature gamma, the tabulated drive and the grids
+log-uniform magnitude.  The curvature gamma, the tabulated drive and the grids
 come from fixed sets.  The draws are derandomized, so every run checks the same examples.
 A sweep sets each scalar parameter of the constructors and functions that take one to nan,
 inf and -inf in turn, and every such call must raise ConfigurationError.
@@ -45,9 +45,8 @@ FIELD = wf.propagate_field(wf.CoherentGaussian(0.5, -0.2).wigner, wf.OscillatorP
 
 
 def hbars():
-    """Planck constants: log-uniform from 1e-300 to 1e300, plus +-inf."""
-    return st.one_of(st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent),
-                     st.sampled_from([math.inf, -math.inf]))
+    """Planck constants, log-uniform from 1e-300 to 1e300 (the sweep below covers +-inf)."""
+    return st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent)
 
 
 def magnitudes():

@@ -346,6 +346,17 @@ def test_nan_query_point_is_a_configuration_error(observable):
             observable(packet, params, x, 1.0)
 
 
+@pytest.mark.parametrize("hbar, t", [(1e300, 1e10), (5e-324, 0.0)])
+def test_density_and_psi_past_the_width_range_raise(hbar, t):
+    # pi hbar A past the double range (height read as 0) or below the normal doubles
+    packet, params = wf.GaussianPacket(-3.0, 2.0, hbar), wf.OscillatorParams(0.0, hbar=hbar)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for observable in (wf.density, wf.wavefunction):
+            with pytest.raises(NumericalConsistencyError, match="centre or width"):
+                observable(packet, params, 1.0, t)
+
+
 def test_flat_flow_past_the_width_range_leaks_no_warning():
     # gamma = 0: v = a + 2 p0 t is finite at t = 1e160, A = 1 + 4 t^2 is not
     packet, params = wf.GaussianPacket(-3.0, 2.0), wf.OscillatorParams(0.0)

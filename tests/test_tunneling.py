@@ -1,6 +1,7 @@
 """Tunnel-effect observables for the (driven) inverted oscillator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -251,6 +252,24 @@ def test_critical_momentum_holds_for_either_sign_of_a(a):
     at_crit = wf.TunnelScenario(wf.GaussianPacket(a, wf.critical_momentum(driven)), omega,
                                 driven.drive)
     assert wf.asymptotic_probability(at_crit) == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("a, p0, omega, hbar, t", [
+    (-1e200, 0.0, 1e-200, 1e300, 1e5),  # hbar A ~ 4e310: P = 1, not the 1/2 of A = inf
+    (0.0, 0.0, 1.0, 5e-324, 0.0),  # hbar A below the normal doubles: 0/0 at the centre
+])
+def test_survival_past_the_width_range_raises(a, p0, omega, hbar, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalConsistencyError, match="centre or width"):
+            wf.survival_probability(scenario(a, p0, omega, hbar), t)
+
+
+def test_survival_of_a_centre_many_widths_off_is_a_step():
+    # z = v/sqrt(hbar A) ~ -1e350 leaves the double range: P is exactly 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wf.survival_probability(scenario(a=-1e200, p0=0.0, hbar=1e-300), 0.0) == 1.0
 
 
 @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan])
