@@ -17,18 +17,15 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigurationError, check_params, reject_nan
+from .errors import ConfigurationError, check_params, finite_result, reject_nan
 from .grids import Grid1D
 from .transform import WaveSample, sample_state
 
 _POLY_CAP = 60  # three-term recurrences stay in double-precision range
 
 
-def hermite_polynomial(n: int, x):
-    """Physicists' Hermite H_n by the three-term recurrence."""
-    if not 0 <= n <= _POLY_CAP:
-        raise ConfigurationError(f"Hermite order must be in [0, {_POLY_CAP}], got {n}")
-    x = np.asarray(x, dtype=float)
+def _hermite(n: int, x):
+    """Physicists' Hermite H_n by the three-term recurrence, unchecked."""
     h_prev = np.ones_like(x)
     if n == 0:
         return h_prev
@@ -38,11 +35,8 @@ def hermite_polynomial(n: int, x):
     return h
 
 
-def laguerre_polynomial(n: int, x):
-    """Laguerre L_n by the three-term recurrence."""
-    if not 0 <= n <= _POLY_CAP:
-        raise ConfigurationError(f"Laguerre order must be in [0, {_POLY_CAP}], got {n}")
-    x = np.asarray(x, dtype=float)
+def _laguerre(n: int, x):
+    """Laguerre L_n by the three-term recurrence, unchecked."""
     l_prev = np.ones_like(x)
     if n == 0:
         return l_prev
@@ -50,6 +44,28 @@ def laguerre_polynomial(n: int, x):
     for k in range(1, n):
         l, l_prev = ((2.0 * k + 1.0 - x) * l - k * l_prev) / (k + 1.0), l
     return l
+
+
+def _checked(name: str, recurrence, n: int, x):
+    """recurrence(n, x), raising at an order outside [0, _POLY_CAP], a nan x or a value past the
+    double range; the states call the recurrence itself, as _closed_form reads that value 0."""
+    if not 0 <= n <= _POLY_CAP:
+        raise ConfigurationError(f"{name} order must be in [0, {_POLY_CAP}], got {n}")
+    x = np.asarray(x, dtype=float)
+    reject_nan(name, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = recurrence(n, x)
+    return finite_result(f"{name} polynomial of order {n}", values)
+
+
+def hermite_polynomial(n: int, x):
+    """Physicists' Hermite H_n by the three-term recurrence; raises past the double range."""
+    return _checked("Hermite", _hermite, n, x)
+
+
+def laguerre_polynomial(n: int, x):
+    """Laguerre L_n by the three-term recurrence; raises past the double range."""
+    return _checked("Laguerre", _laguerre, n, x)
 
 
 def _closed_form(formula):
@@ -296,7 +312,7 @@ class HarmonicEigen:
     @_closed_form
     def psi(self, x):
         u = math.sqrt(self.omega / self.hbar) * x
-        vals = hermite_polynomial(self.n, u) * np.exp(-0.5 * u * u)
+        vals = _hermite(self.n, u) * np.exp(-0.5 * u * u)
         if self.normalized:
             vals = vals / math.sqrt(self._norm_sq())
         return vals.astype(complex)
@@ -307,7 +323,7 @@ class HarmonicEigen:
         y = (xi * xi + w * w * x * x) / (h * w)
         scale = 1.0 if self.normalized else self._norm_sq()
         prefactor = scale * (-1.0) ** self.n / (math.pi * h)  # of e^{-y} L_n(2y)
-        return prefactor * np.exp(-y) * laguerre_polynomial(self.n, 2.0 * y)
+        return prefactor * np.exp(-y) * _laguerre(self.n, 2.0 * y)
 
     def energy(self) -> float:
         return harmonic_energy(self.n, self.omega, self.hbar)
@@ -340,12 +356,12 @@ def hudson_positivity(state: AnalyticState) -> bool:
 
 
 def harmonic_energy(n: int, omega: float, hbar: float) -> float:
-    """Eigenvalue (2n+1) * omega * hbar of the 2m = 1 oscillator."""
+    """Eigenvalue (2n+1) * omega * hbar of the 2m = 1 oscillator; raises past the double range."""
     if n < 0 or int(n) != n:
         raise ConfigurationError(f"quantum number must be a non-negative integer, got {n}")
     check_params(">= 0", omega=omega)
     check_params("> 0", hbar=hbar)
-    return (2 * n + 1) * omega * hbar
+    return finite_result("the oscillator energy", (2 * n + 1) * omega * hbar)
 
 
 def sample_catalog_state(state: AnalyticState, grid: Grid1D) -> WaveSample:
@@ -427,7 +443,7 @@ def box_l1_growth(R: float, hbar: float, Xi: float) -> float:
     check_params("> 0", R=R, hbar=hbar)
     check_params("> 1", Xi=Xi)
 
-    upper = 2.0 * Xi * R / hbar
+    upper = finite_result("the cutoff 2 Xi R / hbar", 2.0 * Xi * R / hbar)
 
     def integrand(u: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):  # u = 0 takes the series

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 class WignerflowError(Exception):
     """Base class for all errors raised by this package."""
@@ -53,6 +55,14 @@ def check_params(bound: str = "", /, **params) -> None:
         if not ok:
             within = f" and {bound}" if bound else ""
             raise ConfigurationError(f"{name} must be finite{within}, got {value}")
+
+
+def finite_result(what: str, value):
+    """value (a float, an array or a tuple of either), or NumericalConsistencyError naming what
+    where any of it is not finite: the one rule for a result past the double range."""
+    if not np.isfinite(value).all():
+        raise NumericalConsistencyError(f"{what} exceeds the double range")
+    return value
 
 
 def reject_nan(what: str, *points) -> None:

@@ -20,7 +20,9 @@ from typing import Callable, Union
 import numpy as np
 
 from .catalog import DeltaBound, HarmonicEigen
-from .errors import ConfigurationError, NumericalConsistencyError, check_params, reject_nan
+from .errors import (
+    ConfigurationError, NumericalConsistencyError, check_params, finite_result, reject_nan
+)
 from .grids import PhaseSpaceGrid
 from .transform import WignerField, _row_chunks
 
@@ -502,7 +504,7 @@ def stationary_residual(
 ) -> tuple[float, float]:
     """Finite-difference residuals of the eigenvalue pair for a harmonic
     eigenstate field: the second-order equation (rA) and the transport
-    constraint (rB), both evaluated at one phase-space point."""
+    constraint (rB), both evaluated at one phase-space point; raises past the double range."""
     x, xi = point
     dx, dxi = steps
     check_params(E=E, x=x, xi=xi)
@@ -519,7 +521,7 @@ def stationary_residual(
     v2 = 2.0 * state.omega**2
     r_a = E * w0 - (-(h * h / 4.0) * wxx + (xi * xi + v) * w0 - (h * h / 8.0) * v2 * wkk)
     r_b = -2.0 * xi * wx + 2.0 * state.omega**2 * x * wk
-    return float(r_a), float(r_b)
+    return finite_result("the stationary residual", (float(r_a), float(r_b)))
 
 
 def delta_stationary_residual(

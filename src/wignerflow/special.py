@@ -1,8 +1,10 @@
 """Double-precision erf and erfc, implemented in-repo for bit-stable output.
 
-Rational Chebyshev approximations from FreeBSD's msun (s_erf.c), including
-the split-argument evaluation of exp(-x*x) that keeps the tail branches
-accurate to < 1 ulp.
+Rational Chebyshev approximations from FreeBSD's msun (s_erf.c), including the split-argument
+evaluation of exp(-x*x) that keeps the tail branches accurate to < 1 ulp.  The four branches'
+fits are stacked into one zero-padded table, so every point takes one path: its branch from
+|x|, one Horner loop, each branch formula, one select.  A point meets the same floating-point
+operations as in msun's branch for it, so the results keep msun's bits.
 
 Origin: FreeBSD /usr/src/lib/msun/src/s_erf.c
 
@@ -107,82 +109,46 @@ _SB = (
 )
 
 
-def _poly(coeffs, z):
-    acc = np.full_like(z, coeffs[-1])
+# _TABLE[k, 0 or 1, b]: order k of branch b's numerator or denominator fit, zero-padded at high
+# order: a padded Horner step gives +-0 * s plus the next coefficient, that coefficient exactly.
+_FITS = ((_PP, _QQ), (_PA, _QA), (_RA, _SA), (_RB, _SB))
+_TABLE = np.array([[np.pad(c, (0, 9 - len(c))) for c in pair] for pair in _FITS]).T.copy()
+_EDGES = (0.84375, 1.25, 1.0 / 0.35)  # branch b covers |x| from edge b - 1 up to edge b
+
+
+def _evaluate(what: str, x):
+    """(x, inner, near, r): x as a float array of at least one dimension, inner where |x| < 1.25,
+    near = erf(x) there and r = erfc(|x|) elsewhere, each finite junk off its side.  |x| is
+    clamped at 28, where r reads exactly 0 (1 - r reads 1 from |x| = 6 on), and the tail
+    abscissa is held at 1.25 or more, so that no operation overflows or divides by zero."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    reject_nan(what, x)
+    xc = np.clip(x, -28.0, 28.0)
+    ax, at = np.abs(xc), np.maximum(np.abs(xc), 1.25)
+    b = sum(ax >= edge for edge in _EDGES)  # the number of edges at or below |x|
+    s = np.where(b < 2, np.where(b == 0, ax * ax, ax - 1.0), 1.0 / (at * at))
+    coeffs = np.take(_TABLE, b, axis=2)  # contiguous in x for each (order, P or Q)
+    acc = coeffs[-1]
     for c in coeffs[-2::-1]:
-        acc = acc * z + c
-    return acc
-
-
-def _hi_word_only(x: np.ndarray) -> np.ndarray:
-    """Zero the low 32 bits of the significand (SET_LOW_WORD(z, 0))."""
-    bits = np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
-    return (bits & np.uint64(0xFFFFFFFF00000000)).view(np.float64)
-
-
-def _tail_factor(ax: np.ndarray) -> np.ndarray:
-    """exp(-x^2 - 0.5625 + R/S) for |x| >= 1.25, split to preserve precision."""
-    s = 1.0 / (ax * ax)
-    mid = ax < (1.0 / 0.35)
-    ratio = np.where(
-        mid,
-        _poly(_RA, s) / _poly(_SA, s),
-        _poly(_RB, s) / _poly(_SB, s),
-    )
-    z = _hi_word_only(ax)
-    return np.exp(-z * z - 0.5625) * np.exp((z - ax) * (z + ax) + ratio)
+        acc = acc * s + c
+    ratio = acc[0] / acc[1]
+    small = xc * (1.0 + np.where(ax < 3.7252902984e-09, _EFX, ratio))  # 2^-28: x (1 + efx)
+    near = np.where(b == 0, small, np.sign(xc) * (_ERX + ratio))
+    # exp(-x^2 - 0.5625 + R/S)/x, x^2 split at z, x with the low word zeroed (SET_LOW_WORD)
+    z = (at.view(np.uint64) & np.uint64(0xFFFFFFFF00000000)).view(np.float64)
+    r = np.exp(-z * z - 0.5625) * np.exp((z - at) * (z + at) + ratio) / at
+    return x, b < 2, near, r
 
 
 def erf(x):
     """Error function, max error below 1e-15 on the real line; ConfigurationError at nan."""
-    x_arr = np.asarray(x, dtype=np.float64)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    reject_nan("erf", x_arr)
-    ax = np.abs(x_arr)
-    out = np.empty_like(x_arr)
-
-    tiny = ax < 3.7252902984e-09  # 2^-28
-    out[tiny] = x_arr[tiny] * (1.0 + _EFX)
-
-    small = ~tiny & (ax < 0.84375)
-    if small.any():
-        z = x_arr[small] ** 2
-        out[small] = x_arr[small] * (1.0 + _poly(_PP, z) / _poly(_QQ, z))
-
-    mid = (ax >= 0.84375) & (ax < 1.25)
-    if mid.any():
-        s = ax[mid] - 1.0
-        out[mid] = np.sign(x_arr[mid]) * (_ERX + _poly(_PA, s) / _poly(_QA, s))
-
-    tail = (ax >= 1.25) & (ax < 6.0)
-    if tail.any():
-        r = _tail_factor(ax[tail]) / ax[tail]
-        out[tail] = np.sign(x_arr[tail]) * (1.0 - r)
-
-    out[ax >= 6.0] = np.sign(x_arr[ax >= 6.0])
-    return float(out[0]) if scalar else out
+    x_arr, inner, near, r = _evaluate("erf", x)
+    out = np.where(inner, near, np.sign(x_arr) * (1.0 - r))
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def erfc(x):
-    """Complementary error function, relatively accurate into the far tail; ConfigurationError
-    at nan."""
-    x_arr = np.asarray(x, dtype=np.float64)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    reject_nan("erfc", x_arr)
-    ax = np.abs(x_arr)
-    out = np.empty_like(x_arr)
-
-    near = ax < 1.25
-    if near.any():
-        out[near] = 1.0 - erf(x_arr[near])
-
-    tail = (ax >= 1.25) & (ax < 28.0)
-    if tail.any():
-        r = _tail_factor(ax[tail]) / ax[tail]
-        out[tail] = np.where(x_arr[tail] > 0, r, 2.0 - r)
-
-    far = ax >= 28.0
-    out[far] = np.where(x_arr[far] > 0, 0.0, 2.0)
-    return float(out[0]) if scalar else out
+    """1 - erf(x), relatively accurate into the far tail; ConfigurationError at nan."""
+    x_arr, inner, near, r = _evaluate("erfc", x)
+    out = np.where(inner, 1.0 - near, np.where(x_arr > 0, r, 2.0 - r))
+    return float(out[0]) if np.ndim(x) == 0 else out

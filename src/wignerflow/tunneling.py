@@ -16,7 +16,9 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import NumericalConsistencyError, UnsupportedConfigurationError, check_params
+from .errors import (
+    NumericalConsistencyError, UnsupportedConfigurationError, check_params, finite_result
+)
 from .flow import Constant, Cosine, DrivePolicy, OscillatorParams
 from .gaussian import GaussianPacket, _centre_and_width, _check_spread, _packet_flow
 # looked up in this module by name by the benchmark's tracer (perfbench/tracer.py)
@@ -36,9 +38,7 @@ class TunnelScenario:
     drive: DrivePolicy = Constant(0.0)
 
     def __post_init__(self) -> None:
-        check_params("> 0", omega=self.omega)
-        w = float(self.omega)
-        check_params(**{f"4 omega^2 (omega={w})": 4.0 * w * w})
+        _check_omega(self.omega)
 
     def oscillator(self) -> OscillatorParams:
         return OscillatorParams(-self.omega**2, self.drive, self.packet.hbar)
@@ -51,6 +51,12 @@ class TunnelReport:
     regime: Regime
     E_q: float | None
     E_c: float | None
+
+
+def _check_omega(omega) -> None:
+    check_params("> 0", omega=omega)
+    w = float(omega)
+    check_params(**{f"4 omega^2 (omega={w})": 4.0 * w * w})
 
 
 def _is_undriven(drive: DrivePolicy) -> bool:
@@ -79,19 +85,18 @@ def survival_probability(scenario: TunnelScenario, t):
 def asymptotic_probability(scenario: TunnelScenario) -> float:
     """Limit of P(t): the hyperbolic growth of v and sqrt(A) share a rate,
     so the erf argument converges; the cosine drive contributes only through
-    its resonance-weighted mean."""
-    pk, w = scenario.packet, scenario.omega
-    arg = (pk.p0 - _critical_offset(scenario)) / (math.sqrt(pk.hbar) * math.sqrt(1.0 + w * w))
+    its resonance-weighted mean.  0 or 1 at p_crit = +-inf, NumericalConsistencyError at nan."""
+    pk, w, offset = scenario.packet, scenario.omega, _critical_offset(scenario)
+    if math.isnan(offset):
+        raise NumericalConsistencyError("the critical momentum is inf - inf (drive terms overflow)")
+    arg = (pk.p0 - offset) / (math.sqrt(pk.hbar) * math.sqrt(1.0 + w * w))
     return 0.5 * erfc(arg)
 
 
 def critical_momentum(scenario: TunnelScenario) -> float:
     """Initial mean momentum at which the limit probability is exactly 1/2, for either sign
     of a; NumericalConsistencyError where it leaves the double range."""
-    p_crit = _critical_offset(scenario)
-    if not math.isfinite(p_crit):
-        raise NumericalConsistencyError("the critical momentum exceeds the double range")
-    return p_crit
+    return finite_result("the critical momentum", _critical_offset(scenario))
 
 
 def energies(scenario: TunnelScenario) -> tuple[float, float]:
@@ -101,9 +106,7 @@ def energies(scenario: TunnelScenario) -> tuple[float, float]:
     pk, w = scenario.packet, scenario.omega
     e_c = pk.p0 * pk.p0 - w * w * (pk.a * pk.a)
     e_q = 0.5 * (1.0 - w * w) * pk.hbar + e_c
-    if not (math.isfinite(e_q) and math.isfinite(e_c)):
-        raise NumericalConsistencyError("the packet's energy exceeds the double range")
-    return e_q, e_c
+    return finite_result("the packet's energy", (e_q, e_c))
 
 
 def classify_regime(scenario: TunnelScenario) -> Regime:
@@ -151,12 +154,15 @@ def figure1_series(
     a single erfc call.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    packets = [GaussianPacket(a, float(p0), hbar) for p0 in p0_list]  # checks each p0
-    scenario = TunnelScenario(GaussianPacket(a, 0.0, hbar), omega, drive)
-    p0 = np.reshape([pk.p0 for pk in packets], (len(packets),) + (1,) * t_grid.ndim)
+    p0 = np.asarray(p0_list, dtype=float).reshape((-1,) + (1,) * t_grid.ndim)
+    check_params(a=a)  # the packets' and scenario's rules, once; hbar by OscillatorParams
+    if not np.isfinite(p0).all():
+        check_params(p0=float(p0[~np.isfinite(p0)][0]))
+    _check_omega(omega)
+    params = OscillatorParams(-omega**2, drive, hbar)
     # v and hbar A are checked; a centre many widths off reads z = +-inf, where P is 0 or 1
     with np.errstate(over="ignore", invalid="ignore"):
-        v, A = _centre_and_width(a, p0, _packet_flow(hbar, scenario.oscillator(), t_grid))
+        v, A = _centre_and_width(a, p0, _packet_flow(hbar, params, t_grid))
         _check_spread(np.pi * hbar * A, v)
         z = v / np.sqrt(hbar * A)
     return 0.5 * erfc(z)

@@ -9,7 +9,7 @@ import pytest
 import scipy.special
 
 import wignerflow as wf
-from wignerflow.errors import ConfigurationError
+from wignerflow.errors import ConfigurationError, NumericalConsistencyError
 
 from conftest import CATALOG, PARITY_STATES, fidelity
 
@@ -422,3 +422,9 @@ def test_x_over_sinh_tail_matches_mpmath(z):
         tiny = np.finfo(float).tiny
         assert abs(got - exact) <= 4.0 * np.finfo(float).eps * exact + tiny, (s, got, exact)
         assert got == 0.0 or exact >= tiny
+
+
+def test_box_l1_growth_raises_where_its_cutoff_leaves_the_double_range():
+    # 2 Xi R / hbar = 2e400 from finite parameters; the half-period count is not an integer
+    with pytest.raises(NumericalConsistencyError, match="cutoff"):
+        wf.box_l1_growth(1e200, 1e-200, 2.0)

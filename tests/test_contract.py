@@ -241,3 +241,22 @@ def test_every_scalar_parameter_must_be_finite():
                 if found is not None:
                     breaches.append(f"{owner}({name}={bad}) {found}")
     assert not breaches, f"{len(breaches)} breaches:\n" + "\n".join(breaches)
+
+
+# finite arguments whose true result leaves the double range: each raises instead of returning
+# inf or nan, or leaking an overflow warning
+PAST_THE_RANGE = [
+    ("harmonic_energy", lambda: wf.harmonic_energy(10**6, 1e308, 10.0)),
+    ("stationary_residual", lambda: wf.stationary_residual(
+        wf.HarmonicEigen(3, 1.0, 1.0), 3.5, (1e200, 1e200), (1e-3, 1e-3))),
+    ("hermite_polynomial", lambda: wf.hermite_polynomial(60, 1e200)),
+    ("laguerre_polynomial", lambda: wf.laguerre_polynomial(60, 1e300)),
+]
+
+
+@pytest.mark.parametrize("name, call", PAST_THE_RANGE, ids=[name for name, _ in PAST_THE_RANGE])
+def test_a_result_past_the_double_range_raises(name, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(wf.NumericalConsistencyError, match="exceeds the double range"):
+            call()

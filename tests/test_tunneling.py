@@ -276,3 +276,37 @@ def test_survival_of_a_centre_many_widths_off_is_a_step():
 def test_asymptotic_time_rejects_an_omega_that_is_not_positive(omega):
     with pytest.raises(ConfigurationError):
         wf.asymptotic_time(omega)
+
+
+def test_asymptotic_probability_at_an_indeterminate_critical_momentum_raises():
+    # lam/(2 omega) and 2b/(Omega^2/omega + 4 omega) overflow with opposite signs: inf - inf
+    sc = wf.TunnelScenario(wf.GaussianPacket(-3.0, 2.0), 1e-10, wf.Cosine(1e300, -1e300, 0.0))
+    with pytest.raises(NumericalConsistencyError, match="critical momentum"):
+        wf.asymptotic_probability(sc)
+    with pytest.raises(NumericalConsistencyError, match="critical momentum"):
+        wf.critical_momentum(sc)
+
+
+def test_figure1_series_checks_its_parameters_once_for_any_number_of_packets(monkeypatch):
+    import wignerflow.catalog
+    import wignerflow.flow
+    import wignerflow.tunneling
+
+    checked = []
+
+    def counting(check):
+        def counted(*bound, **params):
+            checked.append(params)
+            return check(*bound, **params)
+        return counted
+
+    for module in (wignerflow.catalog, wignerflow.flow, wignerflow.tunneling):
+        monkeypatch.setattr(module, "check_params", counting(module.check_params))
+    counts = []
+    for p0_list in ([0.5], list(np.linspace(0.0, 3.0, 40))):
+        checked.clear()
+        wf.figure1_series(-3.0, 1.0, 1.0, p0_list, np.linspace(0.0, 2.0, 5))
+        counts.append(len(checked))
+    assert counts[0] == counts[1]
+    with pytest.raises(ConfigurationError, match="^p0 must be finite, got inf$"):
+        wf.figure1_series(-3.0, 1.0, 1.0, [0.5, math.inf, math.nan], [1.0])
