@@ -235,11 +235,12 @@ class DeltaBound:
 
     @property
     def kappa(self) -> float:
-        return abs(self.gamma) / (2.0 * self.hbar**2)
+        return abs(self.gamma) / (2.0 * self.hbar) / self.hbar  # float division saturates at inf
 
     @property
     def energy(self) -> float:
-        return -self.gamma**2 / (4.0 * self.hbar**2)
+        kappa_hbar = self.gamma / (2.0 * self.hbar)
+        return -kappa_hbar * kappa_hbar
 
     @_closed_form
     def psi(self, x):
@@ -361,7 +362,11 @@ def harmonic_energy(n: int, omega: float, hbar: float) -> float:
         raise ConfigurationError(f"quantum number must be a non-negative integer, got {n}")
     check_params(">= 0", omega=omega)
     check_params("> 0", hbar=hbar)
-    return finite_result("the oscillator energy", (2 * n + 1) * omega * hbar)
+    try:
+        level = float(2 * n + 1)  # the same bits as the int, which the product would convert
+    except OverflowError:  # an int past the floats
+        level = math.inf
+    return finite_result("the oscillator energy", level * omega * hbar)
 
 
 def sample_catalog_state(state: AnalyticState, grid: Grid1D) -> WaveSample:
@@ -411,47 +416,40 @@ def default_grid(state: AnalyticState) -> Grid1D:
 # Box-state L1 divergence diagnostic
 # ---------------------------------------------------------------------------
 
-def _abs_sin_primitive(t):
-    """Integral of |sin| from 0 to t >= 0, elementwise."""
-    k, r = np.divmod(t, math.pi)
-    return 2.0 * k + 1.0 - np.cos(r)
+_DIGAMMA_SERIES = (0.0, 1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760)  # B_2n/(2n), n > 0
 
 
-def _simpson_to_tol(f, a: float, b: float, rel_tol: float = 1e-11) -> float:
-    """Composite Simpson with interval doubling until the Richardson estimate converges."""
-    m = 8
-    prev = None
-    for _ in range(16):
-        xs = np.linspace(a, b, 2 * m + 1)
-        ys = f(xs)
-        h = (b - a) / (2 * m)
-        val = h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum())
-        if prev is not None and abs(val - prev) <= rel_tol * max(1.0, abs(val)) * 15.0:
-            return val
-        prev = val
-        m *= 2
-    return val
+def _digamma(z):
+    """psi(z) for z > 0, elementwise: psi(z + 8) - Sum_{j<8} 1/(z + j), with psi(w) = ln w -
+    1/(2w) - Sum_{n<=6} B_2n/(2n w^2n) written in powers of v = 1/w, so nothing overflows."""
+    v = 1.0 / (z + 8.0)
+    series = sum(b * (v * v) ** n for n, b in enumerate(_DIGAMMA_SERIES))
+    return -np.log(v) - v / 2.0 - series - sum(1.0 / (z + j) for j in range(8))
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """24-node Gauss-Legendre rule on [0, 1] from the Legendre Jacobi matrix (Golub-Welsch)."""
+    nodes, v = np.linalg.eigh(np.diag([k / math.sqrt(4 * k * k - 1) for k in range(1, 24)], -1))
+    return (1.0 + nodes) / 2.0, v[0] ** 2  # the weights, 2 v_0^2 on [-1, 1]
 
 
 def box_l1_growth(R: float, hbar: float, Xi: float) -> float:
-    """Truncated L1 mass of the box-state transform over |x|<=R, |xi|<=Xi.
+    """Truncated L1 mass of the box-state transform over |x|<=R, |xi|<=Xi; grows like log Xi.
 
-    The x-integral of |W| is analytic (running integral of |sin|), leaving a
-    1-D xi quadrature done piecewise between the kinks of that primitive.
-    Grows like log(Xi); the rectangle-window mass diverges in the limit.
-    """
+    It is (2/pi) Int_0^U F(u)/u^2 du, U = K pi + r = 2 Xi R/hbar, F(u) = Int_0^u |sin|, and by
+    parts (2/pi) [S(U) - F(U)/U], where S(U) = Int_0^U |sin u|/u du sums its K whole half
+    periods through the digamma function: (1/pi) Int_0^pi sin s [psi(K + s/pi) - psi(s/pi)] ds.
+    Every integrand is entire, so one fixed Gauss-Legendre rule is exact to rounding at any Xi."""
     check_params("> 0", R=R, hbar=hbar)
     check_params("> 1", Xi=Xi)
 
     upper = finite_result("the cutoff 2 Xi R / hbar", 2.0 * Xi * R / hbar)
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):  # u = 0 takes the series
-            return np.where(u < 1e-6, 0.5 - u**2 / 24.0, _abs_sin_primitive(u) / (u * u))
-
-    edges = [0.0] + [k * math.pi for k in range(1, int(upper / math.pi) + 1)] + [upper]
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a > 1e-15:
-            total += _simpson_to_tol(integrand, a, b)
-    return 2.0 / math.pi * total
+    K, r = divmod(upper, math.pi)
+    nodes, weights = _gauss_legendre()
+    t = r * nodes
+    if K == 0.0:  # U < pi: F(u) = 1 - cos u, and every term is U times a sinc
+        return 2.0 / math.pi * r * (weights @ _sinc(t) - _sinc(r / 2.0) ** 2 / 2.0)
+    whole = weights @ (np.sin(math.pi * nodes) * (_digamma(K + nodes) - _digamma(nodes)))
+    part = r * (weights @ (np.sin(t) / (t + K * math.pi)))
+    return 2.0 / math.pi * (whole + part - (2.0 * K + 2.0 * math.sin(r / 2.0) ** 2) / upper)

@@ -528,48 +528,26 @@ def delta_stationary_residual(
     gamma: float,
     hbar: float,
     point: tuple[float, float],
-    xi_cutoff: float,
     fd_step: float = 2e-3,
-    quad_step: float | None = None,
 ) -> tuple[float, float]:
-    """Residuals of the delta-potential stationary pair on the bound state.
-
-    The nonlocal term couples all momenta through an oscillatory kernel, so
-    the xi' integral is resolved with a step tied to the oscillation length
-    pi*hbar/(2|x|).  x-derivatives use centred differences; the |x| kink at
-    0 is excluded (require |x| > fd_step).
-    """
+    """Residuals of the delta-potential stationary pair on the bound state; raises past the
+    double range.  The nonlocal xi' integrals are exact: Int W(x, xi') e^{-2i x (xi' - xi)/hbar}
+    dxi' = psi(0) conj psi(2x) e^{2i x xi/hbar} = kappa e^{-2 kappa |x|} e^{2i x xi/hbar}.
+    x-derivatives use centred differences; the |x| kink at 0 is excluded (|x| > fd_step)."""
     state = DeltaBound(gamma, hbar)
     x, xi = point
-    check_params(x=x, xi=xi, xi_cutoff=xi_cutoff)
-    if quad_step is None:
-        quad_step = min(0.05, math.pi * hbar / (50.0 * max(abs(x), 0.1)))
-    check_params("> 0", fd_step=fd_step, quad_step=quad_step)
+    check_params(x=x, xi=xi)
+    check_params("> 0", fd_step=fd_step)
     if abs(x) <= fd_step:
         raise ConfigurationError("evaluation point must avoid the kink at x = 0")
-    if xi_cutoff <= abs(xi):
-        raise ConfigurationError("xi_cutoff must exceed the evaluation |xi|")
 
-    n = int(math.ceil(2.0 * xi_cutoff / quad_step))
-    n += n % 2  # Simpson needs an even interval count
-    xi_p = np.linspace(-xi_cutoff, xi_cutoff, n + 1)
-    w_row = state.wigner(x, xi_p)
-    weights = np.ones(n + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    hq = 2.0 * xi_cutoff / n
-
-    phase = 2.0 * (0.0 - x) * (xi_p - xi) / hbar
-    int_cos = float(hq / 3.0 * np.sum(weights * w_row * np.cos(phase)))
-    int_sin = float(hq / 3.0 * np.sum(weights * w_row * np.sin(phase)))
-
-    w0, w_p, w_m = (float(state.wigner(x + d, xi)) for d in (0.0, fd_step, -fd_step))
-    wxx = (w_p - 2.0 * w0 + w_m) / fd_step**2
-    wx = (w_p - w_m) / (2.0 * fd_step)
-
-    energy = -(gamma * gamma) / (4.0 * hbar * hbar)
-    r40 = energy * w0 - (
-        -(hbar * hbar / 4.0) * wxx + xi * xi * w0 + gamma / (hbar * math.pi) * int_cos
-    )
-    r41 = -2.0 * xi * wx + 2.0 * gamma / (math.pi * hbar * hbar) * int_sin
-    return float(r40), float(r41)
+    w0, w_p, w_m = (state.wigner(x + d, xi) for d in (0.0, fd_step, -fd_step))  # NumPy scalars
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+        kappa, phase = state.kappa, 2.0 * x * xi / hbar  # Python floats saturate at inf
+        nonlocal_term = gamma * kappa * np.exp(-2.0 * kappa * abs(x)) / (math.pi * hbar)
+        wxx = (w_p - 2.0 * w0 + w_m) / (fd_step * fd_step)
+        wx = (w_p - w_m) / (2.0 * fd_step)
+        kinetic = -(hbar * hbar / 4.0) * wxx + xi * xi * w0
+        r40 = state.energy * w0 - (kinetic + nonlocal_term * np.cos(phase))
+        r41 = -2.0 * xi * wx + 2.0 / hbar * nonlocal_term * np.sin(phase)
+    return finite_result("the delta-potential residual", (float(r40), float(r41)))

@@ -24,6 +24,7 @@ from .errors import (
     NotInvertibleError,
     NumericalConsistencyError,
     check_params,
+    finite_result,
 )
 from .grids import Grid1D, PhaseSpaceGrid, is_natural_xi_grid
 
@@ -167,38 +168,39 @@ def _half_spectrum(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> np.ndarray:
 def wigner_transform(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> WignerField:
     """Discrete Wigner transform of a sampled pure state.
 
-    The output x-grid must coincide with the wave's grid.  When the xi grid
-    is a natural conjugate lattice the inner sum is a Hermitian FFT of the
-    j >= 0 lag products, real by construction.  Its runtime guard is the
-    exact lattice identity position_marginal = |psi|^2 within IM_TOL
-    (relative to max|psi|^2).  The xi-sum only sees the j = 0 lag, so the
-    guard catches normalisation and zero-lag faults but not faults in the
-    j >= 1 terms; the tests pin those against a full-lag complex FFT.
-    Otherwise the discrete sum is evaluated exactly at the requested
-    frequencies; the result is real by symmetry of the summand, and the
-    floating-point imaginary residue is checked against IM_TOL (relative
-    to the field peak when that exceeds unity) and dropped.
+    The output x-grid must coincide with the wave's grid.  When the xi grid is a natural
+    conjugate lattice the inner sum is a Hermitian FFT of the j >= 0 lag products, real by
+    construction.  Its runtime guard is the exact lattice identity position_marginal = |psi|^2
+    within IM_TOL (relative to max|psi|^2).  The xi-sum only sees the j = 0 lag, so the guard
+    catches normalisation and zero-lag faults but not faults in the j >= 1 terms; the tests pin
+    those against a full-lag complex FFT.  Otherwise the discrete sum is evaluated exactly at
+    the requested frequencies; the result is real by symmetry of the summand, and the
+    floating-point imaginary residue is checked against IM_TOL (relative to the field peak when
+    that exceeds unity) and dropped.  Either path raises NumericalConsistencyError where the
+    field leaves the double range.
     """
     _check_sample(wave, ps_grid)
-    if is_natural_xi_grid(wave.grid, wave.hbar, ps_grid.xi_grid):
-        field = WignerField(ps_grid, _half_spectrum(wave, ps_grid), wave.hbar)
+    natural = is_natural_xi_grid(wave.grid, wave.hbar, ps_grid.xi_grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan in a row: its sum raises
+        values = _half_spectrum(wave, ps_grid) if natural else _direct_sum(wave, ps_grid)
+        marginal = finite_result("the transform", ps_grid.xi_grid.step * values.sum(axis=1))
+    if natural:
         density = np.abs(wave.values) ** 2
-        gap = float(np.max(np.abs(position_marginal(field) - density)))
+        gap = float(np.max(np.abs(marginal - density)))
         if gap > tol.IM_TOL * float(np.max(density)):
             raise NumericalConsistencyError(
                 f"position marginal misses |psi|^2 by {gap:.3e} (limit {tol.IM_TOL:.1e} "
                 "of max|psi|^2)"
             )
-        return field
+        return WignerField(ps_grid, values, wave.hbar)
 
-    out = _direct_sum(wave, ps_grid)
-    residue = float(np.max(np.abs(out.imag)))
-    peak = float(np.max(np.abs(out.real)))
+    residue = float(np.max(np.abs(values.imag)))
+    peak = float(np.max(np.abs(values.real)))
     if residue > tol.IM_TOL * max(1.0, peak):
         raise NumericalConsistencyError(
             f"imaginary residue {residue:.3e} exceeds {tol.IM_TOL:.1e}"
         )
-    return WignerField(ps_grid, np.ascontiguousarray(out.real), wave.hbar)
+    return WignerField(ps_grid, np.ascontiguousarray(values.real), wave.hbar)
 
 
 def position_marginal(field: WignerField) -> np.ndarray:

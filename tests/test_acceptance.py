@@ -252,7 +252,7 @@ def test_criterion_9_stationary_residuals(catalog_fields):
     points = [(x, xi) for x in (0.4, 0.7, 1.1, -0.6, -0.9) for xi in (0.25, 0.6)]
     worst = 0.0
     for point in points:
-        r40, r41 = wf.delta_stationary_residual(-2.0, 1.0, point, 2.0e4)
+        r40, r41 = wf.delta_stationary_residual(-2.0, 1.0, point)
         worst = max(worst, abs(r40), abs(r41))
     delta_ok = worst <= 1e-4
 

@@ -27,6 +27,15 @@ def test_delta_bound_wavefunction_values():
     assert complex(state.psi(1.0)) == pytest.approx(math.exp(-1.0))
 
 
+def test_delta_bound_reads_zero_where_kappa_leaves_the_double_range():
+    # kappa = |gamma|/(2 hbar^2) underflows at hbar = 1e155 and overflows at hbar = 1e-200
+    for hbar in (1e155, 1e-200):
+        state = wf.DeltaBound(-1.0, hbar)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert state.wigner(0.5, 0.1) == 0.0
+
+
 def test_box_wavefunction_values():
     state = wf.Box(1.0, 2.0)
     assert complex(state.psi(0.0)) == pytest.approx(1.0 / math.sqrt(2.0))
@@ -295,16 +304,48 @@ def test_box_l1_dominates_signed_mass():
     assert wf.box_l1_growth(1.0, 2.0, xi_cut) >= signed
 
 
-def test_abs_sin_primitive_array_form_matches_the_scalar_form():
-    from wignerflow.catalog import _abs_sin_primitive
+def _box_l1_oracle(U: float) -> float:
+    """(2/pi) Int_0^U F(u)/u^2 du at 30 digits, split at each k pi, where F(u) = 2k + 1 -
+    (-1)^k cos u: the first half period by quadrature, each later piece in closed form through
+    Int cos u/u^2 du = -cos u/u - Si(u)."""
+    with mpmath.workdps(30):
+        U = mpmath.mpf(U)
+        edges = [k * mpmath.pi for k in range(int(mpmath.floor(U / mpmath.pi)) + 1)] + [U]
+        total = mpmath.quad(lambda u: (1 - mpmath.cos(u)) / u**2 if u else mpmath.mpf(0.5),
+                            [0, edges[1]])
 
-    def scalar(t: float) -> float:
-        k, r = divmod(t, math.pi)
-        return 2.0 * k + 1.0 - math.cos(r)
+        def primitive(u):
+            return -mpmath.cos(u) / u - mpmath.si(u)
 
-    rng = np.random.default_rng(11)
-    t = np.concatenate([10.0 ** rng.uniform(-6.0, 4.0, 2000), np.arange(60) * math.pi, [0.0, 1e-6]])
-    np.testing.assert_allclose(_abs_sin_primitive(t), [scalar(v) for v in t.tolist()], rtol=1e-15, atol=0.0)
+        for k, (a, b) in enumerate(zip(edges[1:-1], edges[2:]), start=1):
+            total += (2 * k + 1) * (1 / a - 1 / b) - (-1) ** k * (primitive(b) - primitive(a))
+        return float(2 / mpmath.pi * total)
+
+
+@pytest.mark.parametrize("U", [1e-3, 0.5, 3.0, 3.2, 7.7, 33.3, 100.0, 314.0, 1000.0, 2000.0])
+def test_box_l1_mass_against_mpmath_oracle(U):
+    # 2 Xi R / hbar = U at R = U/4, hbar = 1, Xi = 2
+    assert wf.box_l1_growth(U / 4.0, 1.0, 2.0) == pytest.approx(_box_l1_oracle(U), rel=1e-13)
+
+
+def test_box_l1_mass_at_a_cutoff_near_the_top_of_the_double_range():
+    # 2 Xi R / hbar = 4e300; the mpmath value is 280.82584498158343
+    assert wf.box_l1_growth(1e150, 1e-150, 2.0) == pytest.approx(280.82584498158343, rel=1e-14)
+
+
+def test_box_l1_mass_below_the_first_half_period_scales_with_the_cutoff():
+    # Int_0^U (1 - cos u)/u^2 du = U/2 - U^3/72 + ..., so the mass is U/pi to rounding
+    for U in (1e-8, 1e-160, 1e-300):
+        assert wf.box_l1_growth(U / 4.0, 1.0, 2.0) == pytest.approx(U / math.pi, rel=1e-15)
+    assert wf.box_l1_growth(5e-324, 1e308, 2.0) == 0.0  # the cutoff underflows to 0
+
+
+def test_digamma_matches_scipy():
+    from wignerflow.catalog import _digamma
+
+    z = np.concatenate([np.geomspace(1e-3, 1e300, 22000), np.linspace(1e-3, 20.0, 20000)])
+    ref = scipy.special.digamma(z)
+    assert np.max(np.abs(_digamma(z) - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-14
 
 
 def test_box_l1_requires_unit_exceeding_cutoff():

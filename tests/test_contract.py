@@ -5,8 +5,10 @@ Hypothesis draws the query arguments (points x and xi, times t, packet centres a
 and the barrier omega of the tunneling functions) and the constant and cosine drive
 parameters (lam, b, Omega) as log-uniform magnitudes of both signs from 1e-300 to 1e300,
 plus 0 and +-inf, and hbar of the Gaussian and tunneling functions as a positive
-log-uniform magnitude.  The curvature gamma, the tabulated drive and the grids
-come from fixed sets.  The draws are derandomized, so every run checks the same examples.
+log-uniform magnitude.  The curvature gamma is a fixed value or a log-uniform magnitude of
+either sign.  Every parameter of box_l1_growth and delta_stationary_residual is drawn
+log-uniform too.  The tabulated drive and the grids come from fixed sets.  The draws are
+derandomized, so every run checks the same examples.
 A sweep sets each scalar parameter of the constructors and functions that take one to nan,
 inf and -inf in turn, and every such call must raise ConfigurationError.
 """
@@ -44,18 +46,27 @@ PS = wf.PhaseSpaceGrid(_GRID, _GRID)
 FIELD = wf.propagate_field(wf.CoherentGaussian(0.5, -0.2).wigner, wf.OscillatorParams(0.0), 0.0, PS)
 
 
-def hbars():
-    """Planck constants, log-uniform from 1e-300 to 1e300 (the sweep below covers +-inf)."""
-    return st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent)
+def positives(lowest=-300.0):
+    """Log-uniform magnitudes from 10**lowest to 1e300 (the sweep below covers +-inf)."""
+    return st.floats(lowest, 300.0).map(lambda exponent: 10.0**exponent)
+
+
+def signed():
+    """Log-uniform magnitudes of both signs from 1e-300 to 1e300."""
+    return st.builds(lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0]), positives())
 
 
 def magnitudes():
-    log_uniform = st.builds(
-        lambda sign, exponent: sign * 10.0**exponent,
-        st.sampled_from([-1.0, 1.0]),
-        st.floats(-300.0, 300.0),
-    )
-    return st.one_of(log_uniform, st.sampled_from([0.0, math.inf, -math.inf]))
+    return st.one_of(signed(), st.sampled_from([0.0, math.inf, -math.inf]))
+
+
+def curvatures():
+    """None (keep the fixed parameters' own gamma) or a drawn gamma of either sign."""
+    return st.one_of(st.none(), signed())
+
+
+def _with_gamma(params, gamma):
+    return params if gamma is None else dataclasses.replace(params, gamma=gamma)
 
 
 def _leaves(value):
@@ -102,8 +113,10 @@ def test_catalog_evaluators_are_finite_at_every_point(state_id, x, xi):
 
 
 @CONTRACT
-@given(params=st.sampled_from(PARAMS), t=magnitudes(), x=magnitudes(), xi=magnitudes())
-def test_flow_functions_are_finite_or_raise(params, t, x, xi):
+@given(params=st.sampled_from(PARAMS), gamma=curvatures(), t=magnitudes(), x=magnitudes(),
+       xi=magnitudes())
+def test_flow_functions_are_finite_or_raise(params, gamma, t, x, xi):
+    params = _with_gamma(params, gamma)
     _finite_or_raises(lambda: wf.drive_value(params.drive, t))
     _finite_or_raises(lambda: wf.flow_coefficients(params, t))
     _finite_or_raises(lambda: wf.drive_convolutions(params, t))
@@ -121,14 +134,14 @@ def test_flow_maps_are_finite_or_raise(coeffs, x, xi):
 
 
 @CONTRACT
-@given(params=st.sampled_from(PARAMS), hbar=hbars(), a=magnitudes(), p0=magnitudes(),
-       t=magnitudes(), x=magnitudes(), xi=magnitudes())
-def test_gaussian_functions_are_finite_or_raise(params, hbar, a, p0, t, x, xi):
+@given(params=st.sampled_from(PARAMS), gamma=curvatures(), hbar=positives(), a=magnitudes(),
+       p0=magnitudes(), t=magnitudes(), x=magnitudes(), xi=magnitudes())
+def test_gaussian_functions_are_finite_or_raise(params, gamma, hbar, a, p0, t, x, xi):
     def packet():
         return wf.GaussianPacket(a, p0, hbar)
 
     def oscillator():
-        return dataclasses.replace(params, hbar=hbar)
+        return dataclasses.replace(_with_gamma(params, gamma), hbar=hbar)
 
     _finite_or_raises(lambda: wf.packet_shape(packet(), oscillator(), t))
     _finite_or_raises(lambda: wf.density(packet(), oscillator(), x, t))
@@ -139,7 +152,7 @@ def test_gaussian_functions_are_finite_or_raise(params, hbar, a, p0, t, x, xi):
 
 
 @CONTRACT
-@given(drive=st.sampled_from(DRIVES), hbar=hbars(), a=magnitudes(), p0=magnitudes(),
+@given(drive=st.sampled_from(DRIVES), hbar=positives(), a=magnitudes(), p0=magnitudes(),
        t=magnitudes(), omega=magnitudes())
 def test_tunneling_functions_are_finite_or_raise(drive, hbar, a, p0, t, omega):
     def scenario():
@@ -153,7 +166,7 @@ def test_tunneling_functions_are_finite_or_raise(drive, hbar, a, p0, t, omega):
 
 @CONTRACT
 @given(cosine=st.booleans(), lam=magnitudes(), b=magnitudes(), Omega=magnitudes(),
-       gamma=st.sampled_from(GAMMAS), omega=magnitudes(), t=magnitudes())
+       gamma=st.one_of(st.sampled_from(GAMMAS), signed()), omega=magnitudes(), t=magnitudes())
 def test_functions_of_a_drawn_drive_are_finite_or_raise(cosine, lam, b, Omega, gamma, omega, t):
     def drive():
         return wf.Cosine(lam, b, Omega) if cosine else wf.Constant(lam)
@@ -171,6 +184,18 @@ def test_functions_of_a_drawn_drive_are_finite_or_raise(cosine, lam, b, Omega, g
     _finite_or_raises(lambda: wf.packet_shape(wf.GaussianPacket(-3.0, 2.0), params(), t))
     _finite_or_raises(lambda: wf.survival_probability(scenario(), t))
     _finite_or_raises(lambda: wf.tunnel_report(scenario()))
+
+
+@CONTRACT
+@given(R=positives(), hbar=positives(), Xi=positives(0.0))
+def test_box_l1_growth_is_finite_or_raises(R, hbar, Xi):
+    _finite_or_raises(lambda: wf.box_l1_growth(R, hbar, Xi))
+
+
+@CONTRACT
+@given(gamma=positives(), hbar=positives(), x=magnitudes(), xi=magnitudes())
+def test_delta_stationary_residual_is_finite_or_raises(gamma, hbar, x, xi):
+    _finite_or_raises(lambda: wf.delta_stationary_residual(-gamma, hbar, (x, xi)))
 
 
 _NATURAL = wf.natural_grid(wf.Grid1D.symmetric(9.0, 33), 1.0)
@@ -202,9 +227,9 @@ PARAMETER_SWEEP = [
          wf.HarmonicEigen(1, 1.0, 1.0), E, (x, xi), (dx, dxi)),
      dict(E=3.0, x=0.3, xi=0.2, dx=1e-3, dxi=1e-3)),
     ("delta_stationary_residual",
-     lambda gamma, hbar, x, xi, xi_cutoff, fd_step, quad_step: wf.delta_stationary_residual(
-         gamma, hbar, (x, xi), xi_cutoff, fd_step, quad_step),
-     dict(gamma=-1.0, hbar=1.0, x=0.5, xi=0.1, xi_cutoff=4.0, fd_step=2e-3, quad_step=0.05)),
+     lambda gamma, hbar, x, xi, fd_step: wf.delta_stationary_residual(
+         gamma, hbar, (x, xi), fd_step),
+     dict(gamma=-1.0, hbar=1.0, x=0.5, xi=0.1, fd_step=2e-3)),
     ("WaveSample", lambda hbar: wf.WaveSample(_GRID, np.ones(9), hbar), dict(hbar=1.0)),
     ("WignerField", lambda hbar: wf.WignerField(PS, FIELD.values, hbar), dict(hbar=1.0)),
     ("invert_wigner", lambda x_star: wf.invert_wigner(_NATURAL_FIELD, x_star), dict(x_star=0.5)),
@@ -247,6 +272,7 @@ def test_every_scalar_parameter_must_be_finite():
 # inf or nan, or leaking an overflow warning
 PAST_THE_RANGE = [
     ("harmonic_energy", lambda: wf.harmonic_energy(10**6, 1e308, 10.0)),
+    ("harmonic_energy_level_past_the_floats", lambda: wf.harmonic_energy(10**400, 1.0, 1.0)),
     ("stationary_residual", lambda: wf.stationary_residual(
         wf.HarmonicEigen(3, 1.0, 1.0), 3.5, (1e200, 1e200), (1e-3, 1e-3))),
     ("hermite_polynomial", lambda: wf.hermite_polynomial(60, 1e200)),

@@ -594,29 +594,27 @@ def test_eigen_constraint_vanishes_at_origin():
 
 
 def test_delta_potential_residuals_small():
-    r40, r41 = wf.delta_stationary_residual(-2.0, 1.0, (0.7, 0.3), 2.0e4)
+    r40, r41 = wf.delta_stationary_residual(-2.0, 1.0, (0.7, 0.3))
     assert abs(r40) <= 1e-4
     assert abs(r41) <= 1e-4
 
 
 def test_delta_potential_residuals_converge_under_refinement():
-    coarse = wf.delta_stationary_residual(-2.0, 1.0, (0.7, 0.3), 2.0e4,
-                                          fd_step=8e-3, quad_step=0.04)
-    fine = wf.delta_stationary_residual(-2.0, 1.0, (0.7, 0.3), 2.0e4,
-                                        fd_step=2e-3, quad_step=0.01)
+    coarse = wf.delta_stationary_residual(-2.0, 1.0, (0.7, 0.3), fd_step=8e-3)
+    fine = wf.delta_stationary_residual(-2.0, 1.0, (0.7, 0.3), fd_step=2e-3)
     assert abs(fine[0]) < abs(coarse[0])
 
 
 def test_delta_potential_residuals_mirror_in_x():
-    plus = wf.delta_stationary_residual(-2.0, 1.0, (0.7, 0.3), 2.0e4)
-    minus = wf.delta_stationary_residual(-2.0, 1.0, (-0.7, 0.3), 2.0e4)
+    plus = wf.delta_stationary_residual(-2.0, 1.0, (0.7, 0.3))
+    minus = wf.delta_stationary_residual(-2.0, 1.0, (-0.7, 0.3))
     assert plus[0] == pytest.approx(minus[0], abs=1e-12)
     assert abs(plus[1]) == pytest.approx(abs(minus[1]), abs=1e-12)
 
 
 def test_delta_residual_rejects_kink_point():
     with pytest.raises(ConfigurationError):
-        wf.delta_stationary_residual(-2.0, 1.0, (0.0, 0.3), 2.0e4)
+        wf.delta_stationary_residual(-2.0, 1.0, (0.0, 0.3))
 
 
 def test_unrepresentable_coefficients_raise_a_library_error():

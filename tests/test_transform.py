@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -499,3 +500,25 @@ def test_reconstruction_needs_the_natural_lattice(reconstruct):
     field = wf.wigner_transform(wave, wf.PhaseSpaceGrid(grid, wf.symmetric_xi_grid(6.0, 301)))
     with pytest.raises(ConfigurationError):
         reconstruct(field)
+
+
+_SMALL = wf.Grid1D.symmetric(4.0, 33)
+_SMALL_GRIDS = {
+    "natural": wf.natural_grid(_SMALL, 1.0),
+    "direct": wf.PhaseSpaceGrid(_SMALL, wf.Grid1D.symmetric(3.0, 21)),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_SMALL_GRIDS))
+def test_a_transform_past_the_double_range_raises_without_a_warning(path):
+    sample = wf.sample_catalog_state(wf.GaussGeneral(4.0), _SMALL)
+    ps = _SMALL_GRIDS[path]
+    for amplitude in (1e154, 1e200):
+        wave = wf.WaveSample(_SMALL, sample.values * amplitude, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalConsistencyError, match="exceeds the double range"):
+                wf.wigner_transform(wave, ps)
+    # a power-of-two amplitude near 1e150 scales every operation exactly
+    big = wf.wigner_transform(wf.WaveSample(_SMALL, sample.values * 2.0**500, 1.0), ps)
+    np.testing.assert_array_equal(big.values, wf.wigner_transform(sample, ps).values * 2.0**1000)
