@@ -17,7 +17,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigurationError, check_params, finite_result, reject_nan
+from .errors import ConfigurationError, NumericalConsistencyError, check_counts, check_params
+from .errors import finite_result, reject_nan
 from .grids import Grid1D
 from .transform import WaveSample, sample_state
 
@@ -49,8 +50,7 @@ def _laguerre(n: int, x):
 def _checked(name: str, recurrence, n: int, x):
     """recurrence(n, x), raising at an order outside [0, _POLY_CAP], a nan x or a value past the
     double range; the states call the recurrence itself, as _closed_form reads that value 0."""
-    if not 0 <= n <= _POLY_CAP:
-        raise ConfigurationError(f"{name} order must be in [0, {_POLY_CAP}], got {n}")
+    check_counts(">= 0", f"<= {_POLY_CAP}", n=n)
     x = np.asarray(x, dtype=float)
     reject_nan(name, x)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -272,7 +272,7 @@ class Soliton:
 
     @property
     def width_rate(self) -> float:
-        return -self.nu / (4.0 * self.hbar**2)
+        return -self.nu / (4.0 * self.hbar) / self.hbar  # float division saturates at inf or 0
 
     @_closed_form
     def psi(self, x):
@@ -284,7 +284,7 @@ class Soliton:
     @_closed_form
     def wigner(self, x, xi):
         h = self.hbar
-        u = self.nu * x / (2.0 * h * h)
+        u = -2.0 * self.width_rate * x
         w = 4.0 * math.pi * xi * h / self.nu
         # (1/h) sin(2 x xi/h) / (sinh u sinh w) rewritten as a product of
         # removable-singularity factors; 2 x xi / h = u w / pi.
@@ -303,8 +303,7 @@ class HarmonicEigen:
 
     def __post_init__(self) -> None:
         check_params("> 0", omega=self.omega, hbar=self.hbar)
-        if not 0 <= self.n <= _POLY_CAP:
-            raise ConfigurationError(f"eigenstate order must be in [0, {_POLY_CAP}], got {self.n}")
+        check_counts(">= 0", f"<= {_POLY_CAP}", n=self.n)
 
     def _norm_sq(self) -> float:
         hermite_norm_sq = float(2.0**self.n) * math.factorial(self.n) * math.sqrt(math.pi)
@@ -358,12 +357,11 @@ def hudson_positivity(state: AnalyticState) -> bool:
 
 def harmonic_energy(n: int, omega: float, hbar: float) -> float:
     """Eigenvalue (2n+1) * omega * hbar of the 2m = 1 oscillator; raises past the double range."""
-    if n < 0 or int(n) != n:
-        raise ConfigurationError(f"quantum number must be a non-negative integer, got {n}")
+    check_counts(">= 0", n=n)
     check_params(">= 0", omega=omega)
     check_params("> 0", hbar=hbar)
     try:
-        level = float(2 * n + 1)  # the same bits as the int, which the product would convert
+        level = float(2 * int(n) + 1)  # the same bits as the int, which the product would convert
     except OverflowError:  # an int past the floats
         level = math.inf
     return finite_result("the oscillator energy", level * omega * hbar)
@@ -386,30 +384,33 @@ def default_grid(state: AnalyticState) -> Grid1D:
 
     Sized so the boundary values sit below DECAY_TOL relative to the peak and
     the step resolves the state for the marginal/mass/overlap checks.  The box grid
-    places the discontinuities exactly half-way between nodes (step 2R/1401)
-    so the truncated inner sum represents the edge without bias.
+    places the discontinuities exactly half-way between nodes (step 2R/1901)
+    so the truncated inner sum represents the edge without bias.  Raises
+    NumericalConsistencyError where another state's scale leaves the double range.
     """
-    h = state.hbar
+    h, centre = state.hbar, 0.0
     if isinstance(state, Box):
         step = 2.0 * state.R / 1901.0
         return Grid1D(-1000.0 * step, step, 2001)
     if isinstance(state, CoherentGaussian):
-        hw = 8.5 * math.sqrt(h)
-        return Grid1D.from_span(state.a - hw, state.a + hw, 1025)
-    if isinstance(state, GaussGeneral):
-        mu = -state.b1 / (2.0 * state.a1)
-        hw = 8.5 / math.sqrt(state.a1)
-        return Grid1D.from_span(mu - hw, mu + hw, 1025)
-    if isinstance(state, FreeEvolvedGaussian):
-        hw = 5.5 * math.sqrt(1.0 + 16.0 * h * h * state.t * state.t)
-        return Grid1D.symmetric(hw, 1025)
-    if isinstance(state, DeltaBound):
-        return Grid1D.symmetric(28.0 / state.kappa, 4097)  # identity-grade; see tests for the pointwise grid
-    if isinstance(state, Soliton):
-        return Grid1D.symmetric(28.5 / state.width_rate, 1187)
-    if isinstance(state, HarmonicEigen):
-        return Grid1D.symmetric(12.0 * math.sqrt(h / state.omega), 1281)
-    raise ConfigurationError(f"unknown catalog state {state!r}")
+        centre, hw, count = state.a, 8.5 * math.sqrt(h), 1025
+    elif isinstance(state, GaussGeneral):
+        centre, hw, count = -state.b1 / (2.0 * state.a1), 8.5 / math.sqrt(state.a1), 1025
+    elif isinstance(state, FreeEvolvedGaussian):
+        hw, count = 5.5 * math.sqrt(1.0 + 16.0 * h * h * state.t * state.t), 1025
+    elif isinstance(state, DeltaBound):  # 28 / kappa, identity-grade (tests: pointwise grid)
+        hw, count = 56.0 * h / -state.gamma * h, 4097
+    elif isinstance(state, Soliton):  # 28.5 / width_rate
+        hw, count = 114.0 * h / -state.nu * h, 1187
+    elif isinstance(state, HarmonicEigen):
+        hw, count = 12.0 * math.sqrt(h / state.omega), 1281
+    else:
+        raise ConfigurationError(f"unknown catalog state {state!r}")
+    x_min = centre - hw
+    step = (centre + hw - x_min) / (count - 1)  # the bits of Grid1D.from_span
+    if not 0.0 < step < math.inf:  # nan where the centre or the span is inf
+        raise NumericalConsistencyError(f"the sampling grid of {state!r} leaves the double range")
+    return Grid1D(x_min, step, count)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -22,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import catalog
-from .errors import ConfigurationError, WignerflowError
+from .errors import ConfigurationError, WignerflowError, within
 from .flow import Constant, Cosine, OscillatorParams, Tabulated, propagate_field
 from .gaussian import GaussianPacket, density, packet_shape
 from .grids import Grid1D, PhaseSpaceGrid, natural_grid, symmetric_xi_grid
@@ -48,7 +47,6 @@ def _fail(path: str, message: str) -> None:
 
 _REQUIRED = object()
 _NULL_IS_A_VALUE = ("number", "integer", "boolean", "numbers")
-_BOUNDS = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
 # JSON type -> (Python types, what the error message asks for)
 _TYPES = {
     "number": ((int, float), "a number"),
@@ -129,10 +127,8 @@ def _scalar(kind: str, value, bound: str, path: str):
             value = math.inf
         if not math.isfinite(value):
             _fail(path, "must be finite")
-    if bound:
-        op, limit = bound.split()
-        if not _BOUNDS[op](value, float(limit)):
-            _fail(path, f"must be {bound}, got {value}")
+    if bound and not within(value, bound):
+        _fail(path, f"must be {bound}, got {value}")
     return value
 
 
@@ -348,19 +344,6 @@ _BLOCK_ROWS = 8192  # rows per rendered block: 1k-16k time alike, 64k doubles th
 _MAX_REPORT = 10  # mismatching cells a golden comparison reports
 
 
-class _Rows(Sequence):
-    """Row view of a table's columns; a row is built only when it is read."""
-
-    def __init__(self, columns: list[np.ndarray]):
-        self._columns = columns
-
-    def __len__(self) -> int:
-        return len(self._columns[0]) if self._columns else 0
-
-    def __getitem__(self, i: int) -> tuple:
-        return tuple(col.item(i) for col in self._columns)
-
-
 @dataclass
 class CsvTable:
     """A header plus one 1-D column per field: a float, int or str NumPy array."""
@@ -378,9 +361,13 @@ class CsvTable:
                 f"need {len(self.header)} 1-D columns of one length for header {self.header}"
             )
 
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
     @property
-    def rows(self) -> _Rows:
-        return _Rows(self.columns)
+    def rows(self) -> list[tuple]:
+        """Every row as a tuple of Python scalars."""
+        return list(zip(*(col.tolist() for col in self.columns)))
 
     def _blocks(self) -> Iterator[str]:
         """The CSV text in pieces: comment and header lines, then _BLOCK_ROWS rows at a time."""
@@ -388,7 +375,7 @@ class CsvTable:
                  for col, (abs_tol, rel_tol) in self.tolerances.items()]
         lines.append(",".join(self.header))
         yield "\n".join(lines) + "\n"
-        n_rows, width = len(self.rows), len(self.columns)
+        n_rows, width = len(self), len(self.columns)
         specs, sources = [], []  # per column: (values, each row's index into them or None)
         for col in self.columns:
             spec, source = _CELL_FORMATS[col.dtype.kind], (col, None)
@@ -624,11 +611,9 @@ def verify_golden(config: RunConfig, golden_path: str | Path) -> GoldenReport:
         return GoldenReport(
             False, True, [f"header mismatch: got {fresh.header}, golden {golden.header}"]
         )
-    if len(fresh.rows) != len(golden.rows):
+    if len(fresh) != len(golden):
         return GoldenReport(
-            False,
-            True,
-            [f"row count mismatch: got {len(fresh.rows)}, golden {len(golden.rows)}"],
+            False, True, [f"row count mismatch: got {len(fresh)}, golden {len(golden)}"]
         )
 
     mismatch = np.column_stack([

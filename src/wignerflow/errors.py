@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 
 import numpy as np
 
@@ -35,26 +37,38 @@ class UnsupportedConfigurationError(WignerflowError):
     """The requested quantity is not defined for this configuration."""
 
 
-_BOUNDS = {
-    "> 0": lambda v: v > 0.0,
-    ">= 0": lambda v: v >= 0.0,
-    "< 0": lambda v: v < 0.0,
-    "> 1": lambda v: v > 1.0,
-}
+_OPERATORS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+
+def within(value, bound: str) -> bool:
+    """Whether value meets bound, written "op limit" with op one of >, >=, < and <= ("> 0",
+    "<= 60"): the one bound language of check_params, check_counts and the CLI config keys."""
+    op, limit = bound.split()
+    return _OPERATORS[op](value, float(limit))
 
 
 def check_params(bound: str = "", /, **params) -> None:
     """ConfigurationError naming the first parameter that is not a finite real number within
-    bound ("> 0", ">= 0", "< 0", "> 1" or none): the one rule for every scalar parameter, so
-    that no nan or inf enters the arithmetic, whose non-finite results the catalog reads as 0."""
+    bound (or no bound): the one rule for every scalar parameter, so that no nan or inf enters
+    the arithmetic, whose non-finite results the catalog reads as 0."""
     for name, value in params.items():
         try:
-            ok = math.isfinite(value) and (not bound or _BOUNDS[bound](value))
+            ok = math.isfinite(value) and (not bound or within(value, bound))
         except (TypeError, OverflowError):  # not a real number, or an int past the floats
             ok = False
         if not ok:
-            within = f" and {bound}" if bound else ""
-            raise ConfigurationError(f"{name} must be finite{within}, got {value}")
+            rule = f" and {bound}" if bound else ""
+            raise ConfigurationError(f"{name} must be finite{rule}, got {value}")
+
+
+def check_counts(*bounds: str, **counts) -> None:
+    """ConfigurationError naming the first count that is not an integer (NumPy's included, a
+    bool not) within every bound: the one rule for every grid size, order and quantum number."""
+    for name, value in counts.items():
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or not all(within(value, bound) for bound in bounds)):
+            rule = " and ".join(bounds)
+            raise ConfigurationError(f"{name} must be an integer {rule}, got {value!r}")
 
 
 def finite_result(what: str, value):

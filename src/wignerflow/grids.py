@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, check_params
+from .errors import ConfigurationError, check_counts, check_params
 
 _REL_TOL = 1e-12
 
@@ -23,8 +23,7 @@ class Grid1D:
     def __post_init__(self) -> None:
         check_params(x_min=self.x_min)
         check_params("> 0", step=self.step)
-        if self.count < 2:
-            raise ConfigurationError(f"grid needs at least 2 nodes, got {self.count}")
+        check_counts(">= 2", count=self.count)
 
     @property
     def x_max(self) -> float:
@@ -35,8 +34,7 @@ class Grid1D:
 
     @classmethod
     def from_span(cls, x_min: float, x_max: float, count: int) -> "Grid1D":
-        if count < 2:
-            raise ConfigurationError(f"grid needs at least 2 nodes, got {count}")
+        check_counts(">= 2", count=count)
         if not x_max > x_min:
             raise ConfigurationError(f"need x_max > x_min, got [{x_min}, {x_max}]")
         return cls(x_min, (x_max - x_min) / (count - 1), count)
@@ -77,10 +75,10 @@ class PhaseSpaceGrid:
 
 def symmetric_xi_grid(xi_max: float, count: int) -> Grid1D:
     """xi grid with an odd node count centred exactly on 0."""
+    check_counts(">= 3", count=count)
     if count % 2 == 0:
-        raise ConfigurationError("symmetric xi grid needs an odd node count")
-    step = 2.0 * xi_max / (count - 1)
-    return Grid1D(-xi_max, step, count)
+        raise ConfigurationError(f"symmetric xi grid needs an odd node count, got {count}")
+    return Grid1D.symmetric(xi_max, count)
 
 
 def fast_odd_length(minimum: int) -> int:
@@ -110,10 +108,9 @@ def natural_xi_grid(x_grid: Grid1D, hbar: float, count: int | None = None) -> Gr
     minimum = 2 * x_grid.count - 1
     if count is None:
         count = fast_odd_length(minimum)
-    if count < minimum or count % 2 == 0:
-        raise ConfigurationError(
-            f"natural xi grid needs an odd count >= {minimum}, got {count}"
-        )
+    check_counts(f">= {minimum}", count=count)
+    if count % 2 == 0:
+        raise ConfigurationError(f"natural xi grid needs an odd count, got {count}")
     step = math.pi * hbar / (count * x_grid.step)
     return Grid1D(-(count - 1) // 2 * step, step, count)
 

@@ -52,8 +52,10 @@ class WaveSample:
             raise ConfigurationError("wave values must be finite")
 
     def norm_sq(self) -> float:
-        """Rectangle-rule squared L2 norm."""
-        return float(self.grid.step * np.sum(np.abs(self.values) ** 2))
+        """Rectangle-rule squared L2 norm; raises past the double range."""
+        with np.errstate(over="ignore"):
+            norm_sq = self.grid.step * np.sum(np.abs(self.values) ** 2)
+        return float(finite_result("the squared norm", norm_sq))
 
 
 @dataclass(frozen=True)
@@ -231,7 +233,9 @@ def overlap_identity(f1: WignerField, f2: WignerField) -> float:
     """2*pi*hbar <W1, W2>; equals |<psi1, psi2>|^2 for pure-state fields."""
     _require_same_layout(f1, f2)
     dxdxi = f1.grid.x_grid.step * f1.grid.xi_grid.step
-    return float(2.0 * math.pi * f1.hbar * dxdxi * np.sum(f1.values * f2.values))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in the sum is nan
+        overlap = 2.0 * math.pi * f1.hbar * dxdxi * np.sum(f1.values * f2.values)
+    return float(finite_result("the overlap", overlap))
 
 
 def sup_norm_bound_slack(field: WignerField) -> float:
@@ -481,5 +485,6 @@ def purity_separability_check(field: WignerField) -> float:
     qmax = float(np.max(np.abs(q)))
     if qmax <= tol.INVERSION_FLOOR:
         raise IndeterminateResultError("kernel magnitude below floor")
+    q = q / qmax  # the ratio is scale-free, and no product of q / qmax leaves the double range
     minors = q[:, None, :, None] * q[None, :, None, :] - q[:, None, None, :] * q[None, :, :, None]
-    return float(np.max(np.abs(minors))) / qmax**2
+    return float(np.max(np.abs(minors)))

@@ -21,7 +21,7 @@ from .catalog import (
     normalize_sample,
     sample_catalog_state,
 )
-from .grids import Grid1D, natural_grid
+from .grids import Grid1D, PhaseSpaceGrid, natural_grid
 from .transform import (
     WaveSample,
     _row_chunks,
@@ -117,8 +117,6 @@ def run_invariant_suite() -> list[tuple]:
     xi_unit = Grid1D(
         ps_h.xi_grid.x_min / hbar, ps_h.xi_grid.step / hbar, ps_h.xi_grid.count
     )
-    from .grids import PhaseSpaceGrid
-
     f_h = wigner_transform(WaveSample(grid, values, hbar), ps_h)
     f_1 = wigner_transform(WaveSample(grid, values, 1.0), PhaseSpaceGrid(grid, xi_unit))
     record("hbar_scaling", "coherent(0,0)",

@@ -10,7 +10,11 @@ either sign.  Every parameter of box_l1_growth and delta_stationary_residual is 
 log-uniform too.  The tabulated drive and the grids come from fixed sets.  The draws are
 derandomized, so every run checks the same examples.
 A sweep sets each scalar parameter of the constructors and functions that take one to nan,
-inf and -inf in turn, and every such call must raise ConfigurationError.
+inf and -inf in turn, and every such call must raise ConfigurationError.  A second sweep does
+the same for every count and order (the grid sizes, the polynomial orders and the quantum
+number): a float, even 2.0, a bool, a string, nan, inf, -1 and a value below the minimum are
+each a ConfigurationError, and a NumPy integer is as valid as a Python one.  The soliton is
+evaluated, and every catalog state's default grid built, at a drawn hbar.
 """
 
 import dataclasses
@@ -268,6 +272,43 @@ def test_every_scalar_parameter_must_be_finite():
     assert not breaches, f"{len(breaches)} breaches:\n" + "\n".join(breaches)
 
 
+# (owner, call taking the count, a valid count, the largest invalid count below the minimum):
+# the sweep sets each count to non-integers, a bool, a string, nan, inf, -1 and that value
+COUNT_SWEEP = [
+    ("Grid1D", lambda count: wf.Grid1D(-1.0, 0.25, count).nodes(), 9, 1),
+    ("Grid1D.from_span", lambda count: wf.Grid1D.from_span(-1.0, 1.0, count).nodes(), 9, 1),
+    ("Grid1D.symmetric", lambda count: wf.Grid1D.symmetric(1.0, count).nodes(), 9, 1),
+    ("symmetric_xi_grid", lambda count: wf.symmetric_xi_grid(5.0, count).nodes(), 9, 1),
+    ("natural_xi_grid", lambda count: wf.natural_xi_grid(_GRID, 1.0, count=count).nodes(), 19, 15),
+    ("HarmonicEigen", lambda n: wf.HarmonicEigen(n, 0.7, 1.0).psi(0.3), 3, -1),
+    ("Hermite", lambda n: wf.Hermite(n).wigner(0.3, -0.2), 3, -1),
+    ("hermite_polynomial", lambda n: wf.hermite_polynomial(n, 0.3), 3, -1),
+    ("laguerre_polynomial", lambda n: wf.laguerre_polynomial(n, 0.3), 3, -1),
+    ("harmonic_energy", lambda n: wf.harmonic_energy(n, 0.7, 1.0), 3, -1),
+]
+
+
+def test_every_count_and_order_must_be_an_integer_in_range():
+    breaches = []
+    for owner, call, valid, below in COUNT_SWEEP:
+        for good in (valid, np.int64(valid)):  # the base call is valid, also with a NumPy int
+            _finite_or_raises(lambda: call(good), may_raise=False)
+        for bad in (2.5, 2.0, True, "5", math.nan, math.inf, -1, below):
+            found = _breach(lambda: call(bad), {})
+            if found is not None:
+                breaches.append(f"{owner}({bad!r}) {found}")
+    assert not breaches, f"{len(breaches)} breaches:\n" + "\n".join(breaches)
+
+
+def _wave(amplitude):
+    """The coherent Gaussian on the 33-node grid of _NATURAL, times amplitude."""
+    grid = _NATURAL.x_grid
+    return wf.WaveSample(grid, amplitude * wf.CoherentGaussian().psi(grid.nodes()), 1.0)
+
+
+_HUGE_FIELD = wf.wigner_transform(_wave(1e150), _NATURAL)  # peak ~1e299
+
+
 # finite arguments whose true result leaves the double range: each raises instead of returning
 # inf or nan, or leaking an overflow warning
 PAST_THE_RANGE = [
@@ -277,6 +318,9 @@ PAST_THE_RANGE = [
         wf.HarmonicEigen(3, 1.0, 1.0), 3.5, (1e200, 1e200), (1e-3, 1e-3))),
     ("hermite_polynomial", lambda: wf.hermite_polynomial(60, 1e200)),
     ("laguerre_polynomial", lambda: wf.laguerre_polynomial(60, 1e300)),
+    ("norm_sq", lambda: _wave(1e160).norm_sq()),
+    ("normalize_sample", lambda: wf.normalize_sample(_wave(1e160))),
+    ("overlap_identity", lambda: wf.overlap_identity(_HUGE_FIELD, _HUGE_FIELD)),
 ]
 
 
@@ -286,3 +330,33 @@ def test_a_result_past_the_double_range_raises(name, call):
         warnings.simplefilter("error")
         with pytest.raises(wf.NumericalConsistencyError, match="exceeds the double range"):
             call()
+
+
+def test_the_purity_ratio_is_scale_free():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = wf.purity_separability_check(_HUGE_FIELD)
+    assert huge <= 1e-12
+    assert huge == pytest.approx(wf.purity_separability_check(_NATURAL_FIELD), abs=1e-14)
+
+
+@CONTRACT
+@given(hbar=positives(), x=magnitudes(), xi=magnitudes())
+def test_soliton_is_finite_at_a_drawn_hbar(hbar, x, xi):
+    state = wf.Soliton(-1.0, hbar)
+    _finite_or_raises(lambda: state.psi(x), may_raise=False)
+    _finite_or_raises(lambda: state.wigner(x, xi), may_raise=False)
+
+
+@pytest.mark.parametrize("state_id", STATES)
+@CONTRACT
+@given(hbar=positives())
+def test_default_grid_at_a_drawn_hbar_is_finite_or_raises(state_id, hbar):
+    state = dataclasses.replace(CATALOG[state_id], hbar=hbar)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            grid = wf.default_grid(state)
+        except wf.NumericalConsistencyError:
+            return
+    assert math.isfinite(grid.x_min) and 0.0 < grid.step and math.isfinite(grid.x_max)
