@@ -251,12 +251,18 @@ class DeltaBound:
     def wigner(self, x, xi):
         # Derived by splitting the y integral at the cusp images y = +-2|x|/hbar;
         # this form reproduces the position marginal kappa*e^{-2 kappa |x|} exactly.
-        h, k = self.hbar, self.kappa
+        # Read through kappa hbar = |gamma|/(2 hbar) and 2 kappa |x| = (|x|/hbar)(|gamma|/hbar),
+        # so neither kappa^2 hbar^2 nor kappa leaves the range where W does not:
+        # hbar kappa^2/(kappa^2 hbar^2 + xi^2) = 1/(hbar (1 + (xi/(kappa hbar))^2)).
+        h, g = self.hbar, abs(self.gamma)
         ax = np.abs(x)
         phase = 2.0 * ax * xi / h
+        decay = ax / h * (g / h)  # 2 kappa |x|
         # kappa*h*sin(phase)/xi = 2*kappa*|x| * sinc(phase): removable xi -> 0 limit.
-        bracket = np.cos(phase) + 2.0 * k * ax * _sinc(phase)
-        return h * k * k * np.exp(-2.0 * k * ax) / (math.pi * (k * k * h * h + xi * xi)) * bracket
+        bracket = np.cos(phase) + decay * _sinc(phase)
+        with np.errstate(divide="ignore"):  # xi/(kappa hbar) is inf (W = 0) where it underflows
+            spread = 1.0 + (xi / (g / (2.0 * h))) ** 2
+        return np.exp(-decay) / (math.pi * h * spread) * bracket
 
 
 @dataclass(frozen=True)

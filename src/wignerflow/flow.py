@@ -172,9 +172,13 @@ def _homogeneous(gamma: float, t, c, s):
 def _unscale(what: str, L, *mantissas):
     """mantissa * e^L, elementwise; NumericalConsistencyError naming what (the quantities the
     mantissas scale) if any element leaves the range."""
-    half = np.exp(np.minimum(L, 2.0 * math.log(sys.float_info.max)) / 2.0)
-    with np.errstate(over="ignore"):
-        values = tuple(m * half * half for m in mantissas)
+    if type(L) is float and L == 0.0:  # _angle's L at gamma >= 0: e^0 keeps every bit
+        # arrays are copied, so a caller never holds a memoised flow's read-only array
+        values = tuple(m.copy() if isinstance(m, np.ndarray) else m for m in mantissas)
+    else:
+        half = np.exp(np.minimum(L, 2.0 * math.log(sys.float_info.max)) / 2.0)
+        with np.errstate(over="ignore"):
+            values = tuple(m * half * half for m in mantissas)
     if not np.isfinite(values).all():
         raise NumericalConsistencyError(
             f"{what} left the double range at scale e^{np.max(L):.6g}"
@@ -221,7 +225,8 @@ def _tabulated_terms(gamma: float, drive: Tabulated, t, L):
     """(a3, b3, conv_q, conv_p) / e^L of a piecewise-linear drive: each table segment, clipped
     to [0, t] (empty from t on, where it adds an exact 0), is integrated against the kernel in
     its own local time and carried to 0 (forward terms) or t (convolutions) by the homogeneous
-    map, never as a difference of large antiderivatives; one pass per segment, all t at once."""
+    map, never as a difference of large antiderivatives.  The segments lie on a leading axis
+    over all t at once, in blocks of bounded scratch, and are summed in table order from 0."""
     def carried(t_map, l_seg, f_a, f_b):
         c_m, s_m, l_map = _angle(gamma, t_map)
         a1, a2, b1, b2 = _homogeneous(gamma, t_map, c_m, s_m)
@@ -229,9 +234,11 @@ def _tabulated_terms(gamma: float, drive: Tabulated, t, L):
         return [grow * (u * f_a + v * f_b) for u, v in ((a1, a2), (b1, b2))]
 
     edges = np.concatenate(([0.0], drive.times[drive.times > 0.0], [np.inf]))
+    edges = edges.reshape(-1, *[1] * np.ndim(t))  # segments on a leading axis before t's
     totals = [0.0] * 4
-    for start, stop in zip(edges[:-1], edges[1:]):
-        lo, hi = np.minimum(start, t), np.minimum(stop, t)
+    # scratch per segment: about 40 live temporaries of t's shape
+    for block in _row_chunks(edges.shape[0] - 1, 320 * max(np.size(t), 1)):
+        lo, hi = np.minimum(edges[:-1][block], t), np.minimum(edges[1:][block], t)
         q_lo, q_hi = (np.interp(e, drive.times, drive.values) for e in (lo, hi))
         h, dq = hi - lo, q_hi - q_lo
         c, s, l_seg = _angle(gamma, h)
@@ -240,7 +247,11 @@ def _tabulated_terms(gamma: float, drive: Tabulated, t, L):
         sq, sc, ramp, half = hs * hs, hs * c, 2.0 * h * h * k3, 0.5 * hs * s
         terms = (*carried(lo, l_seg, -q_hi * sq + dq * ramp, q_hi * sc - dq * half),
                  *carried(t - hi, l_seg, -q_lo * sq - dq * ramp, q_lo * sc + dq * half))
-        totals = [total + term for total, term in zip(totals, terms)]
+        for k, term in enumerate(terms):
+            # total + term, one segment after another: accumulate never sums pairwise, as
+            # a reduction over a lone segment axis does
+            term[0] += totals[k]
+            totals[k] = np.add.accumulate(term, out=term)[-1].copy()
     return totals
 
 

@@ -36,6 +36,15 @@ def test_delta_bound_reads_zero_where_kappa_leaves_the_double_range():
             assert state.wigner(0.5, 0.1) == 0.0
 
 
+@pytest.mark.parametrize("hbar", [1e-160, 1e85, 1e90, 1e100, 1e105, 1e300])
+def test_delta_bound_wigner_origin_is_one_over_pi_hbar_at_extreme_hbar(hbar):
+    # kappa^2 hbar^2 underflows from about hbar = 1e85 and kappa overflows below 1e-154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = wf.DeltaBound(-1.0, hbar).wigner(0.0, 0.0)
+    assert value == pytest.approx(1.0 / (math.pi * hbar), rel=1e-14)
+
+
 def test_box_wavefunction_values():
     state = wf.Box(1.0, 2.0)
     assert complex(state.psi(0.0)) == pytest.approx(1.0 / math.sqrt(2.0))

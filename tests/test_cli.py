@@ -195,10 +195,11 @@ def test_unwritable_output_is_one_error_line(tmp_path, capsys):
 @pytest.mark.parametrize("config", sorted(p.name for p in DATA.glob("*.json")))
 def test_cli_reproduces_pinned_csv_bytes(config, tmp_path):
     # every table in tests/data/cli was written by the CLI from the config next to it
-    command = config.removesuffix(".json")
-    out = tmp_path / f"{command}.csv"
+    name = config.removesuffix(".json")
+    command = json.loads((DATA / config).read_text())["command"]
+    out = tmp_path / f"{name}.csv"
     assert cli.main([command, "--config", str(DATA / config), "--out", str(out)]) == 0
-    pinned = sorted(p.name for p in DATA.glob(f"{command}.*csv"))
+    pinned = sorted(p.name for p in DATA.glob(f"{name}.*csv"))
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == pinned
     for name in pinned:
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name

@@ -7,14 +7,16 @@ parameters (lam, b, Omega) as log-uniform magnitudes of both signs from 1e-300 t
 plus 0 and +-inf, and hbar of the Gaussian and tunneling functions as a positive
 log-uniform magnitude.  The curvature gamma is a fixed value or a log-uniform magnitude of
 either sign.  Every parameter of box_l1_growth and delta_stationary_residual is drawn
-log-uniform too.  The tabulated drive and the grids come from fixed sets.  The draws are
-derandomized, so every run checks the same examples.
+log-uniform too.  A tabulated drive of 2 to 12 knots is drawn with rising times from
+log-uniform gaps (its first knot at 0 or after it) and values up to 1e300; the grids come from
+fixed sets.  The draws are derandomized, so every run checks the same examples.
 A sweep sets each scalar parameter of the constructors and functions that take one to nan,
 inf and -inf in turn, and every such call must raise ConfigurationError.  A second sweep does
 the same for every count and order (the grid sizes, the polynomial orders and the quantum
 number): a float, even 2.0, a bool, a string, nan, inf, -1 and a value below the minimum are
 each a ConfigurationError, and a NumPy integer is as valid as a Python one.  The soliton is
-evaluated, and every catalog state's default grid built, at a drawn hbar.
+evaluated, and every catalog state's default grid built, at a drawn hbar, and the delta bound
+state reads 1/(pi hbar) at the origin there.
 """
 
 import dataclasses
@@ -62,6 +64,22 @@ def signed():
 
 def magnitudes():
     return st.one_of(signed(), st.sampled_from([0.0, math.inf, -math.inf]))
+
+
+def tables():
+    """Tabulated drives of 2 to 12 knots: rising times from log-uniform gaps of 1e-3 to 1e3,
+    the first knot at 0 or after it, and values of both signs up to 1e300, or 0."""
+    def table(first, gaps, values):
+        return wf.Tabulated(np.cumsum([first, *gaps]), values)
+
+    def of_size(knots):
+        gaps = st.lists(st.floats(-3.0, 3.0).map(lambda e: 10.0**e), min_size=knots - 1,
+                        max_size=knots - 1)
+        values = st.lists(st.one_of(signed(), st.just(0.0)), min_size=knots, max_size=knots)
+        first = st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+        return st.builds(table, first, gaps, values)
+
+    return st.integers(2, 12).flatmap(of_size)
 
 
 def curvatures():
@@ -188,6 +206,37 @@ def test_functions_of_a_drawn_drive_are_finite_or_raise(cosine, lam, b, Omega, g
     _finite_or_raises(lambda: wf.packet_shape(wf.GaussianPacket(-3.0, 2.0), params(), t))
     _finite_or_raises(lambda: wf.survival_probability(scenario(), t))
     _finite_or_raises(lambda: wf.tunnel_report(scenario()))
+
+
+@CONTRACT
+@given(drive=tables(), gamma=st.one_of(st.sampled_from(GAMMAS), signed()), hbar=positives(),
+       a=magnitudes(), p0=magnitudes(), omega=magnitudes(),
+       t=st.one_of(positives(-3.0), magnitudes()), x=magnitudes(), xi=magnitudes())
+def test_functions_of_a_drawn_table_are_finite_or_raise(drive, gamma, hbar, a, p0, omega, t, x,
+                                                         xi):
+    def params():
+        return wf.OscillatorParams(gamma, drive, hbar)
+
+    def packet():
+        return wf.GaussianPacket(a, p0, hbar)
+
+    def scenario():
+        return wf.TunnelScenario(packet(), omega, drive)
+
+    _finite_or_raises(lambda: wf.drive_value(drive, t))
+    _finite_or_raises(lambda: wf.flow_coefficients(params(), t))
+    _finite_or_raises(lambda: wf.flow_coefficients(params(), [0.0, t]))
+    _finite_or_raises(lambda: wf.drive_convolutions(params(), t))
+    _finite_or_raises(lambda: wf.classical_flow(params(), x, xi, t))
+    _finite_or_raises(lambda: wf.propagate_field(FIELD, params(), t, PS))
+    _finite_or_raises(lambda: wf.packet_shape(packet(), params(), t))
+    _finite_or_raises(lambda: wf.density(packet(), params(), x, t))
+    _finite_or_raises(lambda: wf.wavefunction(packet(), params(), x, t))
+    _finite_or_raises(lambda: wf.wigner_evolved(packet(), params(), x, xi, t))
+    _finite_or_raises(lambda: wf.expectation_position(packet(), params(), t))
+    _finite_or_raises(lambda: wf.survival_probability(scenario(), t))
+    _finite_or_raises(lambda: wf.tunnel_report(scenario()))
+    _finite_or_raises(lambda: wf.figure1_series(a, omega, hbar, [p0], [t], drive))
 
 
 @CONTRACT
@@ -346,6 +395,18 @@ def test_soliton_is_finite_at_a_drawn_hbar(hbar, x, xi):
     state = wf.Soliton(-1.0, hbar)
     _finite_or_raises(lambda: state.psi(x), may_raise=False)
     _finite_or_raises(lambda: state.wigner(x, xi), may_raise=False)
+
+
+@CONTRACT
+@given(hbar=positives(), x=magnitudes(), xi=magnitudes())
+def test_delta_bound_is_finite_at_a_drawn_hbar(hbar, x, xi):
+    state = wf.DeltaBound(-1.0, hbar)
+    _finite_or_raises(lambda: state.psi(x), may_raise=False)
+    _finite_or_raises(lambda: state.wigner(x, xi), may_raise=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        origin = state.wigner(0.0, 0.0)
+    assert origin == pytest.approx(1.0 / (math.pi * hbar), rel=1e-14)  # 1/(pi hbar) is normal
 
 
 @pytest.mark.parametrize("state_id", STATES)

@@ -297,6 +297,31 @@ def test_shape_overflow_names_the_packets_quadratic_terms():
             wf.packet_shape(packet, wf.OscillatorParams(-1.0), t)
 
 
+@pytest.mark.parametrize("t", [1.0, np.array([0.5, 1.0, 2.5])], ids=["float", "array"])
+def test_unit_scale_flows_keep_the_range_rule(t):
+    # gamma >= 0 flows carry no scale (e^0): terms past the double range still raise, with
+    # no warning, and name the scale
+    strong = wf.OscillatorParams(1.0, wf.Constant(1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalConsistencyError,
+                           match=r"^the packet's quadratic terms left the double range at scale "
+                                 r"e\^0$"):
+            wf.packet_shape(wf.GaussianPacket(0.0, 0.0), strong, t)
+        with pytest.raises(NumericalConsistencyError,
+                           match=r"^the packet centre left the double range at scale e\^0$"):
+            wf.expectation_position(wf.GaussianPacket(1.5e308, -1.5e308), wf.OscillatorParams(1.0),
+                                    t)
+
+
+def test_unit_scale_arrays_are_fresh_and_writable():
+    params = wf.OscillatorParams(0.5, wf.Constant(0.3))
+    t = np.linspace(0.0, 2.0, 4)
+    first = wf.flow_coefficients(params, t)
+    first.a3[0] = 7.0  # the caller's copy, not the stored flow
+    assert wf.flow_coefficients(params, t).a3[0] == 0.0
+
+
 def test_density_is_zero_at_an_infinite_x_once_the_flow_scale_underflows():
     packet = wf.GaussianPacket(-1.0, 0.7)
     params = wf.OscillatorParams(-1.0)
