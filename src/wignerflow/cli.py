@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import catalog
+from ._float_text import write_g17
 from .errors import ConfigurationError, WignerflowError, within
 from .flow import Constant, Cosine, OscillatorParams, Tabulated, propagate_field
 from .gaussian import GaussianPacket, density, packet_shape
@@ -340,13 +341,15 @@ def load_config(path: str | Path) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 _CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "U": "%s"}  # by NumPy dtype kind
-_BLOCK_ROWS = 8192  # rows per rendered block: 1k-16k time alike, 64k doubles the write peak
+_BLOCK_ROWS = 8192  # rows per rendered block: 4k-16k time alike, 64k has ~4x the peak
 _MAX_REPORT = 10  # mismatching cells a golden comparison reports
 
 
 @dataclass
 class CsvTable:
-    """A header plus one 1-D column per field: a float, int or str NumPy array."""
+    """A header plus one 1-D column per field: a float, int or str NumPy array.
+
+    A text cell holds no NUL character: rendering drops it."""
 
     header: tuple[str, ...]
     columns: list
@@ -370,32 +373,31 @@ class CsvTable:
         return list(zip(*(col.tolist() for col in self.columns)))
 
     def _blocks(self) -> Iterator[str]:
-        """The CSV text in pieces: comment and header lines, then _BLOCK_ROWS rows at a time."""
+        """The CSV text in pieces: comment and header lines, then _BLOCK_ROWS rows at a time.
+
+        A block is a uint64 matrix, a row per table row: each cell's text in a slot of whole
+        words, NUL-padded, with its ',' or newline in the slot's last byte.  Dropping the NUL
+        bytes leaves the rows' text."""
         lines = [f"# tolerance {col} {abs_tol:.17g} {rel_tol:.17g}"
                  for col, (abs_tol, rel_tol) in self.tolerances.items()]
         lines.append(",".join(self.header))
         yield "\n".join(lines) + "\n"
-        n_rows, width = len(self), len(self.columns)
-        specs, sources = [], []  # per column: (values, each row's index into them or None)
-        for col in self.columns:
-            spec, source = _CELL_FORMATS[col.dtype.kind], (col, None)
-            if col.dtype == np.float64:  # distinct bit patterns, so -0.0 stays apart from 0.0
-                bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-                # repeating columns only: an all-distinct W is ~25 ms/135k rows faster in one `%`
-                if 2 * len(bits) <= n_rows:
-                    distinct = [spec % v for v in bits.view(np.float64).tolist()]
-                    source, spec = (np.array(distinct, dtype=object), inverse), "%s"
-            specs.append(spec)
-            sources.append(source)
-        row = ",".join(specs) + "\n"
+        n_rows = len(self)
+        sources = [_cell_source(col) for col in self.columns]
+        slots = np.cumsum([0] + [4 if index is None else values.shape[1]
+                                 for values, index in sources])
+        ends = [np.uint64(ord(",") << 56)] * (len(sources) - 1) + [np.uint64(ord("\n") << 56)]
+        block = np.empty((min(n_rows, _BLOCK_ROWS), slots[-1]), "<u8")
         for start in range(0, n_rows, _BLOCK_ROWS):
-            block = slice(start, min(start + _BLOCK_ROWS, n_rows))
-            count = block.stop - start
-            cells = [None] * (count * width)
-            for j, (values, index) in enumerate(sources):
-                part = values[block] if index is None else values[index[block]]
-                cells[j::width] = part.tolist()
-            yield (row * count) % tuple(cells)
+            rows = slice(start, min(start + _BLOCK_ROWS, n_rows))
+            part = block[: rows.stop - start]
+            for (values, index), end, at, stop in zip(sources, ends, slots, slots[1:]):
+                if index is None:
+                    write_g17(values[rows], part[:, at:stop])
+                else:
+                    part[:, at:stop] = values.take(index[rows], axis=0)
+                part[:, stop - 1] |= end
+            yield part.tobytes().translate(None, b"\0").decode()
 
     def to_text(self) -> str:
         """The whole CSV text as one string; `write` streams the same text."""
@@ -405,6 +407,31 @@ class CsvTable:
         """Write the CSV text to path block by block, so the text is never held whole."""
         with Path(path).open("w", encoding="utf-8", newline="") as out:
             out.writelines(self._blocks())
+
+
+def _cell_source(col: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(values, index): row r of the column is row index[r] of values, the text of a
+    distinct value in whole uint64 words, NUL-padded, its last byte free for the separator.
+
+    A float column whose values mostly differ (in its first block, or in all) has index
+    None and values the floats, which are formatted a block at a time."""
+    if col.dtype.kind == "f":
+        col = col.astype(np.float64, copy=False)
+        bits = col.view(np.int64)  # distinct bit patterns, so -0.0 stays apart from 0.0
+        head = bits[:_BLOCK_ROWS]
+        if 2 * len(np.unique(head)) > len(head):
+            return col, None
+        distinct, index = np.unique(bits, return_inverse=True)
+        if 2 * len(distinct) > len(bits):
+            return col, None
+        values = np.empty((len(distinct), 4), "<u8")
+        write_g17(distinct.view(np.float64), values)
+        return values, index
+    distinct, index = np.unique(col, return_inverse=True)
+    spec = _CELL_FORMATS[col.dtype.kind]
+    cells = [(spec % v).encode("utf-8") for v in distinct.tolist()]
+    width = 8 * (max(map(len, cells), default=0) // 8 + 1)
+    return np.array(cells, f"S{width}").view("<u8").reshape(len(cells), width // 8), index
 
 
 def _parse_column(cells: list[str]) -> np.ndarray:

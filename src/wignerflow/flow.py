@@ -179,7 +179,12 @@ def _unscale(what: str, L, *mantissas):
         half = np.exp(np.minimum(L, 2.0 * math.log(sys.float_info.max)) / 2.0)
         with np.errstate(over="ignore"):
             values = tuple(m * half * half for m in mantissas)
-    if not np.isfinite(values).all():
+    # arrays in one stacked check; scalars one at a time, which costs less than stacking them
+    if isinstance(values[0], np.ndarray):
+        finite = np.isfinite(values).all()
+    else:
+        finite = all(map(math.isfinite, values))
+    if not finite:
         raise NumericalConsistencyError(
             f"{what} left the double range at scale e^{np.max(L):.6g}"
         )

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from wignerflow import cli
+from wignerflow._float_text import write_g17
 from wignerflow.cli import ConfigParseError, CsvTable, RunConfig
 
 DATA = Path(__file__).parent / "data" / "cli"
@@ -386,6 +387,49 @@ def test_streamed_csv_matches_the_row_by_row_reference_across_blocks(
     table = _reference_table(n_rows)
     reference = _row_by_row_text(table)
     assert len(list(table._blocks())) == 1 + -(-n_rows // BLOCK)  # header, then the row blocks
+
+    table.write(tmp_path / "table.csv")
+    assert (tmp_path / "table.csv").read_bytes() == reference.encode("utf-8")
+
+    monkeypatch.setattr(cli, "compute", lambda config: (table, {}))
+    (tmp_path / "cfg.json").write_text(json.dumps(TUNNEL_CFG), encoding="utf-8")
+    assert cli.main(["tunnel", "--config", str(tmp_path / "cfg.json")]) == 0
+    assert capsys.readouterr().out == reference
+
+
+def _boundary_table(kind: str) -> CsvTable:
+    """One column at an edge of the byte-row renderer, next to a short text column."""
+    rng = np.random.default_rng(7)
+    n_rows = cli._BLOCK_ROWS + 3
+    if kind == "floats":  # distinct floats over more than one block and several passes
+        col = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-30, 30, n_rows)
+    elif kind == "fallback":  # each value outside the vectorised range, a zero, inf or nan
+        col = np.concatenate([
+            rng.random(n_rows // 2) * 1e-300,
+            -(1.0 + rng.random(n_rows // 2)) * 10.0 ** rng.integers(300, 308, n_rows // 2),
+            [0.0, -0.0, np.inf, -np.inf, np.nan],
+        ])[:n_rows]
+        col = rng.permutation(np.resize(col, n_rows))
+    elif kind == "ints":  # all distinct, of both signs and every width
+        col = rng.permutation(np.arange(n_rows, dtype=np.int64) * 1_000_003 - 10**9) * 7919
+    else:  # text with non-ASCII characters of two, three and four UTF-8 bytes
+        col = rng.choice(np.array(["ok", "ħ = 1", "ψ(x, t)", "€", "𝜔"]), n_rows)
+    return CsvTable(("v", "tag"), [col, rng.choice(np.array(["a", "bc"]), n_rows)])
+
+
+@pytest.mark.parametrize("block", [None, BLOCK])
+@pytest.mark.parametrize("kind", ["floats", "fallback", "ints", "text"])
+def test_byte_rows_match_the_row_by_row_reference_at_their_edges(
+    kind, block, tmp_path, monkeypatch, capsys
+):
+    table = _boundary_table(kind)
+    if block is not None:
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+    reference = _row_by_row_text(table)
+    if kind == "fallback":
+        words = np.zeros((len(table), 4), "<u8")
+        assert write_g17(table.columns[0], words) == len(table)
+    assert table.to_text() == reference
 
     table.write(tmp_path / "table.csv")
     assert (tmp_path / "table.csv").read_bytes() == reference.encode("utf-8")

@@ -689,3 +689,34 @@ def test_drive_value_rejects_a_time_that_is_not_finite(drive):
     for t in (math.inf, -math.inf, math.nan, np.array([0.0, math.nan])):
         with pytest.raises(ConfigurationError, match="drive time must be finite"):
             wf.drive_value(drive, t)
+
+
+# e^0 (the Python float 0.0 that gamma >= 0 flows carry) and a scale, with NumPy-scalar
+# (shape None) and array mantissas; 1e300 * e^100 leaves the range on the scaled path
+@pytest.mark.parametrize("L, big, shape", [
+    (0.0, math.inf, None), (0.0, math.nan, None), (0.0, math.inf, (3,)), (0.0, math.nan, ()),
+    (100.0, 1e300, None), (100.0, 1e300, (3,)), (np.array([0.0, 100.0]), 1e300, (2,)),
+])
+def test_unscale_raises_when_a_mantissa_leaves_the_range(L, big, shape):
+    if shape is None:
+        ok, bad = np.float64(0.5), np.float64(big)
+    else:
+        ok, bad = np.full(shape, 0.5), np.full(shape, big)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mantissas in ((ok, bad), (bad, ok), (ok, ok, bad)):
+            with pytest.raises(NumericalConsistencyError,
+                               match=r"^flow coefficients left the double range at scale e\^"):
+                flow._unscale("flow coefficients", L, *mantissas)
+        assert all(np.isfinite(v).all() for v in flow._unscale("flow coefficients", L, ok, ok))
+
+
+def test_unscale_at_e0_returns_array_mantissas_as_writable_copies():
+    stored = (np.linspace(-1.0, 1.0, 5), np.linspace(2.0, 3.0, 5))
+    for m in stored:
+        m.flags.writeable = False  # as a memoised flow holds them
+    for got, m in zip(flow._unscale("flow coefficients", 0.0, *stored), stored):
+        assert got is not m and not np.shares_memory(got, m)
+        assert got.flags.writeable and got.tobytes() == m.tobytes()
+    scalar = np.float64(0.25)
+    assert flow._unscale("flow coefficients", 0.0, scalar)[0] is scalar
