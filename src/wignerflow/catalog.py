@@ -217,7 +217,7 @@ class FreeEvolvedGaussian:
     def wigner(self, x, xi):
         h, t = self.hbar, self.t
         return (
-            np.exp(-xi * xi / (2.0 * h * h)) * np.exp(-2.0 * (x - 2.0 * xi * t) ** 2)
+            np.exp(-0.5 * (xi / h) ** 2) * np.exp(-2.0 * (x - 2.0 * xi * t) ** 2)
             / (math.pi * h)
         )
 
@@ -284,13 +284,14 @@ class Soliton:
     def psi(self, x):
         """Spatial profile; the global e^{i nu^2 t/(16 hbar^3)} phase is omitted."""
         amp = math.sqrt(-self.nu) / (math.sqrt(8.0) * self.hbar)
-        e = np.exp(-np.abs(self.width_rate * x))  # sech(z) = 2 e^{-|z|} / (1 + e^{-2|z|})
+        # sech(z) = 2 e^{-|z|} / (1 + e^{-2|z|}), |z| = width_rate |x| read through |x|/hbar
+        e = np.exp(-(np.abs(x) / self.hbar) * (-self.nu / 4.0) / self.hbar)
         return (amp * (2.0 * e / (1.0 + e * e))).astype(complex)
 
     @_closed_form
     def wigner(self, x, xi):
         h = self.hbar
-        u = -2.0 * self.width_rate * x
+        u = x / h * (self.nu / 2.0) / h  # -2 width_rate x, read through x/hbar
         w = 4.0 * math.pi * xi * h / self.nu
         # (1/h) sin(2 x xi/h) / (sinh u sinh w) rewritten as a product of
         # removable-singularity factors; 2 x xi / h = u w / pi.

@@ -347,33 +347,42 @@ _MAX_REPORT = 10  # mismatching cells a golden comparison reports
 
 @dataclass
 class CsvTable:
-    """A header plus one 1-D column per field: a float, int or str NumPy array.
-
-    A text cell holds no NUL character: rendering drops it."""
+    """A header plus one column per field: float, int or str NumPy arrays that broadcast to
+    one shape of at least one dimension, whose cells in C order are the rows.  A product
+    table passes its axes as they are (x[:, None], xi and an (nx, nxi) field).  A float
+    column with a cell per row is formatted a block at a time, any other column each of its
+    own cells once.  A text cell holds no NUL character: rendering drops it."""
 
     header: tuple[str, ...]
     columns: list
     tolerances: dict[str, tuple[float, float]] = field(default_factory=dict)
+    shape: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.columns = [np.asarray(col) for col in self.columns]
-        if len(self.columns) != len(self.header) or any(
-            col.ndim != 1 or len(col) != len(self.columns[0]) for col in self.columns
-        ):
+        try:
+            self.shape = np.broadcast_shapes(*(col.shape for col in self.columns))
+        except ValueError:
+            self.shape = ()  # no common shape: rejected below
+        if len(self.columns) != len(self.header) or not self.shape:
             raise ConfigurationError(
-                f"need {len(self.header)} 1-D columns of one length for header {self.header}"
+                f"need {len(self.header)} columns of one broadcast shape for header {self.header}"
             )
 
     def __len__(self) -> int:
-        return len(self.columns[0]) if self.columns else 0
+        return math.prod(self.shape)
+
+    def flat(self, col: np.ndarray) -> np.ndarray:
+        """The column with a cell per row."""
+        return np.broadcast_to(col, self.shape).ravel()
 
     @property
     def rows(self) -> list[tuple]:
         """Every row as a tuple of Python scalars."""
-        return list(zip(*(col.tolist() for col in self.columns)))
+        return list(zip(*(self.flat(col).tolist() for col in self.columns)))
 
-    def _blocks(self) -> Iterator[str]:
-        """The CSV text in pieces: comment and header lines, then _BLOCK_ROWS rows at a time.
+    def _blocks(self) -> Iterator[bytes]:
+        """The CSV bytes in pieces: comment and header lines, then _BLOCK_ROWS rows at a time.
 
         A block is a uint64 matrix, a row per table row: each cell's text in a slot of whole
         words, NUL-padded, with its ',' or newline in the slot's last byte.  Dropping the NUL
@@ -381,9 +390,9 @@ class CsvTable:
         lines = [f"# tolerance {col} {abs_tol:.17g} {rel_tol:.17g}"
                  for col, (abs_tol, rel_tol) in self.tolerances.items()]
         lines.append(",".join(self.header))
-        yield "\n".join(lines) + "\n"
+        yield ("\n".join(lines) + "\n").encode()
         n_rows = len(self)
-        sources = [_cell_source(col) for col in self.columns]
+        sources = [_cell_source(col, self.shape) for col in self.columns]
         slots = np.cumsum([0] + [4 if index is None else values.shape[1]
                                  for values, index in sources])
         ends = [np.uint64(ord(",") << 56)] * (len(sources) - 1) + [np.uint64(ord("\n") << 56)]
@@ -395,43 +404,37 @@ class CsvTable:
                 if index is None:
                     write_g17(values[rows], part[:, at:stop])
                 else:
-                    part[:, at:stop] = values.take(index[rows], axis=0)
+                    part[:, at:stop] = values.take(index.flat[rows], axis=0)
                 part[:, stop - 1] |= end
-            yield part.tobytes().translate(None, b"\0").decode()
+            yield part.tobytes().translate(None, b"\0")
 
     def to_text(self) -> str:
         """The whole CSV text as one string; `write` streams the same text."""
-        return "".join(self._blocks())
+        return b"".join(self._blocks()).decode()
 
     def write(self, path: str | Path) -> None:
         """Write the CSV text to path block by block, so the text is never held whole."""
-        with Path(path).open("w", encoding="utf-8", newline="") as out:
+        with Path(path).open("wb") as out:
             out.writelines(self._blocks())
 
 
-def _cell_source(col: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(values, index): row r of the column is row index[r] of values, the text of a
-    distinct value in whole uint64 words, NUL-padded, its last byte free for the separator.
-
-    A float column whose values mostly differ (in its first block, or in all) has index
-    None and values the floats, which are formatted a block at a time."""
+def _cell_source(col: np.ndarray, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray | None]:
+    """(values, index): row r of a table of `shape` reads row index.flat[r] of values, the
+    text of one of the column's own cells in whole uint64 words, NUL-padded, its last byte
+    free for the separator.  A float column with a cell per row has index None and values
+    its floats, which are formatted a block at a time."""
     if col.dtype.kind == "f":
-        col = col.astype(np.float64, copy=False)
-        bits = col.view(np.int64)  # distinct bit patterns, so -0.0 stays apart from 0.0
-        head = bits[:_BLOCK_ROWS]
-        if 2 * len(np.unique(head)) > len(head):
-            return col, None
-        distinct, index = np.unique(bits, return_inverse=True)
-        if 2 * len(distinct) > len(bits):
-            return col, None
-        values = np.empty((len(distinct), 4), "<u8")
-        write_g17(distinct.view(np.float64), values)
-        return values, index
-    distinct, index = np.unique(col, return_inverse=True)
-    spec = _CELL_FORMATS[col.dtype.kind]
-    cells = [(spec % v).encode("utf-8") for v in distinct.tolist()]
-    width = 8 * (max(map(len, cells), default=0) // 8 + 1)
-    return np.array(cells, f"S{width}").view("<u8").reshape(len(cells), width // 8), index
+        cells = col.astype(np.float64, copy=False).ravel()
+        if col.size == math.prod(shape):
+            return cells, None
+        values = np.empty((col.size, 4), "<u8")
+        write_g17(cells, values)
+    else:
+        spec = _CELL_FORMATS[col.dtype.kind]
+        cells = [(spec % v).encode("utf-8") for v in col.ravel().tolist()]
+        width = 8 * (max(map(len, cells), default=0) // 8 + 1)
+        values = np.array(cells, f"S{width}").view("<u8").reshape(len(cells), width // 8)
+    return values, np.broadcast_to(np.arange(col.size).reshape(col.shape), shape)
 
 
 def _parse_column(cells: list[str]) -> np.ndarray:
@@ -466,11 +469,6 @@ def read_csv_table(path: str | Path) -> CsvTable:
 # Command implementations
 # ---------------------------------------------------------------------------
 
-def _product(*axes) -> list[np.ndarray]:
-    """Columns of the row-major Cartesian product of 1-D axes (the last varies fastest)."""
-    return [mesh.ravel() for mesh in np.meshgrid(*axes, indexing="ij")]
-
-
 def _x_grid(d: dict) -> Grid1D:
     return Grid1D.from_span(d["x_min"], d["x_max"], d["count"])
 
@@ -493,8 +491,8 @@ def _run_transform(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
     grid = _x_grid(p["grid"])
     ps = _ps_grid(grid, p.get("xi"), p["hbar"])
     fld = wigner_transform(catalog.sample_catalog_state(state, grid), ps)
-    x, xi = _product(ps.x_grid.nodes(), ps.xi_grid.nodes())
-    return CsvTable(("x", "xi", "W"), [x, xi, fld.values.ravel()]), {}
+    x, xi = ps.x_grid.nodes(), ps.xi_grid.nodes()
+    return CsvTable(("x", "xi", "W"), [x[:, None], xi, fld.values]), {}
 
 
 def _run_propagate(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
@@ -503,9 +501,9 @@ def _run_propagate(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
     params = OscillatorParams(p["gamma"], _build(_DRIVES, p["drive"]), p["hbar"])
     ps = _ps_grid(_x_grid(p["grid"]), p["xi"], p["hbar"])
     times = _times(p["times"])
-    fields = [propagate_field(state.wigner, params, float(t), ps).values.ravel() for t in times]
-    columns = _product(times, ps.x_grid.nodes(), ps.xi_grid.nodes())
-    return CsvTable(("t", "x", "xi", "W"), [*columns, np.concatenate(fields)]), {}
+    fields = np.stack([propagate_field(state.wigner, params, float(t), ps).values for t in times])
+    x, xi = ps.x_grid.nodes(), ps.xi_grid.nodes()
+    return CsvTable(("t", "x", "xi", "W"), [times[:, None, None], x[:, None], xi, fields]), {}
 
 
 def _run_gaussian(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
@@ -517,7 +515,7 @@ def _run_gaussian(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
     shape = packet_shape(packet, params, times)
     rho = density(packet, params, xs, times[:, None])
     return (
-        CsvTable(("t", "x", "density"), [*_product(times, xs), rho.ravel()]),
+        CsvTable(("t", "x", "density"), [times[:, None], xs, rho]),
         {"shape": CsvTable(("t", "v", "A"), [times, shape.v, shape.A])},
     )
 
@@ -528,7 +526,7 @@ def _run_tunnel(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
     times = np.linspace(0.0, p["t_max"], p["t_steps"] + 1)
     scenarios = [TunnelScenario(GaussianPacket(p["a"], p0, p["hbar"]), p["omega"], drive)
                  for p0 in p["p0_list"]]
-    survival = figure1_series(p["a"], p["omega"], p["hbar"], p["p0_list"], times, drive).ravel()
+    survival = figure1_series(p["a"], p["omega"], p["hbar"], p["p0_list"], times, drive)
     reports = [tunnel_report(s) for s in scenarios]
     summary = [
         p["p0_list"],
@@ -539,7 +537,7 @@ def _run_tunnel(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
         [math.nan if r.E_c is None else r.E_c for r in reports],
     ]
     return (
-        CsvTable(("p0", "t", "P"), [*_product(p["p0_list"], times), survival]),
+        CsvTable(("p0", "t", "P"), [np.asarray(p["p0_list"])[:, None], times, survival]),
         {"summary": CsvTable(("p0", "p_crit", "P_inf", "regime", "E_q", "E_c"), summary)},
     )
 
@@ -547,15 +545,14 @@ def _run_tunnel(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
 def _run_eigen(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
     p = cfg.params
     omega, hbar = p["omega"], p["hbar"]
-    ns = range(p["n_max"] + 1)
+    ns = np.arange(p["n_max"] + 1)
     xs = np.linspace(-p["sample_half_width"], p["sample_half_width"], p["sample_count"])
-    x, xi = np.meshgrid(xs, xs, indexing="ij")
-    fields = [catalog.HarmonicEigen(n, omega, hbar, normalized=True).wigner(x, xi).ravel()
-              for n in ns]
-    energies = [catalog.harmonic_energy(n, omega, hbar) for n in ns]
+    fields = np.stack([catalog.HarmonicEigen(n, omega, hbar, normalized=True)
+                       .wigner(xs[:, None], xs) for n in ns.tolist()])
+    energies = [catalog.harmonic_energy(n, omega, hbar) for n in ns.tolist()]
     return (
         CsvTable(("n", "E"), [ns, energies]),
-        {"field": CsvTable(("n", "x", "xi", "W"), [*_product(ns, xs, xs), np.concatenate(fields)])},
+        {"field": CsvTable(("n", "x", "xi", "W"), [ns[:, None, None], xs[:, None], xs, fields])},
     )
 
 
@@ -643,12 +640,13 @@ def verify_golden(config: RunConfig, golden_path: str | Path) -> GoldenReport:
             False, True, [f"row count mismatch: got {len(fresh)}, golden {len(golden)}"]
         )
 
+    columns = [fresh.flat(col) for col in fresh.columns]
     mismatch = np.column_stack([
         ~_cells_match(new, gold, *golden.tolerances.get(col, (0.0, 0.0)))
-        for col, new, gold in zip(fresh.header, fresh.columns, golden.columns)
+        for col, new, gold in zip(fresh.header, columns, golden.columns)
     ])
     messages = [
-        f"row {i}, column {fresh.header[j]}: got {_cell(fresh.columns[j], i)}, "
+        f"row {i}, column {fresh.header[j]}: got {_cell(columns[j], i)}, "
         f"golden {_cell(golden.columns[j], i)}"
         for i, j in np.argwhere(mismatch)[:_MAX_REPORT]
     ]
@@ -718,7 +716,7 @@ def main(argv=None) -> int:
             raise ConfigParseError("--emit-plot needs an output path (--out or config 'out')")
         table = run(config, out_path=args.out)
         if target is None:
-            sys.stdout.writelines(table._blocks())
+            sys.stdout.writelines(block.decode() for block in table._blocks())
         elif args.emit_plot:
             Path(target).with_suffix(".plot.txt").write_text(
                 _plot_companion_text(table, config), encoding="utf-8"

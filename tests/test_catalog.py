@@ -45,6 +45,20 @@ def test_delta_bound_wigner_origin_is_one_over_pi_hbar_at_extreme_hbar(hbar):
     assert value == pytest.approx(1.0 / (math.pi * hbar), rel=1e-14)
 
 
+@pytest.mark.parametrize("hbar", [1e-160, 1e-170, 1e-200, 1e-300])
+def test_free_gaussian_and_soliton_centres_at_tiny_hbar(hbar):
+    # hbar^2 underflows from about hbar = 1e-162 and nu/(4 hbar^2) overflows below 1e-155
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        free, soliton = wf.FreeEvolvedGaussian(0.5, hbar), wf.Soliton(-1.0, hbar)
+        values = [free.wigner(0.0, 0.0), soliton.psi(0.0), soliton.wigner(0.0, 0.0)]
+        tails = [free.wigner(0.5, 0.1), soliton.psi(0.5), soliton.wigner(0.5, 0.1)]
+    expected = [1.0 / (math.pi * hbar), 1.0 / (math.sqrt(8.0) * hbar), 1.0 / (math.pi * hbar)]
+    for value, want in zip(values, expected):
+        assert value == pytest.approx(want, rel=1e-14)
+    assert tails == [0.0, 0.0, 0.0]
+
+
 def test_box_wavefunction_values():
     state = wf.Box(1.0, 2.0)
     assert complex(state.psi(0.0)) == pytest.approx(1.0 / math.sqrt(2.0))

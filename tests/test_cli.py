@@ -12,6 +12,7 @@ import pytest
 from wignerflow import cli
 from wignerflow._float_text import write_g17
 from wignerflow.cli import ConfigParseError, CsvTable, RunConfig
+from wignerflow.errors import ConfigurationError
 
 DATA = Path(__file__).parent / "data" / "cli"
 
@@ -367,6 +368,19 @@ def _reference_table(n_rows: int) -> CsvTable:
                     {"distinct": (1e-12, 0.0), "mixed": (0.0, 2.5e-9)})
 
 
+def _assert_written_like(table: CsvTable, reference: str, tmp_path, monkeypatch, capsys) -> None:
+    """to_text, write and the CLI's stdout each give the reference text."""
+    assert table.to_text() == reference
+
+    table.write(tmp_path / "table.csv")
+    assert (tmp_path / "table.csv").read_bytes() == reference.encode("utf-8")
+
+    monkeypatch.setattr(cli, "compute", lambda config: (table, {}))
+    (tmp_path / "cfg.json").write_text(json.dumps(TUNNEL_CFG), encoding="utf-8")
+    assert cli.main(["tunnel", "--config", str(tmp_path / "cfg.json")]) == 0
+    assert capsys.readouterr().out == reference
+
+
 @pytest.mark.parametrize("n_rows", [0, 1, 2, 7, 64, 1001])
 def test_csv_rendering_matches_the_row_by_row_reference(n_rows):
     table = _reference_table(n_rows)
@@ -387,14 +401,7 @@ def test_streamed_csv_matches_the_row_by_row_reference_across_blocks(
     table = _reference_table(n_rows)
     reference = _row_by_row_text(table)
     assert len(list(table._blocks())) == 1 + -(-n_rows // BLOCK)  # header, then the row blocks
-
-    table.write(tmp_path / "table.csv")
-    assert (tmp_path / "table.csv").read_bytes() == reference.encode("utf-8")
-
-    monkeypatch.setattr(cli, "compute", lambda config: (table, {}))
-    (tmp_path / "cfg.json").write_text(json.dumps(TUNNEL_CFG), encoding="utf-8")
-    assert cli.main(["tunnel", "--config", str(tmp_path / "cfg.json")]) == 0
-    assert capsys.readouterr().out == reference
+    _assert_written_like(table, reference, tmp_path, monkeypatch, capsys)
 
 
 def _boundary_table(kind: str) -> CsvTable:
@@ -429,20 +436,80 @@ def test_byte_rows_match_the_row_by_row_reference_at_their_edges(
     if kind == "fallback":
         words = np.zeros((len(table), 4), "<u8")
         assert write_g17(table.columns[0], words) == len(table)
-    assert table.to_text() == reference
+    _assert_written_like(table, reference, tmp_path, monkeypatch, capsys)
 
-    table.write(tmp_path / "table.csv")
-    assert (tmp_path / "table.csv").read_bytes() == reference.encode("utf-8")
 
-    monkeypatch.setattr(cli, "compute", lambda config: (table, {}))
-    (tmp_path / "cfg.json").write_text(json.dumps(TUNNEL_CFG), encoding="utf-8")
-    assert cli.main(["tunnel", "--config", str(tmp_path / "cfg.json")]) == 0
-    assert capsys.readouterr().out == reference
+def _expanded(table: CsvTable) -> CsvTable:
+    """The same table with each column spread to a cell per row."""
+    columns = [np.broadcast_to(col, table.shape).ravel() for col in table.columns]
+    return CsvTable(table.header, columns, table.tolerances)
+
+
+# Each command's tables at small sizes, with its length-1 axes: one time, a single p0
+# and n_max 0.
+PRODUCT_CONFIGS = {
+    "transform": {"command": "transform", "state": {"kind": "coherent", "a": 0.3},
+                  "grid": {"x_min": -8.0, "x_max": 8.5, "count": 4}, "xi": {"xi_max": 2.0, "count": 3}},
+    "propagate": {"command": "propagate", "state": {"kind": "coherent", "p0": -0.5}, "gamma": -0.6,
+                  "times": [0.0, 0.3], "grid": {"half_width": 2.0, "count": 4},
+                  "xi": {"xi_max": 2.0, "count": 3}},
+    "propagate_one_time": {"command": "propagate", "state": {"kind": "coherent"}, "gamma": 0.4,
+                           "times": [0.7], "grid": {"half_width": 2.0, "count": 2},
+                           "xi": {"xi_max": 2.0, "count": 5}},
+    "gaussian": {"command": "gaussian", "a": -1.0, "p0": 0.5, "gamma": -1.0,
+                 "times": {"t_max": 1.0, "t_steps": 2}, "grid": {"half_width": 3.0, "count": 5}},
+    "gaussian_one_time": {"command": "gaussian", "gamma": 0.5, "times": [0.0],
+                          "grid": {"half_width": 3.0, "count": 7}},
+    "tunnel": {**TUNNEL_CFG, "t_steps": 4},
+    "tunnel_one_p0": {"command": "tunnel", "a": -5.0, "p0": 5.0, "omega": 1.0, "t_max": 3.0,
+                      "t_steps": 6},
+    "eigen": {"command": "eigen", "n_max": 2, "sample_count": 3},
+    "eigen_n_max_0": {"command": "eigen", "n_max": 0, "sample_count": 4},
+}
+
+
+@pytest.mark.parametrize("block", [None, BLOCK])
+@pytest.mark.parametrize("name", sorted(PRODUCT_CONFIGS))
+def test_product_tables_render_like_their_expanded_columns(
+    name, block, tmp_path, monkeypatch, capsys
+):
+    if block is not None:
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+    main, companions = cli.compute(cli.parse_config(json.dumps(PRODUCT_CONFIGS[name])))
+    for table in [main, *companions.values()]:
+        reference = _row_by_row_text(_expanded(table))
+        _assert_written_like(table, reference, tmp_path, monkeypatch, capsys)
+
+
+def test_product_axes_render_like_their_expanded_columns(tmp_path, monkeypatch, capsys):
+    # specials, ints and text as axes beside a full float column, over several blocks
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", BLOCK)
+    rng = np.random.default_rng(3)
+    specials = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1, 1.0 / 3.0, 1e300])
+    table = CsvTable(
+        ("v", "n", "tag", "W"),
+        [specials[:, None, None], np.arange(-2, 2)[:, None], np.array(["a", "ψ", "bc"]),
+         rng.standard_normal((len(specials), 4, 3))],
+        {"W": (1e-12, 0.0)},
+    )
+    assert table.shape == (len(specials), 4, 3) and len(table) == len(table.rows) == 108
+    _assert_written_like(table, _row_by_row_text(_expanded(table)), tmp_path, monkeypatch, capsys)
 
 
 def test_csv_rejects_ragged_rows():
     with pytest.raises(Exception):
         CsvTable(("a", "b"), [(1.0,)])
+
+
+@pytest.mark.parametrize("columns", [
+    [np.zeros(3), np.zeros(4)],  # lengths that do not broadcast
+    [np.zeros((2, 1)), np.zeros(3), np.zeros((3, 2))],  # an axis against the wrong field shape
+    [np.zeros((2, 1)), np.zeros(3)],  # two columns for a header of three
+    [1.0, 2.0, 3.0],  # no dimension to hold the rows
+])
+def test_csv_rejects_columns_without_one_broadcast_shape(columns):
+    with pytest.raises(ConfigurationError, match="broadcast shape"):
+        CsvTable(("a", "b", "c"), columns)
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -497,8 +564,8 @@ def test_csv_rendering_peak_memory_is_bounded_by_the_text():
 
 
 def test_csv_write_peak_memory_is_bounded_by_the_columns(tmp_path):
-    # rows are rendered and written a block at a time: what stays is the
-    # per-column dedup index, never the 8.8 MB text or one object per cell
+    # rows are rendered and written a block at a time: what stays is the columns,
+    # the axes' formatted cells and one block, never the 8.8 MB text or one object per cell
     table, _ = cli.compute(cli.parse_config(json.dumps(FULL_SIZE["transform"][0])))
     column_bytes = sum(col.nbytes for col in table.columns)
     tracemalloc.start()
@@ -536,6 +603,25 @@ def test_golden_comparison_pass_and_fail(tmp_path):
     empty.write_text("")
     report = cli.verify_golden(cfg, empty)
     assert report.structural
+
+
+def test_golden_mismatch_names_the_row_and_axis_of_a_product_table(tmp_path):
+    cfg = cli.parse_config(json.dumps(PRODUCT_CONFIGS["propagate"]))  # 2 x 4 x 3 (t, x, xi)
+    golden_path = tmp_path / "golden.csv"
+    table, _ = cli.compute(cfg)
+    table.write(golden_path)
+    assert cli.verify_golden(cfg, golden_path).ok
+
+    row = 17  # t index 1, x index 1, xi index 2
+    x = table.rows[row][1]
+    lines = golden_path.read_text().splitlines()
+    cells = lines[row + 1].split(",")
+    cells[1] = f"{x + 1e-3:.17g}"
+    lines[row + 1] = ",".join(cells)
+    golden_path.write_text("\n".join(lines) + "\n")
+    report = cli.verify_golden(cfg, golden_path)
+    assert report.messages == [f"row {row}, column x: got {x:.17g}, golden {x + 1e-3:.17g}"]
+    assert not report.ok and not report.structural
 
 
 def test_golden_text_cell_is_reported_alone(tmp_path):
