@@ -31,9 +31,6 @@ from .tunneling import TunnelScenario, figure1_series, tunnel_report
 # looked up in this module by name by the benchmark's tracer (perfbench/tracer.py)
 from .tunneling import survival_probability  # noqa: F401
 
-COMMANDS = ("transform", "propagate", "gaussian", "tunnel", "eigen", "verify")
-
-
 class ConfigParseError(ConfigurationError):
     """Bad config contents; the message names the offending key path."""
 
@@ -62,9 +59,11 @@ class _Key:
     """One config key and the rules its JSON value follows.
 
     `type` is a JSON type from `_TYPES`, "numbers" (a list of at least
-    `min_len` numbers), a dict of keys (an object) or a `_Forms` table.  A
-    key without a default is required; `default=None` makes it optional with
-    no value, any other default is a JSON value checked like a given one.
+    `min_len` numbers), a dict of keys (an object) or, for a value with
+    several forms, a function `pick(value, path)` that returns the key of the
+    value's form, against which the value is then checked.  A key without a
+    default is required; `default=None` makes it optional with no value, any
+    other default is a JSON value checked like a given one.
     `bound` ("> 0", ">= 2", ...) holds for a number, an integer or each list
     entry.  `check(value, path)` enforces rules that span several keys and
     returns the canonical value.
@@ -77,19 +76,11 @@ class _Key:
     check: Callable[[dict, str], dict] | None = None
 
 
-@dataclass(frozen=True)
-class _Forms:
-    """A value with several forms; `pick(value, path)` names the form."""
-
-    forms: dict[str, _Key]
-    pick: Callable[[object, str], str]
-
-
 def _check(key: _Key, value, path: str):
     """Canonical form of the JSON `value` of `key`; errors name `path`."""
     kind = key.type
-    if isinstance(kind, _Forms):
-        return _check(kind.forms[kind.pick(value, path)], value, path)
+    if callable(kind):
+        return _check(kind(value, path), value, path)
     if isinstance(kind, dict):
         if not isinstance(value, dict):
             _fail(path, "expected an object")
@@ -135,22 +126,22 @@ def _scalar(kind: str, value, bound: str, path: str):
 
 def _kinds(table: dict, infer: Callable[[dict], str] | None = None) -> _Key:
     """An object whose "kind" key (else `infer(object)`) picks its fields from `table`."""
+    forms = {
+        kind: _Key({"kind": _Key("string", kind), **keys}, check=rest[0] if rest else None)
+        for kind, (_, keys, *rest) in table.items()
+    }
 
-    def pick(value, path: str) -> str:
+    def pick(value, path: str) -> _Key:
         if not isinstance(value, dict):
             _fail(path, "expected an object")
         kind = value.get("kind")
         if kind is None and infer is not None:
             kind = infer(value)
-        if kind not in table:
-            _fail(f"{path}.kind", f"expected one of {sorted(table)}, got {kind!r}")
-        return kind
+        if kind not in forms:
+            _fail(f"{path}.kind", f"expected one of {sorted(forms)}, got {kind!r}")
+        return forms[kind]
 
-    forms = {
-        kind: _Key({"kind": _Key("string", kind), **keys}, check=rest[0] if rest else None)
-        for kind, (_, keys, *rest) in table.items()
-    }
-    return _Key(_Forms(forms, pick))
+    return _Key(pick)
 
 
 def _build(table: dict, fields: dict, **extra):
@@ -239,49 +230,20 @@ _XI = _Key(
     {"xi_max": _Key("number", bound="> 0"), "count": _Key("integer", bound=">= 3")},
     check=_odd_count,
 )
-_TIMES = _Key(_Forms({
-    "list": _Key("numbers", bound=">= 0"),
-    "range": _Key({"t_max": _Key("number", bound="> 0"), "t_steps": _Key("integer", bound=">= 1")}),
-}, lambda value, path: "list" if isinstance(value, list) else "range"))
+_TIME_LIST = _Key("numbers", bound=">= 0")
+_TIME_RANGE = _Key({"t_max": _Key("number", bound="> 0"), "t_steps": _Key("integer", bound=">= 1")})
+_TIMES = _Key(lambda value, path: _TIME_LIST if isinstance(value, list) else _TIME_RANGE)
 
 
 def _grid(count: int) -> _Key:
-    """x grid as {x_min, x_max, count} or {half_width, count}; canonically the first."""
+    """x grid as {x_min, x_max, count} or {half_width, count}; canonically the first, the
+    arguments of Grid1D.from_span."""
     counted = {"count": _Key("integer", count, ">= 2")}
     span = _Key({"x_min": _Key("number"), "x_max": _Key("number"), **counted}, check=_span)
     half = _Key({"half_width": _Key("number", bound="> 0"), **counted}, check=lambda d, path: {
         "x_min": -d["half_width"], "x_max": d["half_width"], "count": d["count"]})
-
-    def pick(value, path: str) -> str:
-        return "half_width" if isinstance(value, dict) and "half_width" in value else "span"
-
-    return _Key(_Forms({"span": span, "half_width": half}, pick))
-
-
-_COMMANDS = {
-    "transform": _Key({
-        "state": _STATE, "hbar": _HBAR, "grid": _grid(512), "xi": replace(_XI, default=None),
-    }),
-    "propagate": _Key({
-        "state": _STATE, "hbar": _HBAR, "gamma": _Key("number"), "drive": _DRIVE, "times": _TIMES,
-        "grid": _grid(129), "xi": _XI,
-    }),
-    "gaussian": _Key({
-        "a": _Key("number", 0.0), "p0": _Key("number", 0.0), "hbar": _HBAR, "gamma": _Key("number"),
-        "drive": _DRIVE, "times": _TIMES, "grid": _grid(201),
-    }),
-    "tunnel": _Key({
-        "a": _Key("number"), "p0": _Key("number", None), "p0_list": _Key("numbers", None),
-        "omega": _Key("number", bound="> 0"), "hbar": _HBAR, "drive": _TUNNEL_DRIVE,
-        "t_max": _Key("number", bound="> 0"), "t_steps": _Key("integer", 300, ">= 1"),
-    }, check=_one_p0),
-    "eigen": _Key({
-        "omega": _Key("number", 1.0, "> 0"), "hbar": _HBAR,
-        "n_max": _Key("integer", 10, ">= 0"), "sample_count": _Key("integer", 21, ">= 2"),
-        "sample_half_width": _Key("number", 4.0, "> 0"),
-    }),
-    "verify": _Key({}),
-}
+    return _Key(lambda value, path: half if isinstance(value, dict) and "half_width" in value
+                else span)
 
 
 @dataclass(frozen=True)
@@ -324,7 +286,7 @@ def parse_config(text: str) -> RunConfig:
     if raw.get("format", "csv") != "csv":
         _fail("config.format", f"only csv output is supported, got {raw.get('format')!r}")
     rest = {k: v for k, v in raw.items() if k not in ("command", "out", "format")}
-    params = _check(_COMMANDS[command], rest, command)
+    params = _check(_COMMANDS[command][0], rest, command)
     return RunConfig(command=command, params=params, output_path=out)
 
 
@@ -351,7 +313,8 @@ class CsvTable:
     one shape of at least one dimension, whose cells in C order are the rows.  A product
     table passes its axes as they are (x[:, None], xi and an (nx, nxi) field).  A float
     column with a cell per row is formatted a block at a time, any other column each of its
-    own cells once.  A text cell holds no NUL character: rendering drops it."""
+    own cells once.  A text cell holds no NUL character, which rendering drops, and no comma,
+    carriage return or line feed, which rendering rejects with a ConfigurationError."""
 
     header: tuple[str, ...]
     columns: list
@@ -390,9 +353,9 @@ class CsvTable:
         lines = [f"# tolerance {col} {abs_tol:.17g} {rel_tol:.17g}"
                  for col, (abs_tol, rel_tol) in self.tolerances.items()]
         lines.append(",".join(self.header))
+        sources = [_cell_source(col, self.shape) for col in self.columns]  # rejects before a byte
         yield ("\n".join(lines) + "\n").encode()
         n_rows = len(self)
-        sources = [_cell_source(col, self.shape) for col in self.columns]
         slots = np.cumsum([0] + [4 if index is None else values.shape[1]
                                  for values, index in sources])
         ends = [np.uint64(ord(",") << 56)] * (len(sources) - 1) + [np.uint64(ord("\n") << 56)]
@@ -432,6 +395,9 @@ def _cell_source(col: np.ndarray, shape: tuple[int, ...]) -> tuple[np.ndarray, n
     else:
         spec = _CELL_FORMATS[col.dtype.kind]
         cells = [(spec % v).encode("utf-8") for v in col.ravel().tolist()]
+        bad = next((c for c in cells if b"," in c or b"\r" in c or b"\n" in c), None)
+        if bad is not None:
+            raise ConfigurationError(f"text cell {bad.decode()!r} holds a comma or a line break")
         width = 8 * (max(map(len, cells), default=0) // 8 + 1)
         values = np.array(cells, f"S{width}").view("<u8").reshape(len(cells), width // 8)
     return values, np.broadcast_to(np.arange(col.size).reshape(col.shape), shape)
@@ -469,10 +435,6 @@ def read_csv_table(path: str | Path) -> CsvTable:
 # Command implementations
 # ---------------------------------------------------------------------------
 
-def _x_grid(d: dict) -> Grid1D:
-    return Grid1D.from_span(d["x_min"], d["x_max"], d["count"])
-
-
 def _times(times) -> np.ndarray:
     if isinstance(times, list):
         return np.asarray(times, dtype=float)
@@ -485,32 +447,29 @@ def _ps_grid(grid: Grid1D, xi: dict | None, hbar: float) -> PhaseSpaceGrid:
     return PhaseSpaceGrid(grid, symmetric_xi_grid(xi["xi_max"], xi["count"]))
 
 
-def _run_transform(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
-    p = cfg.params
+def _run_transform(p: dict) -> tuple[CsvTable, dict[str, CsvTable]]:
     state = _build(_STATES, p["state"], hbar=p["hbar"])
-    grid = _x_grid(p["grid"])
+    grid = Grid1D.from_span(**p["grid"])
     ps = _ps_grid(grid, p.get("xi"), p["hbar"])
     fld = wigner_transform(catalog.sample_catalog_state(state, grid), ps)
     x, xi = ps.x_grid.nodes(), ps.xi_grid.nodes()
     return CsvTable(("x", "xi", "W"), [x[:, None], xi, fld.values]), {}
 
 
-def _run_propagate(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
-    p = cfg.params
+def _run_propagate(p: dict) -> tuple[CsvTable, dict[str, CsvTable]]:
     state = _build(_STATES, p["state"], hbar=p["hbar"])
     params = OscillatorParams(p["gamma"], _build(_DRIVES, p["drive"]), p["hbar"])
-    ps = _ps_grid(_x_grid(p["grid"]), p["xi"], p["hbar"])
+    ps = _ps_grid(Grid1D.from_span(**p["grid"]), p["xi"], p["hbar"])
     times = _times(p["times"])
     fields = np.stack([propagate_field(state.wigner, params, float(t), ps).values for t in times])
     x, xi = ps.x_grid.nodes(), ps.xi_grid.nodes()
     return CsvTable(("t", "x", "xi", "W"), [times[:, None, None], x[:, None], xi, fields]), {}
 
 
-def _run_gaussian(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
-    p = cfg.params
+def _run_gaussian(p: dict) -> tuple[CsvTable, dict[str, CsvTable]]:
     packet = GaussianPacket(p["a"], p["p0"], p["hbar"])
     params = OscillatorParams(p["gamma"], _build(_DRIVES, p["drive"]), p["hbar"])
-    xs = _x_grid(p["grid"]).nodes()
+    xs = Grid1D.from_span(**p["grid"]).nodes()
     times = _times(p["times"])
     shape = packet_shape(packet, params, times)
     rho = density(packet, params, xs, times[:, None])
@@ -520,8 +479,7 @@ def _run_gaussian(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
     )
 
 
-def _run_tunnel(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
-    p = cfg.params
+def _run_tunnel(p: dict) -> tuple[CsvTable, dict[str, CsvTable]]:
     drive = _build(_DRIVES, p["drive"])
     times = np.linspace(0.0, p["t_max"], p["t_steps"] + 1)
     scenarios = [TunnelScenario(GaussianPacket(p["a"], p0, p["hbar"]), p["omega"], drive)
@@ -542,8 +500,7 @@ def _run_tunnel(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
     )
 
 
-def _run_eigen(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
-    p = cfg.params
+def _run_eigen(p: dict) -> tuple[CsvTable, dict[str, CsvTable]]:
     omega, hbar = p["omega"], p["hbar"]
     ns = np.arange(p["n_max"] + 1)
     xs = np.linspace(-p["sample_half_width"], p["sample_half_width"], p["sample_count"])
@@ -556,26 +513,44 @@ def _run_eigen(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
     )
 
 
-def _run_verify(cfg: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
+def _run_verify(p: dict) -> tuple[CsvTable, dict[str, CsvTable]]:
     from .verify import run_invariant_suite
 
     columns = list(zip(*run_invariant_suite()))
     return CsvTable(("check", "state", "residual", "tolerance", "status"), columns), {}
 
 
-_RUNNERS = {
-    "transform": _run_transform,
-    "propagate": _run_propagate,
-    "gaussian": _run_gaussian,
-    "tunnel": _run_tunnel,
-    "eigen": _run_eigen,
-    "verify": _run_verify,
+# command -> (config keys, runner, plotting guide); COMMANDS keeps this order
+_COMMANDS = {
+    "transform": (_Key({
+        "state": _STATE, "hbar": _HBAR, "grid": _grid(512), "xi": replace(_XI, default=None),
+    }), _run_transform, "x (col 1) vs xi (col 2), value W (col 3); plot as a heatmap"),
+    "propagate": (_Key({
+        "state": _STATE, "hbar": _HBAR, "gamma": _Key("number"), "drive": _DRIVE, "times": _TIMES,
+        "grid": _grid(129), "xi": _XI,
+    }), _run_propagate, "per fixed t (col 1): x (col 2) vs xi (col 3), value W (col 4)"),
+    "gaussian": (_Key({
+        "a": _Key("number", 0.0), "p0": _Key("number", 0.0), "hbar": _HBAR, "gamma": _Key("number"),
+        "drive": _DRIVE, "times": _TIMES, "grid": _grid(201),
+    }), _run_gaussian, "per fixed t (col 1): x (col 2) on the abscissa, density (col 3)"),
+    "tunnel": (_Key({
+        "a": _Key("number"), "p0": _Key("number", None), "p0_list": _Key("numbers", None),
+        "omega": _Key("number", bound="> 0"), "hbar": _HBAR, "drive": _TUNNEL_DRIVE,
+        "t_max": _Key("number", bound="> 0"), "t_steps": _Key("integer", 300, ">= 1"),
+    }, check=_one_p0), _run_tunnel, "per fixed p0 (col 1): t (col 2) on the abscissa, P (col 3)"),
+    "eigen": (_Key({
+        "omega": _Key("number", 1.0, "> 0"), "hbar": _HBAR,
+        "n_max": _Key("integer", 10, ">= 0"), "sample_count": _Key("integer", 21, ">= 2"),
+        "sample_half_width": _Key("number", 4.0, "> 0"),
+    }), _run_eigen, "n (col 1) on the abscissa, E (col 2)"),
+    "verify": (_Key({}), _run_verify, "tabular report; nothing to plot"),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def compute(config: RunConfig) -> tuple[CsvTable, dict[str, CsvTable]]:
     """Run the command and return (main table, companion tables by suffix)."""
-    return _RUNNERS[config.command](config)
+    return _COMMANDS[config.command][1](config.params)
 
 
 def run(config: RunConfig, out_path: str | Path | None = None) -> CsvTable:
@@ -604,9 +579,11 @@ def _cells_match(new: np.ndarray, gold: np.ndarray, abs_tol: float, rel_tol: flo
         return new == gold.astype(str)
     if gold.dtype.kind == "U":
         cells = [_parse_column([cell]) for cell in gold.tolist()]
+        # a golden cell that does not read as a number matches no number: str of a float or
+        # an int always reads as one
         return np.array([
             _cells_match(new[i : i + 1], cell, abs_tol, rel_tol)[0] if cell.dtype.kind == "f"
-            else str(new.item(i)) == cell.item(0)
+            else False
             for i, cell in enumerate(cells)
         ])
     with np.errstate(invalid="ignore"):  # inf - inf is a mismatch, as is nan against a number
@@ -661,19 +638,11 @@ def _cell(column: np.ndarray, i: int) -> str:
 
 
 def _plot_companion_text(table: CsvTable, config: RunConfig) -> str:
-    mapping = {
-        "transform": "x (col 1) vs xi (col 2), value W (col 3); plot as a heatmap",
-        "propagate": "per fixed t (col 1): x (col 2) vs xi (col 3), value W (col 4)",
-        "gaussian": "per fixed t (col 1): x (col 2) on the abscissa, density (col 3)",
-        "tunnel": "per fixed p0 (col 1): t (col 2) on the abscissa, P (col 3)",
-        "eigen": "n (col 1) on the abscissa, E (col 2)",
-        "verify": "tabular report; nothing to plot",
-    }
     lines = [
         "# plotting guide (tool-agnostic); data columns refer to the CSV next to this file",
         f"# command: {config.command}",
         f"# columns: {', '.join(table.header)}",
-        f"# {mapping[config.command]}",
+        f"# {_COMMANDS[config.command][2]}",
     ]
     return "\n".join(lines) + "\n"
 

@@ -207,17 +207,23 @@ def wigner_transform(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> WignerField:
 
 def position_marginal(field: WignerField) -> np.ndarray:
     """Integral of W over xi; equals |psi(x)|^2 for transform outputs."""
-    return field.grid.xi_grid.step * field.values.sum(axis=1)
+    with np.errstate(over="ignore"):
+        marginal = field.grid.xi_grid.step * field.values.sum(axis=1)
+    return finite_result("the position marginal", marginal)
 
 
 def momentum_marginal(field: WignerField) -> np.ndarray:
     """Integral of W over x; equals (2pi/hbar)|psihat(xi/hbar)|^2."""
-    return field.grid.x_grid.step * field.values.sum(axis=0)
+    with np.errstate(over="ignore"):
+        marginal = field.grid.x_grid.step * field.values.sum(axis=0)
+    return finite_result("the momentum marginal", marginal)
 
 
 def total_mass(field: WignerField) -> float:
     """2-D rectangle quadrature of W; equals the squared norm of the state."""
-    return float(field.grid.x_grid.step * field.grid.xi_grid.step * field.values.sum())
+    with np.errstate(over="ignore"):
+        mass = field.grid.x_grid.step * field.grid.xi_grid.step * field.values.sum()
+    return float(finite_result("the total mass", mass))
 
 
 def _require_same_layout(f1: WignerField, f2: WignerField) -> None:
@@ -240,7 +246,8 @@ def overlap_identity(f1: WignerField, f2: WignerField) -> float:
 
 def sup_norm_bound_slack(field: WignerField) -> float:
     """max|W| - mass/(pi*hbar); non-positive up to FIELD_TOL for pure states."""
-    return float(np.max(np.abs(field.values)) - total_mass(field) / (math.pi * field.hbar))
+    slack = float(np.max(np.abs(field.values))) - total_mass(field) / (math.pi * field.hbar)
+    return finite_result("the sup-norm slack", slack)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +367,8 @@ def invert_wigner(
         k_star = int(np.argmax(marg))
     else:
         check_params(x_star=x_star)
-        k_star = int(round((x_star - g.x_min) / g.step))
+        # clipped before rounding: a quotient past the floats (+-inf) lies off the grid too
+        k_star = int(round(min(max((float(x_star) - g.x_min) / g.step, -1.0), float(n))))
         if not 0 <= k_star < n:
             raise ConfigurationError(f"x_star {x_star} lies outside the grid")
     if marg[k_star] <= tol.INVERSION_FLOOR:
@@ -373,22 +381,22 @@ def invert_wigner(
     values = np.zeros(n, dtype=complex)
     k_all = np.arange(n)
     same = k_all[(k_all + k_star) % 2 == 0]
-    values[same] = _anchor_products(field, same, k_star) / math.sqrt(marg[k_star])
-
     opp = k_all[(k_all + k_star) % 2 == 1]
     k2 = None
     alpha = 0.0
-    if opp.size:
-        k2 = int(opp[np.argmax(marg[opp])])
-        if marg[k2] > tol.INVERSION_FLOOR:
-            raw = _anchor_products(field, opp, k2) / math.sqrt(marg[k2])
-            cross = _half_row_products(field, opp, k_star) / math.sqrt(marg[k_star])
-            z = np.vdot(raw, cross)  # sum conj(raw)*cross, weighted by |psi|^2
-            if abs(z) > 0.0:
-                alpha = float(np.angle(z))
-            values[opp] = raw * np.exp(1j * alpha)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan in a sum: raised below
+        values[same] = _anchor_products(field, same, k_star) / math.sqrt(marg[k_star])
+        if opp.size:
+            k2 = int(opp[np.argmax(marg[opp])])
+            if marg[k2] > tol.INVERSION_FLOOR:
+                raw = _anchor_products(field, opp, k2) / math.sqrt(marg[k2])
+                cross = _half_row_products(field, opp, k_star) / math.sqrt(marg[k_star])
+                z = np.vdot(raw, cross)  # sum conj(raw)*cross, weighted by |psi|^2
+                if abs(z) > 0.0:
+                    alpha = float(np.angle(z))
+                values[opp] = raw * np.exp(1j * alpha)
 
-    wave = WaveSample(g, values, field.hbar)
+    wave = WaveSample(g, finite_result("the inverse transform", values), field.hbar)
     if with_info:
         info = InversionInfo(g.nodes()[k_star], k_star, k2, alpha)
         return wave, info
@@ -427,25 +435,22 @@ def continuity_gap(
     if not (phi1.grid.close_to(phi2.grid) and phi1.grid.close_to(w1.grid.x_grid)):
         raise ConfigurationError("wavefunctions must share the fields' x grid")
 
-    diff = w1.values - w2.values
-    dxdxi = w1.grid.x_grid.step * w1.grid.xi_grid.step
-    l2_gap = math.sqrt(dxdxi * float(np.sum(diff * diff)))
-    sup_gap = float(np.max(np.abs(diff)))
-
-    # arg<phi2, phi1> in the conjugate-second convention, i.e. arg Int phi1 conj(phi2):
-    # the exact minimiser of theta -> ||e^{i theta} phi1 - phi2||.
-    theta = float(np.angle(_inner(phi1, phi2)))
-    rotated = np.exp(1j * theta) * phi1.values
-    phi_gap = math.sqrt(phi1.grid.step * float(np.sum(np.abs(rotated - phi2.values) ** 2)))
     norms = math.sqrt(phi1.norm_sq()) + math.sqrt(phi2.norm_sq())
-    hbar = w1.hbar
-    return ContinuityReport(
-        l2_gap=l2_gap,
-        sup_gap=sup_gap,
-        l2_bound=math.sqrt(2.0 / hbar) * norms * phi_gap,
-        sup_bound=norms / (math.pi * hbar) * phi_gap,
-        theta_used=theta,
-    )
+    dxdxi = w1.grid.x_grid.step * w1.grid.xi_grid.step
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0 = nan: raised below
+        diff = w1.values - w2.values
+        l2_gap = math.sqrt(dxdxi * float(np.sum(diff * diff)))
+        sup_gap = float(np.max(np.abs(diff)))
+
+        # arg<phi2, phi1> in the conjugate-second convention, i.e. arg Int phi1 conj(phi2):
+        # the exact minimiser of theta -> ||e^{i theta} phi1 - phi2||.
+        theta = float(np.angle(_inner(phi1, phi2)))
+        rotated = np.exp(1j * theta) * phi1.values
+        phi_gap = math.sqrt(phi1.grid.step * float(np.sum(np.abs(rotated - phi2.values) ** 2)))
+    l2_bound = math.sqrt(2.0 / w1.hbar) * norms * phi_gap
+    sup_bound = norms / (math.pi * w1.hbar) * phi_gap
+    finite_result("the continuity gap", (l2_gap, sup_gap, l2_bound, sup_bound))
+    return ContinuityReport(l2_gap, sup_gap, l2_bound, sup_bound, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +484,9 @@ def purity_separability_check(field: WignerField) -> float:
 
     mids = ((candidates[:, None] + candidates[None, :]) // 2).ravel()
     shifts = (candidates[:, None] - candidates[None, :]).ravel()
-    q = _lattice_phase_sums(field, shifts, lambda sl: field.values[mids[sl]])
-    q = q.reshape(candidates.size, candidates.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan in a sum: raised next
+        q = _lattice_phase_sums(field, shifts, lambda sl: field.values[mids[sl]])
+    q = finite_result("the kernel", q).reshape(candidates.size, candidates.size)
 
     qmax = float(np.max(np.abs(q)))
     if qmax <= tol.INVERSION_FLOOR:

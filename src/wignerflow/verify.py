@@ -38,12 +38,12 @@ from .transform import (
 def _suite_states():
     # (label, state, grid or None for the default, has definite parity)
     return [
-        ("coherent(0.4,-0.7)", CoherentGaussian(0.4, -0.7, 1.0),
+        ("coherent(0.4;-0.7)", CoherentGaussian(0.4, -0.7, 1.0),
          Grid1D.symmetric(9.5, 513), False),
         ("hermite(1)", Hermite(1, 1.0, normalized=True), Grid1D.symmetric(10.0, 641), True),
-        ("harmonic_eigen(2,0.7)", HarmonicEigen(2, 0.7, 1.0, normalized=True),
+        ("harmonic_eigen(2;0.7)", HarmonicEigen(2, 0.7, 1.0, normalized=True),
          Grid1D.symmetric(12.0, 641), True),
-        ("box(1,hbar=2)", Box(1.0, 2.0), None, True),
+        ("box(1;hbar=2)", Box(1.0, 2.0), None, True),
     ]
 
 
@@ -119,7 +119,7 @@ def run_invariant_suite() -> list[tuple]:
     )
     f_h = wigner_transform(WaveSample(grid, values, hbar), ps_h)
     f_1 = wigner_transform(WaveSample(grid, values, 1.0), PhaseSpaceGrid(grid, xi_unit))
-    record("hbar_scaling", "coherent(0,0)",
+    record("hbar_scaling", "coherent(0;0)",
            float(np.max(np.abs(f_h.values - f_1.values / hbar))), tol.SCALING_TOL)
 
     return rows

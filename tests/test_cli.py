@@ -99,6 +99,31 @@ def test_kindless_drive_dict_is_cosine():
     assert cfg.params["drive"] == {"kind": "cosine", "lambda": 0.0, "b": 0.5, "Omega": 2.0}
 
 
+PICKER_ERRORS = [  # (the change to a pinned config, the whole message): one per form picker
+    ("propagate", {"state": {"kind": "squeezed"}},
+     "propagate.state.kind: expected one of ['box', 'coherent', 'delta_bound', "
+     "'free_gaussian', 'gauss_general', 'harmonic_eigen', 'hermite', 'soliton'], got 'squeezed'"),
+    ("propagate", {"drive": {"kind": "sawtooth"}},
+     "propagate.drive.kind: expected one of ['constant', 'cosine', 'tabulated'], got 'sawtooth'"),
+    ("propagate", {"drive": {"lambda": 0.1, "b": 0.2}}, "propagate.drive.Omega: missing required key"),
+    ("propagate", {"drive": {"lambda": "x"}}, "propagate.drive.lambda: expected a number, got 'x'"),
+    ("tunnel", {"drive": {"kind": "tabulated", "times": [0.0, 1.0], "values": [0.1, 0.2]}},
+     "tunnel.drive.kind: expected one of ['constant', 'cosine'], got 'tabulated'"),
+    ("propagate", {"times": "0.5"}, "propagate.times: expected an object"),
+    ("transform", {"grid": "wide"}, "transform.grid: expected an object"),
+    ("transform", {"grid": {"half_width": 8.0, "x_min": -8.0, "count": 9}},
+     "transform.grid.x_min: unknown key"),
+]
+
+
+@pytest.mark.parametrize("name, change, message", PICKER_ERRORS)
+def test_form_picker_errors_name_the_key_path(name, change, message):
+    cfg = {**json.loads((DATA / f"{name}.json").read_text()), **change}
+    with pytest.raises(ConfigParseError) as err:
+        cli.parse_config(json.dumps(cfg))
+    assert str(err.value) == message
+
+
 def test_config_round_trip():
     cfg = cli.parse_config(json.dumps(TUNNEL_CFG))
     assert cli.parse_config(cfg.render()) == cfg
@@ -420,7 +445,7 @@ def _boundary_table(kind: str) -> CsvTable:
     elif kind == "ints":  # all distinct, of both signs and every width
         col = rng.permutation(np.arange(n_rows, dtype=np.int64) * 1_000_003 - 10**9) * 7919
     else:  # text with non-ASCII characters of two, three and four UTF-8 bytes
-        col = rng.choice(np.array(["ok", "ħ = 1", "ψ(x, t)", "€", "𝜔"]), n_rows)
+        col = rng.choice(np.array(["ok", "ħ = 1", "ψ(x; t)", "€", "𝜔"]), n_rows)
     return CsvTable(("v", "tag"), [col, rng.choice(np.array(["a", "bc"]), n_rows)])
 
 
@@ -494,6 +519,16 @@ def test_product_axes_render_like_their_expanded_columns(tmp_path, monkeypatch, 
     )
     assert table.shape == (len(specials), 4, 3) and len(table) == len(table.rows) == 108
     _assert_written_like(table, _row_by_row_text(_expanded(table)), tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("cell", ["a,b", "a\nb", "a\rb"])
+def test_csv_rejects_a_comma_or_line_break_in_a_text_cell(cell, tmp_path):
+    table = CsvTable(("name", "value"), [["ok", cell], [1.0, 2.0]])
+    with pytest.raises(ConfigurationError, match="text cell"):
+        table.to_text()
+    with pytest.raises(ConfigurationError, match="text cell"):
+        table.write(tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == b""  # not even the header is written
 
 
 def test_csv_rejects_ragged_rows():
@@ -576,6 +611,13 @@ def test_csv_write_peak_memory_is_bounded_by_the_columns(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "transform.csv").stat().st_size > 2 * column_bytes
     assert peak <= 4 * column_bytes
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in DATA.glob("*.json")))
+def test_pinned_table_passes_its_golden_check(config):
+    cfg = cli.load_config(DATA / config)
+    report = cli.verify_golden(cfg, DATA / config.replace(".json", ".csv"))
+    assert report.ok and not report.structural, report.messages
 
 
 def test_golden_comparison_pass_and_fail(tmp_path):
@@ -680,15 +722,27 @@ def test_main_exit_codes(tmp_path):
     assert cli.main(["tunnel", "--config", str(cfg_path), "--golden", str(golden)]) == 1
 
 
-def test_main_emit_plot(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**TUNNEL_CFG, "t_steps": 5}))
-    out_path = tmp_path / "curve.csv"
-    assert cli.main(["tunnel", "--config", str(cfg_path), "--out", str(out_path),
+PLOT_GUIDES = {
+    "transform": "x (col 1) vs xi (col 2), value W (col 3); plot as a heatmap",
+    "propagate": "per fixed t (col 1): x (col 2) vs xi (col 3), value W (col 4)",
+    "gaussian": "per fixed t (col 1): x (col 2) on the abscissa, density (col 3)",
+    "tunnel": "per fixed p0 (col 1): t (col 2) on the abscissa, P (col 3)",
+    "eigen": "n (col 1) on the abscissa, E (col 2)",
+    "verify": "tabular report; nothing to plot",
+}
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in DATA.glob("*.json")))
+def test_main_emit_plot(config, tmp_path):
+    command = json.loads((DATA / config).read_text())["command"]
+    out_path = tmp_path / "table.csv"
+    assert cli.main([command, "--config", str(DATA / config), "--out", str(out_path),
                      "--emit-plot"]) == 0
-    plot = out_path.with_suffix(".plot.txt")
-    assert plot.exists()
-    assert "p0" in plot.read_text()
+    header = cli.read_csv_table(DATA / config.replace(".json", ".csv")).header
+    assert out_path.with_suffix(".plot.txt").read_text() == (
+        "# plotting guide (tool-agnostic); data columns refer to the CSV next to this file\n"
+        f"# command: {command}\n# columns: {', '.join(header)}\n# {PLOT_GUIDES[command]}\n"
+    )
 
 
 def test_main_command_config_mismatch(tmp_path):

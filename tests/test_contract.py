@@ -16,7 +16,10 @@ the same for every count and order (the grid sizes, the polynomial orders and th
 number): a float, even 2.0, a bool, a string, nan, inf, -1 and a value below the minimum are
 each a ConfigurationError, and a NumPy integer is as valid as a Python one.  The soliton is
 evaluated, and every catalog state's default grid built, at a drawn hbar, and the delta bound
-state reads 1/(pi hbar) at the origin there.
+state reads 1/(pi hbar) at the origin there.  The transform layer (sampling, both transform
+paths, the marginals, the mass, overlap and sup-norm identities, inversion, the purity check
+and the continuity gap) runs on 5- to 9-node grids at a drawn hbar, grid half-width and
+sample amplitude.
 """
 
 import dataclasses
@@ -25,7 +28,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wignerflow as wf
@@ -104,17 +107,19 @@ def _leaves(value):
 
 
 def _finite_or_raises(call, may_raise=True):
-    """call() under warnings-as-errors: a finite result, or a WignerflowError if allowed."""
+    """call() under warnings-as-errors: its finite result, or None at a WignerflowError if
+    allowed."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             result = call()
         except wf.WignerflowError:
             if may_raise:
-                return
+                return None
             raise
     for leaf in _leaves(result):
         assert np.all(np.isfinite(leaf)), leaf
+    return result
 
 
 # one state of each class, and the Hermite function form of the oscillator level
@@ -358,6 +363,21 @@ def _wave(amplitude):
 _HUGE_FIELD = wf.wigner_transform(_wave(1e150), _NATURAL)  # peak ~1e299
 
 
+_EDGE_GRID = wf.natural_grid(wf.Grid1D.symmetric(3.0, 5), 1.0)
+_FULL_FIELD = wf.WignerField(_EDGE_GRID, np.full(_EDGE_GRID.shape, 1e308), 1.0)
+_EDGE_WAVE = wf.WaveSample(_EDGE_GRID.x_grid, [0.0, 0.5, 1.0, 0.5, 0.0], 1.0)
+_TINY_HBAR = wf.natural_grid(wf.Grid1D.symmetric(3.0, 9), 1e-300)
+_TINY_HBAR_FIELD = wf.WignerField(_TINY_HBAR, np.zeros(_TINY_HBAR.shape), 1e-300)
+_LOUD_WAVE = wf.WaveSample(_TINY_HBAR.x_grid, 1e150 * np.exp(-_TINY_HBAR.x_grid.nodes() ** 2),
+                           1e-300)
+_WIDE_GRID = wf.Grid1D.symmetric(1e100, 9)
+# a unit Gaussian there has a transform of peak 8.0e248, whose momentum marginal (the x step
+# is 2.5e99) leaves the double range
+_WIDE_FIELD = wf.wigner_transform(
+    wf.WaveSample(_WIDE_GRID, np.exp(-0.5 * _WIDE_GRID.nodes() ** 2), 1e-150),
+    wf.natural_grid(_WIDE_GRID, 1e-150))
+
+
 # finite arguments whose true result leaves the double range: each raises instead of returning
 # inf or nan, or leaking an overflow warning
 PAST_THE_RANGE = [
@@ -370,6 +390,16 @@ PAST_THE_RANGE = [
     ("norm_sq", lambda: _wave(1e160).norm_sq()),
     ("normalize_sample", lambda: wf.normalize_sample(_wave(1e160))),
     ("overlap_identity", lambda: wf.overlap_identity(_HUGE_FIELD, _HUGE_FIELD)),
+    ("momentum_marginal", lambda: wf.momentum_marginal(_WIDE_FIELD)),
+    ("position_marginal", lambda: wf.position_marginal(_FULL_FIELD)),
+    ("total_mass", lambda: wf.total_mass(_FULL_FIELD)),
+    ("sup_norm_bound_slack", lambda: wf.sup_norm_bound_slack(_FULL_FIELD)),
+    ("purity_separability_check", lambda: wf.purity_separability_check(_FULL_FIELD)),
+    ("invert_wigner", lambda: wf.invert_wigner(_FULL_FIELD)),
+    ("continuity_gap_of_opposite_fields", lambda: wf.continuity_gap(
+        _FULL_FIELD, wf.WignerField(_EDGE_GRID, -_FULL_FIELD.values, 1.0), _EDGE_WAVE, _EDGE_WAVE)),
+    ("continuity_bound_at_tiny_hbar", lambda: wf.continuity_gap(
+        _TINY_HBAR_FIELD, _TINY_HBAR_FIELD, _LOUD_WAVE, _LOUD_WAVE)),
 ]
 
 
@@ -421,3 +451,48 @@ def test_default_grid_at_a_drawn_hbar_is_finite_or_raises(state_id, hbar):
         except wf.NumericalConsistencyError:
             return
     assert math.isfinite(grid.x_min) and 0.0 < grid.step and math.isfinite(grid.x_max)
+
+
+def _tent(count, amplitude):
+    """amplitude times a tent that is 0 at both ends, with a phase that turns node by node."""
+    k = np.arange(count)
+    c = (count - 1) / 2
+    return amplitude * (1.0 - np.abs(k - c) / c) * np.exp(0.7j * k)
+
+
+@CONTRACT
+@given(hbar=positives(), half_width=positives(), amplitude=positives(), count=st.integers(5, 9))
+@example(hbar=1e-150, half_width=1e100, amplitude=1.0, count=9)
+@example(hbar=1.0, half_width=3.0, amplitude=1e300, count=5)
+@example(hbar=1e-300, half_width=3.0, amplitude=1e150, count=9)
+def test_transform_layer_is_finite_or_raises(hbar, half_width, amplitude, count):
+    grid = _finite_or_raises(lambda: wf.Grid1D.symmetric(half_width, count))
+    ps = _finite_or_raises(lambda: wf.natural_grid(grid, hbar))
+    wave = _finite_or_raises(lambda: wf.sample_state(lambda x: _tent(count, amplitude), grid, hbar))
+    if ps is None or wave is None:
+        return
+    _finite_or_raises(wave.norm_sq)
+    direct = _finite_or_raises(lambda: wf.PhaseSpaceGrid(grid, wf.symmetric_xi_grid(half_width, 5)))
+    if direct is not None:
+        _finite_or_raises(lambda: wf.wigner_transform(wave, direct))
+    fields = [_finite_or_raises(lambda: wf.wigner_transform(wave, ps)),
+              wf.WignerField(ps, np.full(ps.shape, amplitude), hbar)]
+    for field in filter(None, fields):
+        negated = wf.WignerField(ps, -field.values, hbar)
+        for call in (wf.position_marginal, wf.momentum_marginal, wf.total_mass,
+                     wf.sup_norm_bound_slack, wf.purity_separability_check, wf.invert_wigner,
+                     lambda f: wf.invert_wigner(f, 0.5 * half_width, with_info=True),
+                     lambda f: wf.overlap_identity(f, negated),
+                     lambda f: wf.continuity_gap(f, f, wave, wave),
+                     lambda f: wf.continuity_gap(f, negated, wave, wave)):
+            _finite_or_raises(lambda: call(field))
+
+
+@pytest.mark.parametrize("x_star", [1e308, -1e308])
+def test_an_x_star_whose_node_index_leaves_the_floats_is_off_the_grid(x_star):
+    grid = wf.natural_grid(wf.Grid1D.symmetric(1.0, 5), 1.0)  # x step 0.5: 1e308 / 0.5 is inf
+    field = wf.WignerField(grid, np.ones(grid.shape), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(wf.ConfigurationError, match="lies outside the grid"):
+            wf.invert_wigner(field, x_star=x_star)
