@@ -150,18 +150,10 @@ class GaussGeneral:
 
     @_closed_form
     def wigner(self, x, xi):
-        h = self.hbar
-        a1, a2, b1, b2, c1 = self.a1, self.a2, self.b1, self.b2, self.c1
-        num = (
-            4.0 * h * h * (a1 * a1 + a2 * a2) * x * x
-            + 8.0 * a2 * h * x * xi
-            + 4.0 * h * h * (a1 * b1 + a2 * b2) * x
-            + b2 * b2 * h * h
-            + 4.0 * a1 * c1 * h * h
-            + 4.0 * b2 * h * xi
-            + 4.0 * xi * xi
-        )
-        return np.exp(-num / (4.0 * a1 * h * h)) / (h * math.sqrt(math.pi * a1))
+        # |psi(x)|^2 times a Gaussian in the local momentum u: the exponent's square completed
+        a1, u = self.a1, self.a2 * x + xi / self.hbar + self.b2 / 2.0
+        exponent = (a1 * x + self.b1) * x + self.c1 + u * u / a1
+        return np.exp(-exponent) / (self.hbar * math.sqrt(math.pi * a1))
 
 
 @dataclass(frozen=True)
@@ -205,13 +197,8 @@ class FreeEvolvedGaussian:
 
     @_closed_form
     def psi(self, x):
-        h, t = self.hbar, self.t
-        denom = 1.0 + 16.0 * h * h * t * t
-        return (
-            (2.0 / math.pi) ** 0.25
-            * np.sqrt((1.0 - 4j * h * t) / denom)
-            * np.exp(-x * x * (1.0 - 4j * h * t) / denom)
-        )
+        z = complex(1.0, 4.0 * self.hbar * self.t)
+        return (2.0 / math.pi) ** 0.25 / np.sqrt(z) * np.exp(-x * x / z)
 
     @_closed_form
     def wigner(self, x, xi):
@@ -244,8 +231,9 @@ class DeltaBound:
 
     @_closed_form
     def psi(self, x):
-        k = self.kappa
-        return (math.sqrt(k) * np.exp(-k * np.abs(x))).astype(complex)
+        h, g = self.hbar, abs(self.gamma)  # sqrt(kappa) e^{-kappa |x|} read through |x|/hbar
+        e = np.exp(-(np.abs(x) / h) * (g / (2.0 * h)))
+        return (math.sqrt(g / 2.0) / h * e).astype(complex)
 
     @_closed_form
     def wigner(self, x, xi):

@@ -137,7 +137,7 @@ def _kinds(table: dict, infer: Callable[[dict], str] | None = None) -> _Key:
         kind = value.get("kind")
         if kind is None and infer is not None:
             kind = infer(value)
-        if kind not in forms:
+        if not isinstance(kind, str) or kind not in forms:  # a list or object is unhashable
             _fail(f"{path}.kind", f"expected one of {sorted(forms)}, got {kind!r}")
         return forms[kind]
 
@@ -376,9 +376,13 @@ class CsvTable:
         return b"".join(self._blocks()).decode()
 
     def write(self, path: str | Path) -> None:
-        """Write the CSV text to path block by block, so the text is never held whole."""
+        """Write the CSV text to path block by block, so the text is never held whole; the
+        cells are checked before the first block, so a rejected table leaves path as it was."""
+        blocks = self._blocks()
+        head = next(blocks)
         with Path(path).open("wb") as out:
-            out.writelines(self._blocks())
+            out.write(head)
+            out.writelines(blocks)
 
 
 def _cell_source(col: np.ndarray, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray | None]:
@@ -470,11 +474,11 @@ def _run_gaussian(p: dict) -> tuple[CsvTable, dict[str, CsvTable]]:
     packet = GaussianPacket(p["a"], p["p0"], p["hbar"])
     params = OscillatorParams(p["gamma"], _build(_DRIVES, p["drive"]), p["hbar"])
     xs = Grid1D.from_span(**p["grid"]).nodes()
-    times = _times(p["times"])
+    times = _times(p["times"])[:, None]  # one time axis for both calls, so one flow
     shape = packet_shape(packet, params, times)
-    rho = density(packet, params, xs, times[:, None])
+    rho = density(packet, params, xs, times)
     return (
-        CsvTable(("t", "x", "density"), [times[:, None], xs, rho]),
+        CsvTable(("t", "x", "density"), [times, xs, rho]),
         {"shape": CsvTable(("t", "v", "A"), [times, shape.v, shape.A])},
     )
 

@@ -45,18 +45,69 @@ def test_delta_bound_wigner_origin_is_one_over_pi_hbar_at_extreme_hbar(hbar):
     assert value == pytest.approx(1.0 / (math.pi * hbar), rel=1e-14)
 
 
-@pytest.mark.parametrize("hbar", [1e-160, 1e-170, 1e-200, 1e-300])
+def _centres(h):
+    """(state, its centre (x, xi), |psi| and W there in closed form) for every catalog state."""
+    x0 = -0.2 / 2.6  # GaussGeneral: the peak of |psi|^2, and the xi where its u vanishes
+    z = complex(1.0, 4.0 * h * 0.5)
+    return [
+        (wf.Box(1.5, h), (0.0, 0.0), 1.0 / math.sqrt(3.0), 1.0 / (math.pi * h)),
+        (wf.GaussGeneral(1.3, 0.4, 0.2, -0.5, 0.3, 0.1, h), (x0, -h * (0.4 * x0 - 0.25)),
+         math.exp((0.04 / 5.2 - 0.3) / 2.0), math.exp(0.04 / 5.2 - 0.3) / (h * math.sqrt(math.pi * 1.3))),
+        (wf.CoherentGaussian(0.5, -0.3, h), (0.5, -0.3), (math.pi * h) ** -0.25, 1.0 / (math.pi * h)),
+        (wf.FreeEvolvedGaussian(0.5, h), (0.0, 0.0), (2.0 / math.pi) ** 0.25 / math.sqrt(abs(z)),
+         1.0 / (math.pi * h)),
+        (wf.DeltaBound(-1.0, h), (0.0, 0.0), math.sqrt(0.5) / h, 1.0 / (math.pi * h)),
+        (wf.Soliton(-1.0, h), (0.0, 0.0), 1.0 / (math.sqrt(8.0) * h), 1.0 / (math.pi * h)),
+        (wf.HarmonicEigen(2, 0.7, h, normalized=True), (0.0, 0.0),
+         (0.7 / (math.pi * h)) ** 0.25 / math.sqrt(2.0), 1.0 / (math.pi * h)),
+    ]
+
+
+@pytest.mark.parametrize("hbar", [1e-300, 1e-200, 1e-170, 1e-160, 1e200, 1e300])
 def test_free_gaussian_and_soliton_centres_at_tiny_hbar(hbar):
-    # hbar^2 underflows from about hbar = 1e-162 and nu/(4 hbar^2) overflows below 1e-155
+    # every catalog state at its centre, where hbar^2 underflows (from about hbar = 1e-162) or
+    # overflows (1e154) and scales such as nu/(4 hbar^2) leave the double range
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        values = [(state, abs(state.psi(x)), state.wigner(x, xi), psi, w)
+                  for state, (x, xi), psi, w in _centres(hbar)]
         free, soliton = wf.FreeEvolvedGaussian(0.5, hbar), wf.Soliton(-1.0, hbar)
-        values = [free.wigner(0.0, 0.0), soliton.psi(0.0), soliton.wigner(0.0, 0.0)]
         tails = [free.wigner(0.5, 0.1), soliton.psi(0.5), soliton.wigner(0.5, 0.1)]
-    expected = [1.0 / (math.pi * hbar), 1.0 / (math.sqrt(8.0) * hbar), 1.0 / (math.pi * hbar)]
-    for value, want in zip(values, expected):
-        assert value == pytest.approx(want, rel=1e-14)
-    assert tails == [0.0, 0.0, 0.0]
+    wrong = [(state, got_psi, got_w) for state, got_psi, got_w, psi, w in values
+             if got_psi != pytest.approx(psi, rel=1e-14, abs=0.0)
+             or got_w != pytest.approx(w, rel=1e-14, abs=0.0)]
+    assert wrong == []
+    if hbar < 1.0:
+        assert tails == [0.0, 0.0, 0.0]
+
+
+def test_general_gaussian_wigner_is_its_expanded_exponent():
+    # the 7-term expansion of the exponent over 4 a1 hbar^2, as it was written before the square
+    # was completed.  It forms hbar^2, so it holds only at ordinary hbar, and its terms cancel
+    # to the local momentum's square, so its own rounding grows with (a2 x)^2 / a1
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        a1, hbar = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        a2, b1, b2, c1, c2 = rng.uniform(-1.0, 1.0, 5)
+        state = wf.GaussGeneral(a1, a2, b1, b2, c1, c2, hbar)
+        centre = -b1 / (2.0 * a1)
+        x = centre + rng.uniform(-4.0, 4.0, 64) / math.sqrt(a1)
+        xi = -hbar * (a2 * x + b2 / 2.0) + rng.uniform(-4.0, 4.0, 64) * hbar * math.sqrt(a1)
+        h = hbar
+        num = (
+            4.0 * h * h * (a1 * a1 + a2 * a2) * x * x
+            + 8.0 * a2 * h * x * xi
+            + 4.0 * h * h * (a1 * b1 + a2 * b2) * x
+            + b2 * b2 * h * h
+            + 4.0 * a1 * c1 * h * h
+            + 4.0 * b2 * h * xi
+            + 4.0 * xi * xi
+        )
+        expanded = np.exp(-num / (4.0 * a1 * h * h)) / (h * math.sqrt(math.pi * a1))
+        peak = math.exp(b1 * b1 / (4.0 * a1) - c1) / (h * math.sqrt(math.pi * a1))
+        kept = expanded > 1e-6 * peak
+        assert kept.any()
+        np.testing.assert_allclose(state.wigner(x, xi)[kept], expanded[kept], rtol=1e-13)
 
 
 def test_box_wavefunction_values():

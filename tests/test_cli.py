@@ -113,6 +113,11 @@ PICKER_ERRORS = [  # (the change to a pinned config, the whole message): one per
     ("transform", {"grid": "wide"}, "transform.grid: expected an object"),
     ("transform", {"grid": {"half_width": 8.0, "x_min": -8.0, "count": 9}},
      "transform.grid.x_min: unknown key"),
+    ("propagate", {"state": {"kind": {}}},
+     "propagate.state.kind: expected one of ['box', 'coherent', 'delta_bound', "
+     "'free_gaussian', 'gauss_general', 'harmonic_eigen', 'hermite', 'soliton'], got {}"),
+    ("propagate", {"drive": {"kind": []}},
+     "propagate.drive.kind: expected one of ['constant', 'cosine', 'tabulated'], got []"),
 ]
 
 
@@ -122,6 +127,15 @@ def test_form_picker_errors_name_the_key_path(name, change, message):
     with pytest.raises(ConfigParseError) as err:
         cli.parse_config(json.dumps(cfg))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("change", [{"state": {"kind": {}}}, {"drive": {"kind": []}}],
+                         ids=["object", "list"])
+def test_a_kind_that_is_not_a_string_exits_2(change, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**json.loads((DATA / "propagate.json").read_text()), **change}))
+    assert cli.main(["propagate", "--config", str(cfg)]) == 2
+    assert "kind: expected one of" in capsys.readouterr().err
 
 
 def test_config_round_trip():
@@ -528,7 +542,11 @@ def test_csv_rejects_a_comma_or_line_break_in_a_text_cell(cell, tmp_path):
         table.to_text()
     with pytest.raises(ConfigurationError, match="text cell"):
         table.write(tmp_path / "t.csv")
-    assert (tmp_path / "t.csv").read_bytes() == b""  # not even the header is written
+    assert not (tmp_path / "t.csv").exists()  # not even the header is written
+    (tmp_path / "t.csv").write_bytes(b"kept\n")
+    with pytest.raises(ConfigurationError, match="text cell"):
+        table.write(tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == b"kept\n"  # an existing file is not truncated
 
 
 def test_csv_rejects_ragged_rows():

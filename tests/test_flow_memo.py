@@ -1,11 +1,13 @@
 """The one-entry memo of flow._scaled_flow: the observables of one packet at one time share
 a single flow evaluation, and a memoised flow is bit for bit the flow computed afresh."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import wignerflow as wf
-from wignerflow import flow
+from wignerflow import cli, flow
 
 DRIVES = [
     wf.Constant(0.3),
@@ -114,3 +116,10 @@ def test_tabulated_drive_ignores_later_writes_to_its_source_arrays(compute_calls
         params.drive.values[0] = 1.0
     flow._last_flow = None
     assert wf.drive_convolutions(params, 1.5) == first
+
+
+def test_the_gaussian_command_evaluates_its_flow_once(compute_calls):
+    # packet_shape and density read one (T, 1) time axis, so the density hits the memo
+    config = cli.load_config(Path(__file__).parent / "data" / "cli" / "gaussian.json")
+    cli.compute(config)
+    assert [t.shape for t in compute_calls] == [(3, 1)]
