@@ -392,7 +392,7 @@ def default_grid(state: AnalyticState) -> Grid1D:
     elif isinstance(state, GaussGeneral):
         centre, hw, count = -state.b1 / (2.0 * state.a1), 8.5 / math.sqrt(state.a1), 1025
     elif isinstance(state, FreeEvolvedGaussian):
-        hw, count = 5.5 * math.sqrt(1.0 + 16.0 * h * h * state.t * state.t), 1025
+        hw, count = 5.5 * math.hypot(1.0, 4.0 * h * state.t), 1025  # 5.5 |1 + 4i hbar t|
     elif isinstance(state, DeltaBound):  # 28 / kappa, identity-grade (tests: pointwise grid)
         hw, count = 56.0 * h / -state.gamma * h, 4097
     elif isinstance(state, Soliton):  # 28.5 / width_rate

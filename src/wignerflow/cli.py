@@ -313,8 +313,9 @@ class CsvTable:
     one shape of at least one dimension, whose cells in C order are the rows.  A product
     table passes its axes as they are (x[:, None], xi and an (nx, nxi) field).  A float
     column with a cell per row is formatted a block at a time, any other column each of its
-    own cells once.  A text cell holds no NUL character, which rendering drops, and no comma,
-    carriage return or line feed, which rendering rejects with a ConfigurationError."""
+    own cells once.  A text cell holds no NUL character, which rendering drops, and no comma
+    or line boundary of str.splitlines (CR, LF, form feed, U+2028, ...), which rendering
+    rejects with a ConfigurationError."""
 
     header: tuple[str, ...]
     columns: list
@@ -398,10 +399,12 @@ def _cell_source(col: np.ndarray, shape: tuple[int, ...]) -> tuple[np.ndarray, n
         write_g17(cells, values)
     else:
         spec = _CELL_FORMATS[col.dtype.kind]
-        cells = [(spec % v).encode("utf-8") for v in col.ravel().tolist()]
-        bad = next((c for c in cells if b"," in c or b"\r" in c or b"\n" in c), None)
+        texts = [spec % v for v in col.ravel().tolist()]
+        # any line boundary of str.splitlines, which the golden reader splits rows at
+        bad = next((t for t in texts if "," in t or "".join(t.splitlines()) != t), None)
         if bad is not None:
-            raise ConfigurationError(f"text cell {bad.decode()!r} holds a comma or a line break")
+            raise ConfigurationError(f"text cell {bad!r} holds a comma or a line break")
+        cells = [t.encode("utf-8") for t in texts]
         width = 8 * (max(map(len, cells), default=0) // 8 + 1)
         values = np.array(cells, f"S{width}").view("<u8").reshape(len(cells), width // 8)
     return values, np.broadcast_to(np.arange(col.size).reshape(col.shape), shape)
@@ -414,8 +417,15 @@ def _parse_column(cells: list[str]) -> np.ndarray:
         return np.array(cells, dtype=str)
 
 
-def read_csv_table(path: str | Path) -> CsvTable:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+class _LayoutError(ConfigurationError):
+    """A CSV file without a header row or with a ragged row, or a golden table whose header
+    or row count differs from the fresh one: reported before any cell is compared."""
+
+
+def _read_lines(text: str, path: str | Path) -> tuple[dict[str, tuple[float, float]],
+                                                       tuple[str, ...], list[str]]:
+    """The tolerances, header and non-blank body lines of the CSV text read from path."""
+    lines = text.splitlines()
     tolerances: dict[str, tuple[float, float]] = {}
     idx = 0
     while idx < len(lines) and lines[idx].startswith("#"):
@@ -424,12 +434,17 @@ def read_csv_table(path: str | Path) -> CsvTable:
             tolerances[parts[1]] = (float(parts[2]), float(parts[3]))
         idx += 1
     if idx >= len(lines) or not lines[idx].strip():
-        raise ConfigurationError(f"{path}: no header row found")
+        raise _LayoutError(f"{path}: no header row found")
     header = tuple(lines[idx].split(","))
     body = [line for line in lines[idx + 1 :] if line.strip()]
     ragged = next((line for line in body if line.count(",") != len(header) - 1), None)
     if ragged is not None:
-        raise ConfigurationError(f"{path}: ragged row {ragged!r}")
+        raise _LayoutError(f"{path}: ragged row {ragged!r}")
+    return tolerances, header, body
+
+
+def read_csv_table(path: str | Path) -> CsvTable:
+    tolerances, header, body = _read_lines(Path(path).read_text(encoding="utf-8"), path)
     cells = ",".join(body).split(",") if body else []
     width = len(header)
     return CsvTable(header, [_parse_column(cells[j::width]) for j in range(width)], tolerances)
@@ -601,37 +616,79 @@ def verify_golden(config: RunConfig, golden_path: str | Path) -> GoldenReport:
     Per-column absolute/relative tolerances come from '# tolerance <col>
     <abs> <rel>' lines in the golden header; unlisted columns must match
     exactly.  A schema mismatch is structural and reported before any
-    numeric comparison.
+    numeric comparison.  A golden body that reads byte for byte as the
+    fresh table renders it is compared without parsing a cell.
     """
     golden_path = Path(golden_path)
     if not golden_path.exists():
         return GoldenReport(False, True, [f"golden file not found: {golden_path}"])
     try:
-        golden = read_csv_table(golden_path)
-    except ConfigurationError as exc:
+        messages = _golden_messages(config, golden_path)
+    except _LayoutError as exc:
         return GoldenReport(False, True, [str(exc)])
+    return GoldenReport(not messages, False, messages)
 
-    fresh, _ = compute(config)
-    if fresh.header != golden.header:
-        return GoldenReport(
-            False, True, [f"header mismatch: got {fresh.header}, golden {golden.header}"]
-        )
-    if len(fresh) != len(golden):
-        return GoldenReport(
-            False, True, [f"row count mismatch: got {len(fresh)}, golden {len(golden)}"]
-        )
 
+def _golden_messages(config: RunConfig, path: Path) -> list[str]:
+    """verify_golden's messages; a bad layout raises _LayoutError."""
+    try:
+        fresh, _ = compute(config)
+    except Exception:
+        read_csv_table(path)  # a bad layout is reported first
+        raise
+    golden = _rendered_golden(fresh, path)
+    if golden is None:
+        golden = read_csv_table(path)
+        if fresh.header != golden.header:
+            raise _LayoutError(f"header mismatch: got {fresh.header}, golden {golden.header}")
+        if len(fresh) != len(golden):
+            raise _LayoutError(f"row count mismatch: got {len(fresh)}, golden {len(golden)}")
     columns = [fresh.flat(col) for col in fresh.columns]
     mismatch = np.column_stack([
         ~_cells_match(new, gold, *golden.tolerances.get(col, (0.0, 0.0)))
         for col, new, gold in zip(fresh.header, columns, golden.columns)
     ])
-    messages = [
+    return [
         f"row {i}, column {fresh.header[j]}: got {_cell(columns[j], i)}, "
         f"golden {_cell(golden.columns[j], i)}"
         for i, j in np.argwhere(mismatch)[:_MAX_REPORT]
     ]
-    return GoldenReport(not messages, False, messages)
+
+
+def _rendered_golden(fresh: CsvTable, path: Path) -> CsvTable | None:
+    """The golden table at path, read without parsing a cell if its body is byte for byte the
+    fresh table as CsvTable._blocks renders it; None otherwise."""
+    blocks = fresh._blocks()
+    next(blocks)  # the golden's own comment and header lines are read from it
+    with path.open("rb") as golden:
+        head = line = golden.readline()
+        while line.startswith(b"#") and line.endswith(b"\n"):
+            line = golden.readline()
+            head += line
+        # the head ends in a line break or the file, so its lines are the file's first lines
+        try:
+            tolerances, header, rest = _read_lines(head.decode("utf-8"), path)
+        except (ValueError, _LayoutError):  # read_csv_table raises it again from the whole
+            return None                     # text, where a decoding error anywhere comes first
+        if (header != fresh.header or rest
+                or not all(golden.read(len(block)) == block for block in blocks)
+                or golden.read(1)):
+            return None
+    return CsvTable(fresh.header, [fresh.flat(_read_back(col)) for col in fresh.columns],
+                    tolerances)
+
+
+def _read_back(col: np.ndarray) -> np.ndarray:
+    """The cells of col as read_csv_table reads their rendering back: numbers as float64
+    (their %.17g or %d text parses back exactly), text as its labels without NUL, or as their
+    floats when every label reads as a number, as _parse_column has it."""
+    if col.dtype.kind != "U":
+        return col.astype(np.float64)
+    labels = np.array([v.replace("\0", "") for v in col.ravel().tolist()], str).reshape(col.shape)
+    try:
+        return labels.astype(np.float64)
+    except ValueError:
+        return labels
 
 
 def _cell(column: np.ndarray, i: int) -> str:

@@ -226,6 +226,17 @@ def test_hermite_is_the_oscillator_level_of_omega_hbar():
     assert wf.default_grid(wf.Hermite(4)) == wf.Grid1D.symmetric(12.0, 1281)
 
 
+@pytest.mark.parametrize("hbar_t", [1e154, 1e160, 1e300])
+def test_free_gaussian_default_grid_where_hbar_t_squared_overflows(hbar_t):
+    # the half width 5.5 |1 + 4i hbar t| stays a double where (hbar t)^2 does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = wf.default_grid(wf.FreeEvolvedGaussian(0.5, 2.0 * hbar_t))
+    assert grid.count == 1025
+    assert -grid.x_min == pytest.approx(22.0 * hbar_t, rel=1e-15)
+    assert grid.x_max == pytest.approx(22.0 * hbar_t, rel=1e-12)
+
+
 def test_harmonic_energy_values():
     assert wf.harmonic_energy(0, 1.0, 1.0) == 1.0
     assert wf.harmonic_energy(2, 0.5, 1.0) == 2.5

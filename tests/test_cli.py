@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from wignerflow import cli
 from wignerflow._float_text import write_g17
 from wignerflow.cli import ConfigParseError, CsvTable, RunConfig
-from wignerflow.errors import ConfigurationError
+from wignerflow.errors import ConfigurationError, NumericalConsistencyError
 
 DATA = Path(__file__).parent / "data" / "cli"
 
@@ -535,7 +536,7 @@ def test_product_axes_render_like_their_expanded_columns(tmp_path, monkeypatch, 
     _assert_written_like(table, _row_by_row_text(_expanded(table)), tmp_path, monkeypatch, capsys)
 
 
-@pytest.mark.parametrize("cell", ["a,b", "a\nb", "a\rb"])
+@pytest.mark.parametrize("cell", ["a,b", "a\nb", "a\rb", "a\x0cb", "a\u2028b", "a\x85"])
 def test_csv_rejects_a_comma_or_line_break_in_a_text_cell(cell, tmp_path):
     table = CsvTable(("name", "value"), [["ok", cell], [1.0, 2.0]])
     with pytest.raises(ConfigurationError, match="text cell"):
@@ -709,6 +710,173 @@ def test_golden_schema_mismatch_is_structural(tmp_path):
     wrong.write_text("alpha,beta\n1,2\n")
     report = cli.verify_golden(cfg, wrong)
     assert report.structural and not report.ok
+
+
+def _full_parse_report(cfg: RunConfig, golden_path: Path) -> cli.GoldenReport:
+    """The golden check that parses every golden cell, kept as the reference for verify_golden."""
+    if not golden_path.exists():
+        return cli.GoldenReport(False, True, [f"golden file not found: {golden_path}"])
+    try:
+        golden = cli.read_csv_table(golden_path)
+    except ConfigurationError as exc:
+        return cli.GoldenReport(False, True, [str(exc)])
+    fresh, _ = cli.compute(cfg)
+    if fresh.header != golden.header:
+        return cli.GoldenReport(
+            False, True, [f"header mismatch: got {fresh.header}, golden {golden.header}"])
+    if len(fresh) != len(golden):
+        return cli.GoldenReport(
+            False, True, [f"row count mismatch: got {len(fresh)}, golden {len(golden)}"])
+    columns = [fresh.flat(col) for col in fresh.columns]
+    mismatch = np.column_stack([
+        ~cli._cells_match(new, gold, *golden.tolerances.get(col, (0.0, 0.0)))
+        for col, new, gold in zip(fresh.header, columns, golden.columns)
+    ])
+    messages = [
+        f"row {i}, column {fresh.header[j]}: got {cli._cell(columns[j], i)}, "
+        f"golden {cli._cell(golden.columns[j], i)}"
+        for i, j in np.argwhere(mismatch)[:cli._MAX_REPORT]
+    ]
+    return cli.GoldenReport(not messages, False, messages)
+
+
+def _numeric_cell(lines: list[str], row: int) -> int:
+    """The last column of body line `row` (0 is the first data line) whose cell is a number."""
+    cells = lines[row].split(",")
+    return max(j for j, c in enumerate(cells) if c.lstrip("-")[:1].isdigit())
+
+
+def _edit_cell(lines: list[str], row: int, j: int, text) -> list[str]:
+    cells = lines[row].split(",")
+    cells[j] = text(cells[j])
+    return lines[:row] + [",".join(cells)] + lines[row + 1:]
+
+
+def _golden_variants(text: str) -> dict[str, str]:
+    """The golden text modified in the ways a hand-kept or foreign golden differs."""
+    lines = text.splitlines()
+    header, body = lines[0], lines[1:]
+    mid, last = len(body) // 2, len(body) - 1
+    j = _numeric_cell(body, mid)
+    col = header.split(",")[j]
+    moved = _edit_cell(body, mid, j, lambda c: f"{float(c) + 1e-7:.17g}")
+    moved = _edit_cell(moved, last, _numeric_cell(body, last), lambda c: f"{float(c) + 1e-3:.17g}")
+    integers = re.compile(r"(?<![^,])(-?\d+)(?![^,])")
+    variants = {
+        "crlf": text.replace("\n", "\r\n"),
+        "blank": [header, "", *body[:mid], "  \t", *body[mid:], "", " "],
+        "tolerance": [f"# tolerance {col} 1e-9 0", "# a comment", header, *body],
+        "moved": [f"# tolerance {col} 1e-6 0", header, *moved],
+        "minus_zero": [header, *(re.sub(r"(?<![^,])0(?![^,])", "-0", line) for line in body)],
+        "integers_as_floats": [header, *(integers.sub(r"\1.0", line) for line in body)],
+        "text_cell": [header, *_edit_cell(body, mid, j, lambda c: "oops")],
+        "ragged": [header, *body[:mid], body[mid] + ",1", *body[mid + 1:]],
+        "no_header": [f"# tolerance {col} 1e-9 0", " ", *body],
+        "header_mismatch": [header.replace(col, col + "2"), *body],
+        "row_count": [header, *body[:-1]],
+        "extra_row": [header, *body, body[-1]],
+        # str.splitlines splits at a form feed, so the header text after it is a line
+        "form_feed": [f"# a comment\f{header}", header, *body],
+        "negative_tolerance": [f"# tolerance {col} -1 0", header, *body],
+        "nan_tolerance": [f"# tolerance {col} nan 0", header, *body],
+    }
+    return {k: v if isinstance(v, str) else "\n".join(v) + "\n" for k, v in variants.items()}
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in DATA.glob("*.json")))
+def test_golden_check_matches_the_full_parse_reference(config, tmp_path, monkeypatch):
+    cfg = cli.load_config(DATA / config)
+    fresh = cli.compute(cfg)
+    monkeypatch.setattr(cli, "compute", lambda _: fresh)  # one computation for every variant
+    pinned = DATA / config.replace(".json", ".csv")
+    variants = {"pinned": pinned.read_text(), **_golden_variants(pinned.read_text())}
+    for name, text in variants.items():
+        golden = tmp_path / f"{name}.csv"
+        golden.write_bytes(text.encode())
+        assert cli.verify_golden(cfg, golden) == _full_parse_report(cfg, golden), name
+    assert _full_parse_report(cfg, pinned).ok
+
+
+@pytest.mark.parametrize("fresh_columns, golden", [
+    # inf never matches inf, nan matches nan, and a tolerance of the wrong sign or nan matches
+    # nothing but nan
+    ([[1.0, np.inf, -np.inf, np.nan, 0.0]],
+     "# tolerance v 1e-9 1\nv\n1\ninf\n-inf\nnan\n0\n"),
+    ([[1.0, np.inf, -np.inf, np.nan, 0.0]], "# tolerance v -1 0\nv\n1\ninf\n-inf\nnan\n0\n"),
+    ([[1.0, np.inf, -np.inf, np.nan, 0.0]], "# tolerance v nan 0\nv\n1.0\ninf\n-inf\nnan\n0\n"),
+    # a text column whose golden cells all read as numbers is compared as their str()
+    ([["1", "2.5", "1e5", "inf"], [1, 2, 3, 4]], "label,v\n1,1\n2.5,2\n1e5,3\ninf,4\n"),
+    ([[" 2.5", "1_0", "nan", "-0"], [1, 2, 3, 4]], "label,v\n 2.5,1\n1_0,2\nnan,3\n-0,4\n"),
+    ([["1", "2.5", "1e5", "inf"], [1, 2, 3, 4]], "label,v\n1,1\n2.5,2\n1e5,3.0\ninf,4\n"),
+    ([["1", "2.5", "1e5", "inf"], [1, 2, 3, 4]], "label,v\n1,1\n2.5,2\nx,3\ninf,4\n"),
+    ([["1", "a", "1e5"], [1, 2, 3]], "label,v\n1,1\n2.5,2\n1e5,3\n"),
+    ([["a\0b", "1"], [1, 2]], "label,v\nab,1\n1,2\n"),  # rendering drops NUL; the check does not
+])
+def test_golden_check_of_special_fresh_cells_matches_the_reference(
+        fresh_columns, golden, tmp_path, monkeypatch):
+    header = ("v",) if len(fresh_columns) == 1 else ("label", "v")
+    table = CsvTable(header, fresh_columns)
+    monkeypatch.setattr(cli, "compute", lambda _: (table, {}))
+    cfg = RunConfig("verify", {})
+    for text in (golden, table.to_text()):
+        path = tmp_path / "golden.csv"
+        path.write_text(text)
+        assert cli.verify_golden(cfg, path) == _full_parse_report(cfg, path)
+
+
+def test_golden_equal_to_the_rendering_still_mismatches_inf(tmp_path, monkeypatch):
+    table = CsvTable(("v",), [[1.0, np.inf, np.nan]])
+    monkeypatch.setattr(cli, "compute", lambda _: (table, {}))
+    path = tmp_path / "golden.csv"
+    table.write(path)
+    report = cli.verify_golden(RunConfig("verify", {}), path)
+    assert report.messages == ["row 1, column v: got inf, golden inf"]
+    assert not report.ok and not report.structural
+
+
+def test_bad_golden_layout_is_reported_even_where_compute_raises(tmp_path, monkeypatch):
+    def fail(_):
+        raise NumericalConsistencyError("no table")
+
+    monkeypatch.setattr(cli, "compute", fail)
+    cfg = RunConfig("verify", {})
+    path = tmp_path / "golden.csv"
+    for text in ("# only a comment\n", "a,b\n1,2\n3\n", "\n\na,b\n"):
+        path.write_text(text)
+        report = cli.verify_golden(cfg, path)
+        assert report.structural and report == _full_parse_report(cfg, path)
+    path.write_text("a,b\n1,2\n")
+    with pytest.raises(NumericalConsistencyError, match="no table"):
+        cli.verify_golden(cfg, path)
+    path.write_bytes(b"a,b\n1,2\n\xff\n")  # not UTF-8: raised as before, not a layout error
+    with pytest.raises(UnicodeDecodeError):
+        cli.verify_golden(cfg, path)
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in DATA.glob("*.json")))
+def test_matched_golden_is_never_parsed(config, monkeypatch):
+    calls = []
+    parse = cli._parse_column
+    monkeypatch.setattr(cli, "_parse_column", lambda cells: calls.append(cells) or parse(cells))
+    report = cli.verify_golden(cli.load_config(DATA / config), DATA / config.replace(".json", ".csv"))
+    assert report.ok and calls == []
+
+
+def test_golden_check_peak_memory_is_bounded_by_the_file_and_the_columns(tmp_path):
+    cfg = cli.parse_config(json.dumps(FULL_SIZE["transform"][0]))
+    table, _ = cli.compute(cfg)
+    column_bytes = sum(col.nbytes for col in table.columns)
+    golden = tmp_path / "transform.csv"
+    table.write(golden)
+    del table
+    tracemalloc.start()
+    try:
+        report = cli.verify_golden(cfg, golden)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak <= golden.stat().st_size + 4 * column_bytes
 
 
 def test_main_exit_codes(tmp_path):
