@@ -10,6 +10,7 @@ precondition failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import catalog
 from ._float_text import write_g17
-from .errors import ConfigurationError, WignerflowError, within
+from .errors import _MAX_COUNT, ConfigurationError, WignerflowError, within
 from .flow import Constant, Cosine, OscillatorParams, Tabulated, propagate_field
 from .gaussian import GaussianPacket, density, packet_shape
 from .grids import Grid1D, PhaseSpaceGrid, natural_grid, symmetric_xi_grid
@@ -58,21 +59,20 @@ _TYPES = {
 class _Key:
     """One config key and the rules its JSON value follows.
 
-    `type` is a JSON type from `_TYPES`, "numbers" (a list of at least
-    `min_len` numbers), a dict of keys (an object) or, for a value with
-    several forms, a function `pick(value, path)` that returns the key of the
-    value's form, against which the value is then checked.  A key without a
-    default is required; `default=None` makes it optional with no value, any
-    other default is a JSON value checked like a given one.
-    `bound` ("> 0", ">= 2", ...) holds for a number, an integer or each list
-    entry.  `check(value, path)` enforces rules that span several keys and
-    returns the canonical value.
+    `type` is a JSON type from `_TYPES`, "numbers" (a list of one or more
+    numbers), a dict of keys (an object) or, for a value with several forms,
+    a function `pick(value, path)` that returns the key of the value's form,
+    against which the value is then checked.  A key without a default is
+    required; `default=None` makes it optional with no value, any other
+    default is a JSON value checked like a given one.  `bound` ("> 0",
+    ">= 2", ...) holds for a number, an integer or each list entry.
+    `check(value, path)` enforces rules that span several keys and returns
+    the canonical value.
     """
 
     type: object
     default: object = _REQUIRED
     bound: str = ""
-    min_len: int = 1
     check: Callable[[dict, str], dict] | None = None
 
 
@@ -100,8 +100,8 @@ def _check(key: _Key, value, path: str):
             out[name] = _check(sub, v, f"{path}.{name}")
         value = out
     elif kind == "numbers":
-        if not isinstance(value, list) or len(value) < key.min_len:
-            _fail(path, f"expected a list of {key.min_len} or more numbers")
+        if not isinstance(value, list) or not value:
+            _fail(path, "expected a list of 1 or more numbers")
         value = [_scalar("number", v, key.bound, f"{path}[{i}]") for i, v in enumerate(value)]
     else:
         value = _scalar(kind, value, key.bound, path)
@@ -119,17 +119,31 @@ def _scalar(kind: str, value, bound: str, path: str):
             value = math.inf
         if not math.isfinite(value):
             _fail(path, "must be finite")
-    if bound and not within(value, bound):
-        _fail(path, f"must be {bound}, got {value}")
+    for rule in (bound, _MAX_COUNT if kind == "integer" else ""):
+        if rule and not within(value, rule):
+            _fail(path, f"must be {rule}, got {value}")
     return value
 
 
+# constructor annotation -> JSON type of its config key
+_ANNOTATED = {"float": "number", "int": "integer", "bool": "boolean", "np.ndarray": "numbers"}
+# the CLI's own defaults: a normalised state, a cosine drive about 0
+_DEFAULTS = {"normalized": True, "lambda": 0.0}
+
+
 def _kinds(table: dict, infer: Callable[[dict], str] | None = None) -> _Key:
-    """An object whose "kind" key (else `infer(object)`) picks its fields from `table`."""
-    forms = {
-        kind: _Key({"kind": _Key("string", kind), **keys}, check=rest[0] if rest else None)
-        for kind, (_, keys, *rest) in table.items()
-    }
+    """An object whose "kind" key (else `infer(object)`) picks its class from `table`.  Its
+    other keys are the parameters of that class but hbar, which is the command's (`lam` is the
+    key "lambda"), with their JSON types and defaults, a `_DEFAULTS` entry before the class's."""
+    forms = {}
+    for kind, cls in table.items():
+        keys = {"kind": _Key("string", kind)}
+        for arg in inspect.signature(cls).parameters.values():
+            name = "lambda" if arg.name == "lam" else arg.name
+            if name != "hbar":
+                default = _REQUIRED if arg.default is arg.empty else arg.default
+                keys[name] = _Key(_ANNOTATED[arg.annotation], _DEFAULTS.get(name, default))
+        forms[kind] = _Key(keys)
 
     def pick(value, path: str) -> _Key:
         if not isinstance(value, dict):
@@ -146,29 +160,8 @@ def _kinds(table: dict, infer: Callable[[dict], str] | None = None) -> _Key:
 
 def _build(table: dict, fields: dict, **extra):
     """The object a kind-tagged config stands for; the drive key "lambda" is the field `lam`."""
-    cls = table[fields["kind"]][0]
     args = {"lam" if k == "lambda" else k: v for k, v in fields.items() if k != "kind"}
-    return cls(**args, **extra)
-
-
-def _tabulated(d: dict, path: str) -> dict:
-    if len(d["values"]) != len(d["times"]):
-        _fail(f"{path}.values", "must have the same length as times")
-    if any(b <= a for a, b in zip(d["times"], d["times"][1:])):
-        _fail(f"{path}.times", "must be strictly ascending")
-    return d
-
-
-def _span(d: dict, path: str) -> dict:
-    if d["x_max"] <= d["x_min"]:
-        _fail(f"{path}.x_max", f"must exceed x_min = {d['x_min']}")
-    return d
-
-
-def _odd_count(d: dict, path: str) -> dict:
-    if d["count"] % 2 == 0:
-        _fail(f"{path}.count", "must be odd so the grid is centred on 0")
-    return d
+    return table[fields["kind"]](**args, **extra)
 
 
 def _one_p0(d: dict, path: str) -> dict:
@@ -180,39 +173,18 @@ def _one_p0(d: dict, path: str) -> dict:
     return d
 
 
-# kind -> (class, fields[, check]); every state also takes the command's hbar
+# kind -> the class it builds; every state also takes the command's hbar
 _STATES = {
-    "box": (catalog.Box, {"R": _Key("number", bound="> 0")}),
-    "gauss_general": (catalog.GaussGeneral, {
-        "a1": _Key("number", bound="> 0"),
-        **{name: _Key("number", 0.0) for name in ("a2", "b1", "b2", "c1", "c2")},
-    }),
-    "coherent": (catalog.CoherentGaussian, {"a": _Key("number", 0.0), "p0": _Key("number", 0.0)}),
-    "hermite": (catalog.Hermite, {
-        "n": _Key("integer", bound=">= 0"),
-        "normalized": _Key("boolean", True),
-    }),
-    "free_gaussian": (catalog.FreeEvolvedGaussian, {"t": _Key("number", 0.0, ">= 0")}),
-    "delta_bound": (catalog.DeltaBound, {"gamma": _Key("number", bound="< 0")}),
-    "soliton": (catalog.Soliton, {"nu": _Key("number", bound="< 0")}),
-    "harmonic_eigen": (catalog.HarmonicEigen, {
-        "n": _Key("integer", bound=">= 0"),
-        "omega": _Key("number", 1.0, "> 0"),
-        "normalized": _Key("boolean", True),
-    }),
+    "box": catalog.Box,
+    "gauss_general": catalog.GaussGeneral,
+    "coherent": catalog.CoherentGaussian,
+    "hermite": catalog.Hermite,
+    "free_gaussian": catalog.FreeEvolvedGaussian,
+    "delta_bound": catalog.DeltaBound,
+    "soliton": catalog.Soliton,
+    "harmonic_eigen": catalog.HarmonicEigen,
 }
-_DRIVES = {
-    "constant": (Constant, {"lambda": _Key("number", 0.0)}),
-    "cosine": (Cosine, {
-        "lambda": _Key("number", 0.0),
-        "b": _Key("number"),
-        "Omega": _Key("number"),
-    }),
-    "tabulated": (Tabulated, {
-        "times": _Key("numbers", min_len=2),
-        "values": _Key("numbers", min_len=2),
-    }, _tabulated),
-}
+_DRIVES = {"constant": Constant, "cosine": Cosine, "tabulated": Tabulated}
 
 
 def _drive_kind(d: dict) -> str:
@@ -226,10 +198,7 @@ _TUNNEL_DRIVE = replace(
     _kinds({k: _DRIVES[k] for k in ("constant", "cosine")}, _drive_kind), default={}
 )
 _HBAR = _Key("number", 1.0, "> 0")
-_XI = _Key(
-    {"xi_max": _Key("number", bound="> 0"), "count": _Key("integer", bound=">= 3")},
-    check=_odd_count,
-)
+_XI = _Key({"xi_max": _Key("number"), "count": _Key("integer")})
 _TIME_LIST = _Key("numbers", bound=">= 0")
 _TIME_RANGE = _Key({"t_max": _Key("number", bound="> 0"), "t_steps": _Key("integer", bound=">= 1")})
 _TIMES = _Key(lambda value, path: _TIME_LIST if isinstance(value, list) else _TIME_RANGE)
@@ -238,12 +207,21 @@ _TIMES = _Key(lambda value, path: _TIME_LIST if isinstance(value, list) else _TI
 def _grid(count: int) -> _Key:
     """x grid as {x_min, x_max, count} or {half_width, count}; canonically the first, the
     arguments of Grid1D.from_span."""
-    counted = {"count": _Key("integer", count, ">= 2")}
-    span = _Key({"x_min": _Key("number"), "x_max": _Key("number"), **counted}, check=_span)
+    counted = {"count": _Key("integer", count)}
+    span = _Key({"x_min": _Key("number"), "x_max": _Key("number"), **counted})
     half = _Key({"half_width": _Key("number", bound="> 0"), **counted}, check=lambda d, path: {
         "x_min": -d["half_width"], "x_max": d["half_width"], "count": d["count"]})
     return _Key(lambda value, path: half if isinstance(value, dict) and "half_width" in value
                 else span)
+
+
+# config object -> the library object it stands for, built from the command's params
+_OBJECTS = {
+    "state": lambda p: _build(_STATES, p["state"], hbar=p["hbar"]),
+    "drive": lambda p: _build(_DRIVES, p["drive"]),
+    "grid": lambda p: Grid1D.from_span(**p["grid"]),
+    "xi": lambda p: symmetric_xi_grid(**p["xi"]),
+}
 
 
 @dataclass(frozen=True)
@@ -287,6 +265,12 @@ def parse_config(text: str) -> RunConfig:
         _fail("config.format", f"only csv output is supported, got {raw.get('format')!r}")
     rest = {k: v for k, v in raw.items() if k not in ("command", "out", "format")}
     params = _check(_COMMANDS[command][0], rest, command)
+    for name, build in _OBJECTS.items():  # the objects' own rules, under their key paths
+        if params.get(name) is not None:
+            try:
+                build(params)
+            except ConfigurationError as exc:
+                _fail(f"{command}.{name}", str(exc))
     return RunConfig(command=command, params=params, output_path=out)
 
 
@@ -463,7 +447,7 @@ def _times(times) -> np.ndarray:
 def _ps_grid(grid: Grid1D, xi: dict | None, hbar: float) -> PhaseSpaceGrid:
     if xi is None:
         return natural_grid(grid, hbar)
-    return PhaseSpaceGrid(grid, symmetric_xi_grid(xi["xi_max"], xi["count"]))
+    return PhaseSpaceGrid(grid, symmetric_xi_grid(**xi))
 
 
 def _run_transform(p: dict) -> tuple[CsvTable, dict[str, CsvTable]]:
@@ -757,8 +741,9 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (WignerflowError, ValueError, OSError) as exc:  # OSError: an output cannot be written
-        print(f"error: {exc}", file=sys.stderr)
+    # OSError: an output cannot be written; MemoryError: a table too large for this host
+    except (WignerflowError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

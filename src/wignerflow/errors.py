@@ -37,6 +37,8 @@ class UnsupportedConfigurationError(WignerflowError):
     """The requested quantity is not defined for this configuration."""
 
 
+# the largest count, and so grid index, that still converts to a float exactly
+_MAX_COUNT = f"<= {2**53}"
 _OPERATORS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 

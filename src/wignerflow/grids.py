@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, check_counts, check_params
+from .errors import _MAX_COUNT, ConfigurationError, check_counts, check_params
 
 _REL_TOL = 1e-12
 
@@ -23,7 +23,7 @@ class Grid1D:
     def __post_init__(self) -> None:
         check_params(x_min=self.x_min)
         check_params("> 0", step=self.step)
-        check_counts(">= 2", count=self.count)
+        check_counts(">= 2", _MAX_COUNT, count=self.count)
 
     @property
     def x_max(self) -> float:
@@ -34,7 +34,7 @@ class Grid1D:
 
     @classmethod
     def from_span(cls, x_min: float, x_max: float, count: int) -> "Grid1D":
-        check_counts(">= 2", count=count)
+        check_counts(">= 2", _MAX_COUNT, count=count)
         if not x_max > x_min:
             raise ConfigurationError(f"need x_max > x_min, got [{x_min}, {x_max}]")
         return cls(x_min, (x_max - x_min) / (count - 1), count)
@@ -75,7 +75,7 @@ class PhaseSpaceGrid:
 
 def symmetric_xi_grid(xi_max: float, count: int) -> Grid1D:
     """xi grid with an odd node count centred exactly on 0."""
-    check_counts(">= 3", count=count)
+    check_counts(">= 3", _MAX_COUNT, count=count)
     if count % 2 == 0:
         raise ConfigurationError(f"symmetric xi grid needs an odd node count, got {count}")
     return Grid1D.symmetric(xi_max, count)
@@ -108,7 +108,7 @@ def natural_xi_grid(x_grid: Grid1D, hbar: float, count: int | None = None) -> Gr
     minimum = 2 * x_grid.count - 1
     if count is None:
         count = fast_odd_length(minimum)
-    check_counts(f">= {minimum}", count=count)
+    check_counts(f">= {minimum}", _MAX_COUNT, count=count)
     if count % 2 == 0:
         raise ConfigurationError(f"natural xi grid needs an odd count, got {count}")
     step = math.pi * hbar / (count * x_grid.step)

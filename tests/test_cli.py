@@ -941,3 +941,114 @@ def test_render_includes_out_path():
     cfg = RunConfig("verify", {}, "somewhere.csv")
     rendered = json.loads(cfg.render())
     assert rendered == {"command": "verify", "out": "somewhere.csv"}
+
+
+# Each state and drive kind's config keys: (its required keys with a JSON value, its canonical
+# form but kind, with every other key at its default).  A change to a constructor's signature
+# changes the CLI's keys too, and fails here.
+STATE_KEYS = {
+    "box": ({"R": 2}, {"R": 2.0}),
+    "gauss_general": ({"a1": 3}, {"a1": 3.0, "a2": 0.0, "b1": 0.0, "b2": 0.0, "c1": 0.0,
+                                  "c2": 0.0}),
+    "coherent": ({}, {"a": 0.0, "p0": 0.0}),
+    "hermite": ({"n": 3}, {"n": 3, "normalized": True}),
+    "free_gaussian": ({}, {"t": 0.0}),
+    "delta_bound": ({"gamma": -1}, {"gamma": -1.0}),
+    "soliton": ({"nu": -2}, {"nu": -2.0}),
+    "harmonic_eigen": ({"n": 2}, {"n": 2, "omega": 1.0, "normalized": True}),
+}
+DRIVE_KEYS = {
+    "constant": ({}, {"lambda": 0.0}),
+    "cosine": ({"b": 1, "Omega": 2}, {"lambda": 0.0, "b": 1.0, "Omega": 2.0}),
+    "tabulated": ({"times": [0, 1], "values": [1, -2]}, {"times": [0.0, 1.0],
+                                                          "values": [1.0, -2.0]}),
+}
+SCHEMA_CASES = ([("state", kind, *keys) for kind, keys in STATE_KEYS.items()]
+                + [("drive", kind, *keys) for kind, keys in DRIVE_KEYS.items()])
+
+
+def _schema_config(name: str, fields: dict) -> dict:
+    """A propagate config whose state or drive (name) is fields."""
+    cfg = json.loads((DATA / "propagate.json").read_text())
+    cfg[name] = fields
+    return cfg
+
+
+@pytest.mark.parametrize("name, kind, required, canonical", SCHEMA_CASES,
+                         ids=[case[1] for case in SCHEMA_CASES])
+def test_config_schema_of_each_state_and_drive_kind(name, kind, required, canonical):
+    given = {"kind": kind, **required}
+    parsed = cli.parse_config(json.dumps(_schema_config(name, given))).params[name]
+    # JSON text tells 1 from 1.0 and true from 1, so this compares the JSON types too
+    assert json.dumps(parsed, sort_keys=True) == json.dumps({"kind": kind, **canonical},
+                                                            sort_keys=True)
+    for key in required:
+        fields = {k: v for k, v in given.items() if k != key}
+        with pytest.raises(ConfigParseError) as err:
+            cli.parse_config(json.dumps(_schema_config(name, fields)))
+        assert str(err.value) == f"propagate.{name}.{key}: missing required key"
+    # hbar is the command's key, and a drive's lam is spelled lambda
+    for extra in ("bogus", "hbar" if name == "state" else "lam"):
+        with pytest.raises(ConfigParseError) as err:
+            cli.parse_config(json.dumps(_schema_config(name, {**given, extra: 1})))
+        assert str(err.value) == f"propagate.{name}.{extra}: unknown key"
+
+
+# (command, a change to its pinned config, the start of the one error line): each is a rule of
+# the object the CLI builds, or a count past 2**53, found when the config is parsed
+REJECTED_AT_PARSE = [
+    ("transform", {"grid": {"half_width": 8.0, "count": 10**400}},
+     "transform.grid.count: must be <= 9007199254740992, got 1000"),
+    ("transform", {"state": {"kind": "hermite", "n": 61}},
+     "transform.state: n must be an integer >= 0 and <= 60, got 61"),
+    ("transform", {"state": {"kind": "harmonic_eigen", "n": 70}},
+     "transform.state: n must be an integer >= 0 and <= 60, got 70"),
+    ("transform", {"state": {"kind": "box", "R": -1}},
+     "transform.state: R must be finite and > 0, got -1.0"),
+    ("transform", {"grid": {"x_min": -1e308, "x_max": 1e308}},
+     "transform.grid: step must be finite and > 0, got inf"),
+    ("transform", {"grid": {"x_min": 1.0, "x_max": -1.0}}, "transform.grid: need x_max > x_min"),
+    ("propagate", {"drive": {"b": 0.5, "Omega": 1e160}}, "propagate.drive: Omega^2"),
+    ("propagate", {"drive": {"kind": "tabulated", "times": [0.0, 2.0, 1.0], "values": [0, 1, 2]}},
+     "propagate.drive: tabulated drive needs finite samples, rising times"),
+    ("propagate", {"drive": {"kind": "tabulated", "times": [0.0], "values": [1.0]}},
+     "propagate.drive: tabulated drive needs matching 1-D arrays of length >= 2"),
+    ("propagate", {"xi": {"xi_max": 5.0, "count": 4}},
+     "propagate.xi: symmetric xi grid needs an odd node count, got 4"),
+    ("propagate", {"xi": {"xi_max": 5.0, "count": 10**400 + 1}},
+     "propagate.xi.count: must be <= 9007199254740992, got 1000"),
+    ("tunnel", {"t_steps": 2**63},
+     "tunnel.t_steps: must be <= 9007199254740992, got 9223372036854775808"),
+    ("eigen", {"sample_count": 2**63}, "eigen.sample_count: must be <= 9007199254740992"),
+    ("eigen", {"n_max": 10**400}, "eigen.n_max: must be <= 9007199254740992"),
+]
+
+
+@pytest.mark.parametrize("command, change, message", REJECTED_AT_PARSE)
+def test_object_rules_and_count_ceiling_are_parse_errors(command, change, message, tmp_path,
+                                                         capsys, monkeypatch):
+    cfg = {**json.loads((DATA / f"{command}.json").read_text()), **change}
+    with pytest.raises(ConfigParseError) as err:
+        cli.parse_config(json.dumps(cfg))
+    assert str(err.value).startswith(message)
+
+    def no_compute(_):
+        raise AssertionError("computed a config that does not parse")
+
+    monkeypatch.setattr(cli, "compute", no_compute)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main([command, "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"configuration error: {err.value}"]
+
+
+def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def too_large(_):
+        raise MemoryError("Unable to allocate 16.0 GiB for an array with shape (2147483649,)")
+
+    monkeypatch.setattr(cli, "compute", too_large)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TUNNEL_CFG, "t_steps": 2147483648}))
+    assert cli.main(["tunnel", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: Unable to allocate 16.0 GiB for an array with shape (2147483649,)"]

@@ -51,3 +51,16 @@ def test_fast_odd_length_is_seven_smooth():
             while n % p == 0:
                 n //= p
         assert n == 1
+
+
+@pytest.mark.parametrize("count", [10**400, 2**63], ids=["10**400", "2**63"])
+@pytest.mark.parametrize("build", [
+    lambda n: wf.Grid1D.from_span(-1.0, 1.0, n),
+    lambda n: wf.Grid1D(0.0, 1.0, n).x_max,
+    lambda n: wf.symmetric_xi_grid(5.0, n + 1),
+    lambda n: wf.natural_xi_grid(wf.Grid1D(0.0, 1.0, 3), 1.0, n + 1),
+], ids=["from_span", "x_max", "symmetric_xi_grid", "natural_xi_grid"])
+def test_a_count_past_2_to_the_53_is_a_configuration_error(build, count):
+    # past 2**53 a count no longer converts to a float exactly, and 10**400 not at all
+    with pytest.raises(ConfigurationError, match=rf"^count must be an integer .*<= {2**53}, got"):
+        build(count)
