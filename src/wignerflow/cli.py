@@ -221,6 +221,7 @@ _OBJECTS = {
     "drive": lambda p: _build(_DRIVES, p["drive"]),
     "grid": lambda p: Grid1D.from_span(**p["grid"]),
     "xi": lambda p: symmetric_xi_grid(**p["xi"]),
+    "n_max": lambda p: catalog.HarmonicEigen(p["n_max"], p["omega"], p["hbar"]),  # highest level
 }
 
 
@@ -253,6 +254,8 @@ def parse_config(text: str) -> RunConfig:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"config is not valid JSON: {exc}") from None
+    except ValueError as exc:  # an integer with more digits than Python converts
+        raise ConfigParseError(f"config: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigParseError("config: top level must be a JSON object")
     command = raw.get("command")

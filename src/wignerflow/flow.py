@@ -21,7 +21,8 @@ import numpy as np
 
 from .catalog import DeltaBound, HarmonicEigen
 from .errors import (
-    ConfigurationError, NumericalConsistencyError, check_params, finite_result, reject_nan
+    ConfigurationError, NumericalConsistencyError, all_finite, check_params, finite_result,
+    reject_nan,
 )
 from .grids import PhaseSpaceGrid
 from .transform import WignerField, _row_chunks
@@ -169,22 +170,24 @@ def _homogeneous(gamma: float, t, c, s):
     return a1, a2, -gamma * a2, a1
 
 
+def _is_e0(L) -> bool:
+    """Whether the log-scale L is _angle's float 0.0 of gamma >= 0, where e^0 keeps every bit."""
+    return type(L) is float and L == 0.0
+
+
 def _unscale(what: str, L, *mantissas):
     """mantissa * e^L, elementwise; NumericalConsistencyError naming what (the quantities the
     mantissas scale) if any element leaves the range."""
-    if type(L) is float and L == 0.0:  # _angle's L at gamma >= 0: e^0 keeps every bit
-        # arrays are copied, so a caller never holds a memoised flow's read-only array
-        values = tuple(m.copy() if isinstance(m, np.ndarray) else m for m in mantissas)
-    else:
+    if not _is_e0(L):
         half = np.exp(np.minimum(L, 2.0 * math.log(sys.float_info.max)) / 2.0)
         with np.errstate(over="ignore"):
             values = tuple(m * half * half for m in mantissas)
-    # arrays in one stacked check; scalars one at a time, which costs less than stacking them
-    if isinstance(values[0], np.ndarray):
-        finite = np.isfinite(values).all()
-    else:
-        finite = all(map(math.isfinite, values))
-    if not finite:
+    elif np.ndarray in map(type, mantissas):
+        # arrays are copied, so a caller never holds a memoised flow's read-only array
+        values = tuple(m.copy() if isinstance(m, np.ndarray) else m for m in mantissas)
+    else:  # scalars are immutable: e^0 returns them as they are
+        values = mantissas
+    if not all_finite(values):
         raise NumericalConsistencyError(
             f"{what} left the double range at scale e^{np.max(L):.6g}"
         )
@@ -292,10 +295,14 @@ def _scaled_flow(params: OscillatorParams, t):
 @np.errstate(over="ignore", invalid="ignore")  # a time too large shows as a non-finite value
 def _compute_flow(params: OscillatorParams, t: np.ndarray):
     """_scaled_flow without the memo."""
-    bad = t[~(np.isfinite(t) & (t >= 0.0))]
-    if bad.size:
-        raise ConfigurationError(f"flow time must be finite and non-negative, got {bad[0]}")
     t, gamma, drive = t[()], params.gamma, params.drive  # a float as a NumPy scalar, not 0-d
+    if isinstance(t, np.ndarray):
+        ok = all_finite(t) and bool((t >= 0.0).all())
+    else:  # a float time, without a NumPy call
+        ok = math.isfinite(t) and t >= 0.0
+    if not ok:
+        bad = np.extract(~(np.isfinite(t) & (t >= 0.0)), t)
+        raise ConfigurationError(f"flow time must be finite and non-negative, got {bad[0]}")
     c, s, L = _angle(gamma, t)
     a1, a2, b1, b2 = _homogeneous(gamma, t, c, s)
     if isinstance(drive, Tabulated):
@@ -306,7 +313,7 @@ def _compute_flow(params: OscillatorParams, t: np.ndarray):
         if isinstance(drive, Cosine):
             terms = zip((a3, b3, conv_q, conv_p), _cosine_terms(gamma, t, drive.Omega, c, s, L))
             a3, b3, conv_q, conv_p = (u + drive.b * v for u, v in terms)
-    if not np.isfinite((a1, a2, a3, b1, b2, b3, conv_q, conv_p)).all():
+    if not all_finite((a1, a2, a3, b1, b2, b3, conv_q, conv_p)):
         raise NumericalConsistencyError(f"flow at t up to {np.max(t):.6g} exceeds the double range")
     return L, (a1, a2, a3, b1, b2, b3), (conv_q, conv_p)
 

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CoherentGaussian
-from .errors import ConfigurationError, NumericalConsistencyError, reject_nan
+from .errors import ConfigurationError, NumericalConsistencyError, all_finite, reject_nan
 from .flow import (
     OscillatorParams,
+    _is_e0,
     _scaled_flow,
     _unscale,
     backward_map,
@@ -78,18 +79,23 @@ def _centre_and_width(a, p0, flow) -> tuple:
 def _check_spread(spread, v=0.0) -> None:
     """NumericalConsistencyError where the centre v or the spread pi hbar A is not a normal
     double: past the range the height would read 0, below it the profile a step or nan."""
-    if not (np.isfinite(v) & (spread >= _SPREAD_MIN) & (spread < np.inf)).all():
+    if isinstance(spread, np.ndarray):
+        normal = ((spread >= _SPREAD_MIN) & (spread < np.inf)).all()
+    else:  # a scalar: no NumPy call
+        normal = _SPREAD_MIN <= spread < math.inf
+    if not (normal and all_finite(v)):
         raise NumericalConsistencyError("the packet centre or width exceeds the double range")
 
 
-def _offset(x, decay, v):
-    """x e^{-L} - v', the scaled distance from the centre; an infinite x stays infinite
-    where e^{-L} underflows to 0 (inf * 0 would be nan), every finite x keeps its bits.
-    ConfigurationError at a nan x."""
+def _offset(x, L, v):
+    """x e^{-L} - v', the scaled distance from the centre, with invalid operations ignored by
+    the caller; an infinite x stays infinite where e^{-L} underflows to 0 (inf * 0 would be
+    nan), every finite x keeps its bits.  ConfigurationError at a nan x."""
     x = np.asarray(x, dtype=float)
     reject_nan("packet", x)
-    with np.errstate(invalid="ignore"):
-        return np.where(np.isinf(x), x, x * decay) - v
+    if _is_e0(L):
+        return x - v
+    return np.where(np.isinf(x), x, x * np.exp(-L)) - v
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a far packet centre gives a non-finite field
@@ -99,9 +105,11 @@ def _scaled_shape(packet: GaussianPacket, params: OscillatorParams, t) -> tuple[
     flow = _packet_flow(packet.hbar, params, t)
     L, (a1, a2, a3, b1, b2, b3), _ = flow
     v, A = _centre_and_width(packet.a, packet.p0, flow)
-    decay = np.exp(-L)
-    da = a3 - packet.a * decay
-    db = b3 - packet.p0 * decay
+    if _is_e0(L):
+        da, db = a3 - packet.a, b3 - packet.p0
+    else:
+        decay = np.exp(-L)
+        da, db = a3 - packet.a * decay, b3 - packet.p0 * decay
     return PacketShape(
         A=A,
         Bc0=2.0 * (a2 * da + b2 * db),
@@ -119,7 +127,9 @@ def packet_shape(packet: GaussianPacket, params: OscillatorParams, t) -> PacketS
     s, L = _scaled_shape(packet, params, t)
     fields = (s.A, s.Bc0, s.Bc1, s.Cc0, s.Cc1, s.Cc2)
     quadratic = _unscale("the packet's quadratic terms", 2.0 * L, *fields)
-    return PacketShape(*quadratic, *_unscale("the packet centre", L, s.v), t)
+    centre = _unscale("the packet centre", L, s.v)
+    # at e^0 the unscaled fields are s's own, which no memo holds
+    return s if _is_e0(L) else PacketShape(*quadratic, *centre, t)
 
 
 def density(packet: GaussianPacket, params: OscillatorParams, x, t):
@@ -129,13 +139,16 @@ def density(packet: GaussianPacket, params: OscillatorParams, x, t):
     e^{-L} exp(-(x e^{-L} - v')^2/(hbar A')) / sqrt(pi hbar A').
     """
     flow = _packet_flow(packet.hbar, params, t)
-    decay = np.exp(-flow[0])
-    h = packet.hbar
+    L, h = flow[0], packet.hbar
     # v and hbar A are checked; a far-off point's square is inf, its value 0
     with np.errstate(over="ignore", invalid="ignore"):
         v, A = _centre_and_width(packet.a, packet.p0, flow)
-        _check_spread(np.pi * h * A, v)
-        return np.exp(-(_offset(x, decay, v) ** 2) / (h * A)) * decay / np.sqrt(np.pi * h * A)
+        spread = np.pi * h * A
+        _check_spread(spread, v)
+        profile = np.exp(-(_offset(x, L, v) ** 2) / (h * A))
+        if not _is_e0(L):
+            profile = profile * np.exp(-L)
+        return profile / np.sqrt(spread)
 
 
 def wavefunction(packet: GaussianPacket, params: OscillatorParams, x, t: float):
@@ -155,10 +168,13 @@ def wavefunction(packet: GaussianPacket, params: OscillatorParams, x, t: float):
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, where |psi| is not 0
         spread = math.pi * h * s.A
         _check_spread(spread)
-        amplitude = spread**-0.25 * np.exp(-0.5 * L)
+        # the ufunc, not a NumPy scalar's own power, so a float time rounds as an array does
+        amplitude = np.power(spread, -0.25)
+        if not _is_e0(L):
+            amplitude = amplitude * np.exp(-0.5 * L)
         b_half = s.Bc1 * x / 2.0 + s.Bc0
         phase = -b_half * x / (2.0 * h * s.A)
-        envelope = np.exp(-(_offset(x, np.exp(-L), s.v) ** 2) / (2.0 * h * s.A))
+        envelope = np.exp(-(_offset(x, L, s.v) ** 2) / (2.0 * h * s.A))
     lost = ~np.isfinite(phase)
     if (lost & (amplitude * envelope != 0.0)).any():
         raise NumericalConsistencyError(

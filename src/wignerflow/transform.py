@@ -120,21 +120,28 @@ def _direct_sum(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> np.ndarray:
     """Complex transform values at any xi nodes, before the realness check.
 
     nu[k, j] = psi(x_k + j d) conj(psi(x_k - j d)) is a lag window times its
-    reversed conjugate, summed against the kernel e^{-i j dy xi}.
+    reversed conjugate, summed against the kernel e^{-i j dy xi}.  The kernel is formed
+    from its rows j >= 0 alone, as cos(theta) - i sin(theta) of theta = j dy xi, which is
+    the complex exp of real part 0; lag -j has exactly the angles -theta, so its row is
+    their conjugate.
     """
     n = wave.grid.count
     m = 2 * n - 1
     dy = 2.0 * wave.grid.step / wave.hbar
     windows = _lag_windows(wave)
     m_out = ps_grid.xi_grid.count
-    j = np.arange(-(n - 1), n)
-    kernel = np.exp(-1j * np.outer(j * dy, ps_grid.xi_grid.nodes()))  # (m, n_xi)
+    theta = np.outer(np.arange(n) * dy, ps_grid.xi_grid.nodes())
+    kernel = np.empty((m, m_out), dtype=complex)  # rows j = -(n-1)..(n-1)
+    np.cos(theta, out=kernel.real[n - 1 :])
+    np.negative(np.sin(theta, out=theta), out=kernel.imag[n - 1 :])
+    np.conjugate(kernel[: n - 1 : -1], out=kernel[: n - 1])
 
     out = np.empty(ps_grid.shape, dtype=complex)
     for sl in _row_chunks(n, 16 * max(m, m_out)):
         win = windows[sl]
         nu = win * np.conj(win[:, ::-1])
-        out[sl] = nu @ kernel * (dy / (2.0 * math.pi))
+        np.matmul(nu, kernel, out=out[sl])
+        out[sl] *= dy / (2.0 * math.pi)
     return out
 
 

@@ -1021,6 +1021,7 @@ REJECTED_AT_PARSE = [
      "tunnel.t_steps: must be <= 9007199254740992, got 9223372036854775808"),
     ("eigen", {"sample_count": 2**63}, "eigen.sample_count: must be <= 9007199254740992"),
     ("eigen", {"n_max": 10**400}, "eigen.n_max: must be <= 9007199254740992"),
+    ("eigen", {"n_max": 61}, "eigen.n_max: n must be an integer >= 0 and <= 60, got 61"),
 ]
 
 
@@ -1040,6 +1041,18 @@ def test_object_rules_and_count_ceiling_are_parse_errors(command, change, messag
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main([command, "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"configuration error: {err.value}"]
+
+
+def test_an_integer_past_the_digit_limit_is_a_configuration_error(tmp_path, capsys):
+    # json.loads (and json.dumps) raise a plain ValueError past Python's integer-string limit
+    cfg = json.dumps({**TUNNEL_CFG, "t_steps": "@"}).replace('"@"', "1" * 5001)
+    with pytest.raises(ConfigParseError, match=r"^config: .*digits"):
+        cli.parse_config(cfg)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg)
+    assert cli.main(["tunnel", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: config: ")
 
 
 def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch):

@@ -11,7 +11,10 @@ import scipy.integrate
 
 import wignerflow as wf
 from wignerflow import flow, transform
-from wignerflow.errors import ConfigurationError, NumericalConsistencyError
+from wignerflow.errors import (
+    ConfigurationError, NumericalConsistencyError, all_finite, finite_result
+)
+from wignerflow.gaussian import _SPREAD_MIN, _check_spread
 
 COEFF_NAMES = ("a1", "a2", "a3", "b1", "b2", "b3")
 
@@ -709,6 +712,31 @@ def test_unscale_raises_when_a_mantissa_leaves_the_range(L, big, shape):
                                match=r"^flow coefficients left the double range at scale e\^"):
                 flow._unscale("flow coefficients", L, *mantissas)
         assert all(np.isfinite(v).all() for v in flow._unscale("flow coefficients", L, ok, ok))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_finiteness_rule_of_scalars_tuples_and_arrays(bad):
+    ok = [0.5, np.float64(-2.0), 3, (0.5, np.float64(1e300)), np.arange(4.0), np.array(2.0),
+          (np.zeros((2, 3)), np.ones((2, 3))), (np.array(1.0), 1.5), ()]
+    bad_values = [bad, np.float64(bad), (0.5, bad), (np.float64(bad), 0.5), np.array([0.0, bad]),
+                  np.array(bad), (np.zeros(2), np.array([1.0, bad])), (np.array(1.0), bad)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in ok:
+            assert all_finite(value) is True
+            assert finite_result("the value", value) is value
+        for value in bad_values:
+            assert all_finite(value) is False
+            with pytest.raises(NumericalConsistencyError, match="^the value exceeds the double"):
+                finite_result("the value", value)
+        # the packet spread: normal and finite, a scalar as an array
+        for spread in (_SPREAD_MIN, 1.0, 1e308):
+            for form in (np.float64, np.array, lambda s: np.full(3, s)):
+                _check_spread(form(spread), form(0.5))
+        for spread, v in ((bad, 0.5), (0.5 * _SPREAD_MIN, 0.5), (0.0, 0.5), (1.0, bad)):
+            for form in (np.float64, lambda s: np.full(3, s)):
+                with pytest.raises(NumericalConsistencyError, match="centre or width"):
+                    _check_spread(form(spread), form(v))
 
 
 def test_unscale_at_e0_returns_array_mantissas_as_writable_copies():

@@ -58,7 +58,13 @@ def test_scaled_flow_on_an_array_equals_per_time_calls(gamma, name):
             np.testing.assert_array_equal(bits(values).ravel(), bits(flat_values))
 
 
-@pytest.mark.parametrize("gamma, name", CASES)
+# the flat potential, both signs of its zero: the flow's scale is e^0 there
+E0_CASES = [(gamma, name) for gamma in (0.0, -0.0) for name in drives(gamma)]
+# points of a density or wavefunction, the infinite ones included
+XS = np.array([-np.inf, -3.0, -0.5, 0.0, 0.7, 2.5, np.inf])
+
+
+@pytest.mark.parametrize("gamma, name", CASES + E0_CASES)
 def test_packet_shape_on_an_array_equals_per_time_calls(gamma, name):
     packet = wf.GaussianPacket(-0.7, 0.4, 0.9)
     params = wf.OscillatorParams(gamma, drives(gamma)[name], packet.hbar)
@@ -70,6 +76,12 @@ def test_packet_shape_on_an_array_equals_per_time_calls(gamma, name):
         wf.expectation_position(packet, params, TIMES),
         [wf.expectation_position(packet, params, float(t)) for t in TIMES],
     )
+    # density and wavefunction on a (T, 1) time axis against x: row k is time k's call
+    for observable in (wf.density, wf.wavefunction):
+        rows = observable(packet, params, XS, TIMES[:, None])
+        assert rows.shape == (TIMES.size, XS.size)
+        per_time = [observable(packet, params, XS, float(t)) for t in TIMES]
+        np.testing.assert_array_equal(rows.view(np.uint64), np.array(per_time).view(np.uint64))
 
 
 @pytest.mark.parametrize("name", list(drives(GAMMAS[1])))
