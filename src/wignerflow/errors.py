@@ -84,6 +84,14 @@ def all_finite(value) -> bool:
     return math.isfinite(value)
 
 
+def all_at_least(value, low: float) -> bool:
+    """Whether every number in value (a real scalar or array) is finite and at least low, by
+    all_finite's rule: a scalar by comparison alone, an array by one NumPy reduction."""
+    if isinstance(value, np.ndarray):
+        return bool(((value >= low) & (value < np.inf)).all())
+    return bool(low <= value < math.inf)
+
+
 def finite_result(what: str, value):
     """value (a float, an array or a tuple of either), or NumericalConsistencyError naming what
     where any of it is not finite: the one rule for a result past the double range."""

@@ -21,8 +21,8 @@ import numpy as np
 
 from .catalog import DeltaBound, HarmonicEigen
 from .errors import (
-    ConfigurationError, NumericalConsistencyError, all_finite, check_params, finite_result,
-    reject_nan,
+    ConfigurationError, NumericalConsistencyError, all_at_least, all_finite, check_params,
+    finite_result, reject_nan,
 )
 from .grids import PhaseSpaceGrid
 from .transform import WignerField, _row_chunks
@@ -187,6 +187,12 @@ def _unscale(what: str, L, *mantissas):
         values = tuple(m.copy() if isinstance(m, np.ndarray) else m for m in mantissas)
     else:  # scalars are immutable: e^0 returns them as they are
         values = mantissas
+    return _in_range(what, L, values)
+
+
+def _in_range(what: str, L, values):
+    """values, or NumericalConsistencyError naming what (the quantities they scale) if any
+    element of them, unscaled by e^L, left the range."""
     if not all_finite(values):
         raise NumericalConsistencyError(
             f"{what} left the double range at scale e^{np.max(L):.6g}"
@@ -296,11 +302,7 @@ def _scaled_flow(params: OscillatorParams, t):
 def _compute_flow(params: OscillatorParams, t: np.ndarray):
     """_scaled_flow without the memo."""
     t, gamma, drive = t[()], params.gamma, params.drive  # a float as a NumPy scalar, not 0-d
-    if isinstance(t, np.ndarray):
-        ok = all_finite(t) and bool((t >= 0.0).all())
-    else:  # a float time, without a NumPy call
-        ok = math.isfinite(t) and t >= 0.0
-    if not ok:
+    if not all_at_least(t, 0.0):
         bad = np.extract(~(np.isfinite(t) & (t >= 0.0)), t)
         raise ConfigurationError(f"flow time must be finite and non-negative, got {bad[0]}")
     c, s, L = _angle(gamma, t)

@@ -20,9 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CoherentGaussian
-from .errors import ConfigurationError, NumericalConsistencyError, all_finite, reject_nan
+from .errors import (
+    ConfigurationError, NumericalConsistencyError, all_at_least, all_finite, reject_nan
+)
 from .flow import (
     OscillatorParams,
+    _in_range,
     _is_e0,
     _scaled_flow,
     _unscale,
@@ -79,11 +82,7 @@ def _centre_and_width(a, p0, flow) -> tuple:
 def _check_spread(spread, v=0.0) -> None:
     """NumericalConsistencyError where the centre v or the spread pi hbar A is not a normal
     double: past the range the height would read 0, below it the profile a step or nan."""
-    if isinstance(spread, np.ndarray):
-        normal = ((spread >= _SPREAD_MIN) & (spread < np.inf)).all()
-    else:  # a scalar: no NumPy call
-        normal = _SPREAD_MIN <= spread < math.inf
-    if not (normal and all_finite(v)):
+    if not (all_at_least(spread, _SPREAD_MIN) and all_finite(v)):
         raise NumericalConsistencyError("the packet centre or width exceeds the double range")
 
 
@@ -126,10 +125,12 @@ def packet_shape(packet: GaussianPacket, params: OscillatorParams, t) -> PacketS
     """Shape at a float or an array of times; NumericalConsistencyError past the double range."""
     s, L = _scaled_shape(packet, params, t)
     fields = (s.A, s.Bc0, s.Bc1, s.Cc0, s.Cc1, s.Cc2)
+    if _is_e0(L):  # e^0 keeps every bit: s, whose fields no memo holds, is the shape
+        _in_range("the packet's quadratic terms", L, fields)
+        _in_range("the packet centre", L, s.v)
+        return s
     quadratic = _unscale("the packet's quadratic terms", 2.0 * L, *fields)
-    centre = _unscale("the packet centre", L, s.v)
-    # at e^0 the unscaled fields are s's own, which no memo holds
-    return s if _is_e0(L) else PacketShape(*quadratic, *centre, t)
+    return PacketShape(*quadratic, *_unscale("the packet centre", L, s.v), t)
 
 
 def density(packet: GaussianPacket, params: OscillatorParams, x, t):
@@ -169,9 +170,7 @@ def wavefunction(packet: GaussianPacket, params: OscillatorParams, x, t: float):
         spread = math.pi * h * s.A
         _check_spread(spread)
         # the ufunc, not a NumPy scalar's own power, so a float time rounds as an array does
-        amplitude = np.power(spread, -0.25)
-        if not _is_e0(L):
-            amplitude = amplitude * np.exp(-0.5 * L)
+        amplitude = np.power(spread, -0.25) * np.exp(-0.5 * L)
         b_half = s.Bc1 * x / 2.0 + s.Bc0
         phase = -b_half * x / (2.0 * h * s.A)
         envelope = np.exp(-(_offset(x, L, s.v) ** 2) / (2.0 * h * s.A))

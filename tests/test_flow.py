@@ -12,7 +12,7 @@ import scipy.integrate
 import wignerflow as wf
 from wignerflow import flow, transform
 from wignerflow.errors import (
-    ConfigurationError, NumericalConsistencyError, all_finite, finite_result
+    ConfigurationError, NumericalConsistencyError, all_at_least, all_finite, finite_result
 )
 from wignerflow.gaussian import _SPREAD_MIN, _check_spread
 
@@ -729,6 +729,14 @@ def test_finiteness_rule_of_scalars_tuples_and_arrays(bad):
             assert all_finite(value) is False
             with pytest.raises(NumericalConsistencyError, match="^the value exceeds the double"):
                 finite_result("the value", value)
+        # with a lower bound (a flow time, a packet spread): finite and at least low
+        for low in (0.0, _SPREAD_MIN):
+            for value in (low, np.float64(low), 1e308, np.array(low), np.array([low, 1.0])):
+                assert all_at_least(value, low) is True
+            below = np.nextafter(low, -1.0)
+            for value in (bad, np.float64(bad), below, np.array(below), np.array([1.0, bad])):
+                assert all_at_least(value, low) is False
+        assert all_at_least(-0.0, 0.0) is True and all_at_least(np.float64(-0.0), 0.0) is True
         # the packet spread: normal and finite, a scalar as an array
         for spread in (_SPREAD_MIN, 1.0, 1e308):
             for form in (np.float64, np.array, lambda s: np.full(3, s)):
