@@ -86,7 +86,7 @@ def drive_value(drive: DrivePolicy, t):
     if not np.isfinite(t).all():
         raise ConfigurationError("drive time must be finite")
     if isinstance(drive, Constant):
-        return np.full_like(t, drive.lam)
+        return np.full_like(t, drive.lam)[()]  # a NumPy scalar at a float time, as below
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         if isinstance(drive, Cosine):
             q = drive.lam + drive.b * np.cos(drive.Omega * t)

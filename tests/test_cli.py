@@ -536,7 +536,7 @@ def test_product_axes_render_like_their_expanded_columns(tmp_path, monkeypatch, 
     _assert_written_like(table, _row_by_row_text(_expanded(table)), tmp_path, monkeypatch, capsys)
 
 
-@pytest.mark.parametrize("cell", ["a,b", "a\nb", "a\rb", "a\x0cb", "a\u2028b", "a\x85"])
+@pytest.mark.parametrize("cell", ["a,b", "a\nb", "a\rb", "a\x0cb", "a\u2028b", "a\x85", "a\0b"])
 def test_csv_rejects_a_comma_or_line_break_in_a_text_cell(cell, tmp_path):
     table = CsvTable(("name", "value"), [["ok", cell], [1.0, 2.0]])
     with pytest.raises(ConfigurationError, match="text cell"):
@@ -810,7 +810,6 @@ def test_golden_check_matches_the_full_parse_reference(config, tmp_path, monkeyp
     ([["1", "2.5", "1e5", "inf"], [1, 2, 3, 4]], "label,v\n1,1\n2.5,2\n1e5,3.0\ninf,4\n"),
     ([["1", "2.5", "1e5", "inf"], [1, 2, 3, 4]], "label,v\n1,1\n2.5,2\nx,3\ninf,4\n"),
     ([["1", "a", "1e5"], [1, 2, 3]], "label,v\n1,1\n2.5,2\n1e5,3\n"),
-    ([["a\0b", "1"], [1, 2]], "label,v\nab,1\n1,2\n"),  # rendering drops NUL; the check does not
 ])
 def test_golden_check_of_special_fresh_cells_matches_the_reference(
         fresh_columns, golden, tmp_path, monkeypatch):
@@ -818,20 +817,24 @@ def test_golden_check_of_special_fresh_cells_matches_the_reference(
     table = CsvTable(header, fresh_columns)
     monkeypatch.setattr(cli, "compute", lambda _: (table, {}))
     cfg = RunConfig("verify", {})
-    for text in (golden, table.to_text()):
+    rendered = table.to_text()
+    for text in (golden, rendered):
         path = tmp_path / "golden.csv"
         path.write_text(text)
-        assert cli.verify_golden(cfg, path) == _full_parse_report(cfg, path)
+        if text == rendered:  # the fresh rendering passes on its bytes
+            assert cli.verify_golden(cfg, path) == cli.GoldenReport(True, False, [])
+        else:
+            assert cli.verify_golden(cfg, path) == _full_parse_report(cfg, path)
 
 
-def test_golden_equal_to_the_rendering_still_mismatches_inf(tmp_path, monkeypatch):
-    table = CsvTable(("v",), [[1.0, np.inf, np.nan]])
+@pytest.mark.parametrize("columns", [[[1.0, np.inf, np.nan]], [["1", "2.5", "-0"]]])
+def test_golden_equal_to_the_rendering_passes_on_its_bytes(columns, tmp_path, monkeypatch):
+    # inf, and text labels that all read as numbers, would mismatch once parsed
+    table = CsvTable(("v",), columns)
     monkeypatch.setattr(cli, "compute", lambda _: (table, {}))
     path = tmp_path / "golden.csv"
     table.write(path)
-    report = cli.verify_golden(RunConfig("verify", {}), path)
-    assert report.messages == ["row 1, column v: got inf, golden inf"]
-    assert not report.ok and not report.structural
+    assert cli.verify_golden(RunConfig("verify", {}), path) == cli.GoldenReport(True, False, [])
 
 
 def test_bad_golden_layout_is_reported_even_where_compute_raises(tmp_path, monkeypatch):
@@ -855,11 +858,12 @@ def test_bad_golden_layout_is_reported_even_where_compute_raises(tmp_path, monke
 
 @pytest.mark.parametrize("config", sorted(p.name for p in DATA.glob("*.json")))
 def test_matched_golden_is_never_parsed(config, monkeypatch):
-    calls = []
-    parse = cli._parse_column
+    calls, reads = [], []
+    parse, read = cli._parse_column, cli.read_csv_table
     monkeypatch.setattr(cli, "_parse_column", lambda cells: calls.append(cells) or parse(cells))
+    monkeypatch.setattr(cli, "read_csv_table", lambda path: reads.append(path) or read(path))
     report = cli.verify_golden(cli.load_config(DATA / config), DATA / config.replace(".json", ".csv"))
-    assert report.ok and calls == []
+    assert report.ok and calls == [] and reads == []
 
 
 def test_golden_check_peak_memory_is_bounded_by_the_file_and_the_columns(tmp_path):
@@ -877,6 +881,29 @@ def test_golden_check_peak_memory_is_bounded_by_the_file_and_the_columns(tmp_pat
         tracemalloc.stop()
     assert report.ok
     assert peak <= golden.stat().st_size + 4 * column_bytes
+
+
+@pytest.mark.parametrize("flags", [["--out", "o.csv"], ["--emit-plot"],
+                                   ["--out", "o.csv", "--emit-plot"]])
+def test_golden_with_an_output_flag_is_one_config_error(flags, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["tunnel", "--config", str(DATA / "tunnel.json"), "--golden", str(DATA / "tunnel.csv")]
+    assert cli.main(argv + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("configuration error: --golden ")
+    assert list(tmp_path.iterdir()) == []  # nothing written
+
+
+@pytest.mark.parametrize("name", ["missing.csv", "directory"])
+def test_golden_path_that_is_not_a_file_is_structural(name, tmp_path, capsys):
+    (tmp_path / "directory").mkdir()
+    golden = tmp_path / name
+    cfg = cli.load_config(DATA / "tunnel.json")
+    message = f"golden file not found: {golden}"
+    assert cli.verify_golden(cfg, golden) == cli.GoldenReport(False, True, [message])
+    assert cli.main(["tunnel", "--config", str(DATA / "tunnel.json"), "--golden", str(golden)]) == 2
+    assert capsys.readouterr().err == message + "\n"
 
 
 def test_main_exit_codes(tmp_path):

@@ -694,6 +694,17 @@ def test_drive_value_rejects_a_time_that_is_not_finite(drive):
             wf.drive_value(drive, t)
 
 
+@pytest.mark.parametrize("drive", [wf.Constant(1.0), wf.Constant(-0.0), wf.Cosine(0.1, 0.5, 2.0),
+                                   wf.Tabulated([0.0, 1.0], [0.0, 1.0])])
+def test_drive_value_at_a_float_time_is_a_numpy_scalar_of_the_array_call(drive):
+    times = np.array([0.0, 0.25, 0.7, 1.5])
+    values = wf.drive_value(drive, times)
+    for i, t in enumerate(times.tolist()):
+        q = wf.drive_value(drive, t)
+        assert type(q) is np.float64, (drive, t, type(q))
+        assert q.tobytes() == values[i].tobytes()
+
+
 # e^0 (the Python float 0.0 that gamma >= 0 flows carry) and a scale, with NumPy-scalar
 # (shape None) and array mantissas; 1e300 * e^100 leaves the range on the scaled path
 @pytest.mark.parametrize("L, big, shape", [
