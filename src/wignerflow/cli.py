@@ -351,11 +351,13 @@ class CsvTable:
         for start in range(0, n_rows, _BLOCK_ROWS):
             rows = slice(start, min(start + _BLOCK_ROWS, n_rows))
             part = block[: rows.stop - start]
+            r = np.arange(rows.start, rows.stop)
             for (values, index), end, at, stop in zip(sources, ends, slots, slots[1:]):
                 if index is None:
                     write_g17(values[rows], part[:, at:stop])
                 else:
-                    part[:, at:stop] = values.take(index.flat[rows], axis=0)
+                    cells = sum(r // inner % count * stride for inner, count, stride in index)
+                    part[:, at:stop] = values.take(cells, axis=0)
                 part[:, stop - 1] |= end
             yield part.tobytes().translate(None, b"\0")
 
@@ -373,11 +375,12 @@ class CsvTable:
             out.writelines(blocks)
 
 
-def _cell_source(col: np.ndarray, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray | None]:
-    """(values, index): row r of a table of `shape` reads row index.flat[r] of values, the
-    text of one of the column's own cells in whole uint64 words, NUL-padded, its last byte
-    free for the separator.  A float column with a cell per row has index None and values
-    its floats, which are formatted a block at a time."""
+def _cell_source(col: np.ndarray, shape: tuple[int, ...]) -> tuple[np.ndarray, list | None]:
+    """(values, index): row r of a table of `shape` reads row sum((r // inner % count) * stride)
+    of values over the (inner, count, stride) of index, one for each axis the column spans;
+    that row is the text of one of the column's own cells in whole uint64 words, NUL-padded,
+    its last byte free for the separator.  A float column with a cell per row has index None
+    and values its floats, which are formatted a block at a time."""
     if col.dtype.kind == "f":
         cells = col.astype(np.float64, copy=False).ravel()
         if col.size == math.prod(shape):
@@ -395,7 +398,11 @@ def _cell_source(col: np.ndarray, shape: tuple[int, ...]) -> tuple[np.ndarray, n
         cells = [t.encode("utf-8") for t in texts]
         width = 8 * (max(map(len, cells), default=0) // 8 + 1)
         values = np.array(cells, f"S{width}").view("<u8").reshape(len(cells), width // 8)
-    return values, np.broadcast_to(np.arange(col.size).reshape(col.shape), shape)
+    # the column's axes sit on the table's last ones; a row's coordinate on a table axis is
+    # r // inner % count, and the cell's C-order index steps by stride along it
+    lead = len(shape) - col.ndim
+    return values, [(math.prod(shape[lead + axis + 1 :]), count, math.prod(col.shape[axis + 1 :]))
+                    for axis, count in enumerate(col.shape) if count > 1]
 
 
 def _parse_column(cells: list[str]) -> np.ndarray:
@@ -688,6 +695,8 @@ def main(argv=None) -> int:
                 f"{args.command!r} subcommand was invoked"
             )
         if args.golden is not None:
+            if config.output_path is not None:
+                raise ConfigParseError("--golden writes nothing: give it a config without 'out'")
             report = verify_golden(config, args.golden)
             for message in report.messages:
                 print(message, file=sys.stderr)

@@ -12,7 +12,7 @@ grid and a rectangle rule in every quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .errors import (
     IndeterminateResultError,
     NotInvertibleError,
     NumericalConsistencyError,
+    all_finite,
     check_params,
     finite_result,
 )
@@ -60,21 +61,33 @@ class WaveSample:
 
 @dataclass(frozen=True)
 class WignerField:
-    """Real phase-space function sampled on a rectangular (x, xi) grid."""
+    """Real phase-space function sampled on a rectangular (x, xi) grid.
+
+    values is a read-only view, and the sum of each of its rows is taken once, when the
+    field is built: the finiteness check and every position marginal read those sums.  The
+    transform passes the row sums it has already checked as _row_sums.
+    """
 
     grid: PhaseSpaceGrid
     values: np.ndarray
     hbar: float
+    _row_sums: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
+    def __post_init__(self, _row_sums: np.ndarray | None) -> None:
+        v = np.asarray(self.values, dtype=float).view()
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
         if v.shape != self.grid.shape:
             raise ConfigurationError(f"field shape {v.shape} != grid shape {self.grid.shape}")
         check_params("> 0", hbar=self.hbar)
-        # min and max propagate nan and reach any inf, with no N x M temporary
-        if not (math.isfinite(v.min()) and math.isfinite(v.max())):
-            raise ConfigurationError("field values must be finite")
+        if _row_sums is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                _row_sums = v.sum(axis=1)
+            # a finite row sum proves its row finite; where a sum is not, min and max
+            # (which propagate nan and reach any inf) tell a non-finite value from an overflow
+            if not (all_finite(_row_sums) or math.isfinite(v.min()) and math.isfinite(v.max())):
+                raise ConfigurationError("field values must be finite")
+        object.__setattr__(self, "_row_sums", _row_sums)
 
 
 def sample_state(psi, grid: Grid1D, hbar: float) -> WaveSample:
@@ -150,7 +163,7 @@ def _half_spectrum(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> np.ndarray:
 
     nu[k, -j] = conj(nu[k, j]), so with xi_l = (l - c) dxi, c = (M - 1)/2 and
     dxi dy = 2 pi/M, row k is the Hermitian FFT of a_j = nu[k, j] e^{2 pi i j c/M}:
-    hfft(a, M)[l] = irfft(conj(a), M, norm="forward")[l], copied into the output.
+    hfft(a, M)[l] = irfft(conj(a), M, norm="forward")[l], written in place into the output.
     """
     n = wave.grid.count
     m = ps_grid.xi_grid.count
@@ -170,7 +183,7 @@ def _half_spectrum(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> np.ndarray:
         np.conjugate(windows[sl, n - 1 :], out=conj_a)  # conj psi(x_k + j d), j = 0..n-1
         conj_a *= windows[sl, n - 1 :: -1]  # times psi(x_k - j d)
         conj_a *= weights
-        out[sl] = np.fft.irfft(conj_a, n=m, axis=1, norm="forward")
+        np.fft.irfft(conj_a, n=m, axis=1, norm="forward", out=out[sl])
     return out
 
 
@@ -191,8 +204,15 @@ def wigner_transform(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> WignerField:
     _check_sample(wave, ps_grid)
     natural = is_natural_xi_grid(wave.grid, wave.hbar, ps_grid.xi_grid)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan in a row: its sum raises
-        values = _half_spectrum(wave, ps_grid) if natural else _direct_sum(wave, ps_grid)
-        marginal = finite_result("the transform", ps_grid.xi_grid.step * values.sum(axis=1))
+        if natural:
+            values = _half_spectrum(wave, ps_grid)
+        else:
+            spectrum = _direct_sum(wave, ps_grid)
+            values = np.ascontiguousarray(spectrum.real)
+            # max propagates a nan, which would pass the residue bound below
+            residue = finite_result("the transform", float(np.max(np.abs(spectrum.imag))))
+        row_sums = values.sum(axis=1)  # checked here, kept by the field
+        marginal = finite_result("the transform", ps_grid.xi_grid.step * row_sums)
     if natural:
         density = np.abs(wave.values) ** 2
         gap = float(np.max(np.abs(marginal - density)))
@@ -201,21 +221,19 @@ def wigner_transform(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> WignerField:
                 f"position marginal misses |psi|^2 by {gap:.3e} (limit {tol.IM_TOL:.1e} "
                 "of max|psi|^2)"
             )
-        return WignerField(ps_grid, values, wave.hbar)
-
-    residue = float(np.max(np.abs(values.imag)))
-    peak = float(np.max(np.abs(values.real)))
-    if residue > tol.IM_TOL * max(1.0, peak):
-        raise NumericalConsistencyError(
-            f"imaginary residue {residue:.3e} exceeds {tol.IM_TOL:.1e}"
-        )
-    return WignerField(ps_grid, np.ascontiguousarray(values.real), wave.hbar)
+    else:
+        peak = float(np.max(np.abs(values)))
+        if residue > tol.IM_TOL * max(1.0, peak):
+            raise NumericalConsistencyError(
+                f"imaginary residue {residue:.3e} exceeds {tol.IM_TOL:.1e}"
+            )
+    return WignerField(ps_grid, values, wave.hbar, row_sums)
 
 
 def position_marginal(field: WignerField) -> np.ndarray:
     """Integral of W over xi; equals |psi(x)|^2 for transform outputs."""
     with np.errstate(over="ignore"):
-        marginal = field.grid.xi_grid.step * field.values.sum(axis=1)
+        marginal = field.grid.xi_grid.step * field._row_sums
     return finite_result("the position marginal", marginal)
 
 
@@ -312,14 +330,25 @@ def _lattice_phase_sums(field: WignerField, q: np.ndarray, rows_at) -> np.ndarra
     return field.grid.xi_grid.step * out
 
 
+def _rows(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """w[idx] for a run of consecutive indices, perhaps clipped at the edges: a view of the
+    rows unless clipping repeated an edge row, which only an index can."""
+    first = int(idx[0])
+    if int(idx[-1]) - first == idx.size - 1:
+        return w[first : first + idx.size]
+    return w[idx]
+
+
 def _anchor_products(field: WignerField, k_targets: np.ndarray, k_anchor: int) -> np.ndarray:
     """psi(x_k) * conj(psi(x_anchor)) for targets with (k + k_anchor) even.
 
     Rectangle quadrature of the reconstruction integral; exact on the
-    natural frequency lattice.
+    natural frequency lattice.  The targets are every other node of a range, so their
+    midpoint rows are consecutive and are read as views.
     """
     mids = (k_targets + k_anchor) // 2
-    return _lattice_phase_sums(field, k_targets - k_anchor, lambda sl: field.values[mids[sl]])
+    return _lattice_phase_sums(field, k_targets - k_anchor,
+                               lambda sl: _rows(field.values, mids[sl]))
 
 
 def _half_row_products(field: WignerField, k_targets: np.ndarray, k_anchor: int) -> np.ndarray:
@@ -327,7 +356,7 @@ def _half_row_products(field: WignerField, k_targets: np.ndarray, k_anchor: int)
 
     Rows of W at half-step x are interpolated with a 4-point cubic; only used
     to estimate the single cross-parity phase, which enters fidelity at
-    second order.
+    second order.  Only the clipped edge rows of the interpolation are gathered by index.
     """
     w = field.values
     n = field.grid.x_grid.count
@@ -338,11 +367,11 @@ def _half_row_products(field: WignerField, k_targets: np.ndarray, k_anchor: int)
     c3 = np.clip(lo + 2, 0, n - 1)
 
     def rows_at(sl):
-        # (-w0 + 9 w1 + 9 w2 - w3)/16, built in place to hold at most three rows
-        rows = w[c1[sl]] + w[c2[sl]]
+        # (-w0 + 9 w1 + 9 w2 - w3)/16, built in place from views of the rows
+        rows = _rows(w, c1[sl]) + _rows(w, c2[sl])
         rows *= 9.0
-        rows -= w[c0[sl]]
-        rows -= w[c3[sl]]
+        rows -= _rows(w, c0[sl])
+        rows -= _rows(w, c3[sl])
         rows /= 16.0
         return rows
 

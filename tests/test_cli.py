@@ -884,15 +884,23 @@ def test_golden_check_peak_memory_is_bounded_by_the_file_and_the_columns(tmp_pat
 
 
 @pytest.mark.parametrize("flags", [["--out", "o.csv"], ["--emit-plot"],
-                                   ["--out", "o.csv", "--emit-plot"]])
+                                   ["--out", "o.csv", "--emit-plot"], []])
 def test_golden_with_an_output_flag_is_one_config_error(flags, tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    argv = ["tunnel", "--config", str(DATA / "tunnel.json"), "--golden", str(DATA / "tunnel.csv")]
+    config = DATA / "tunnel.json"
+    if not flags:  # the config's own "out" names the file instead
+        config = tmp_path / "config" / "tunnel.json"
+        config.parent.mkdir()
+        config.write_text(json.dumps({**json.loads((DATA / "tunnel.json").read_text()),
+                                      "out": "o.csv"}))
+    run = tmp_path / "run"
+    run.mkdir()
+    monkeypatch.chdir(run)
+    argv = ["tunnel", "--config", str(config), "--golden", str(DATA / "tunnel.csv")]
     assert cli.main(argv + flags) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert captured.err.startswith("configuration error: --golden ")
-    assert list(tmp_path.iterdir()) == []  # nothing written
+    assert list(run.iterdir()) == []  # nothing written
 
 
 @pytest.mark.parametrize("name", ["missing.csv", "directory"])

@@ -522,3 +522,127 @@ def test_a_transform_past_the_double_range_raises_without_a_warning(path):
     # a power-of-two amplitude near 1e150 scales every operation exactly
     big = wf.wigner_transform(wf.WaveSample(_SMALL, sample.values * 2.0**500, 1.0), ps)
     np.testing.assert_array_equal(big.values, wf.wigner_transform(sample, ps).values * 2.0**1000)
+
+
+# ---------------------------------------------------------------------------
+# row sums taken once, when a field is built
+# ---------------------------------------------------------------------------
+
+def _summed_marginal(field):
+    """The position marginal summed afresh from the field's values."""
+    return field.grid.xi_grid.step * np.asarray(field.values).sum(axis=1)
+
+
+def _gathered_anchor_products(field, k_targets, k_anchor):
+    """_anchor_products with its midpoint rows gathered by index."""
+    mids = (k_targets + k_anchor) // 2
+    return transform._lattice_phase_sums(field, k_targets - k_anchor,
+                                         lambda sl: field.values[mids[sl]])
+
+
+def _gathered_half_row_products(field, k_targets, k_anchor):
+    """_half_row_products with all four interpolation rows gathered by clipped index."""
+    w = field.values
+    n = field.grid.x_grid.count
+    lo = (k_targets + k_anchor - 1) // 2
+    taps = [np.clip(lo + shift, 0, n - 1) for shift in (-1, 0, 1, 2)]
+
+    def rows_at(sl):
+        c0, c1, c2, c3 = (w[c[sl]] for c in taps)
+        return (9.0 * (c1 + c2) - c0 - c3) / 16.0
+
+    return transform._lattice_phase_sums(field, k_targets - k_anchor, rows_at)
+
+
+@pytest.mark.parametrize("state_id", ["coherent", "gauss_general"])
+def test_stored_row_sums_give_the_summed_results_bit_for_bit(catalog_fields, state_id, monkeypatch):
+    _, _, ps, field = catalog_fields(state_id)
+    assert ps.shape == (1025, 2187)
+    marginal = wf.position_marginal(field)
+    assert marginal.tobytes() == _summed_marginal(field).tobytes()
+    recovered, info = wf.invert_wigner(field, with_info=True)
+    purity = wf.purity_separability_check(field)
+    # the same pipeline with every marginal summed afresh and every row gathered by index
+    monkeypatch.setattr(transform, "position_marginal", _summed_marginal)
+    monkeypatch.setattr(transform, "_anchor_products", _gathered_anchor_products)
+    monkeypatch.setattr(transform, "_half_row_products", _gathered_half_row_products)
+    reference, reference_info = wf.invert_wigner(field, with_info=True)
+    assert recovered.values.tobytes() == reference.values.tobytes()
+    assert info == reference_info
+    assert purity == wf.purity_separability_check(field)
+
+
+@pytest.mark.parametrize("anchor", [0, 1, 64, 127, 128])
+def test_row_views_equal_the_gathered_rows_up_to_the_clipped_edges(anchor):
+    grid = wf.Grid1D.symmetric(9.0, 129)
+    field = wf.wigner_transform(wf.sample_catalog_state(wf.CoherentGaussian(0.3, -0.4, 1.0), grid),
+                                wf.natural_grid(grid, 1.0))
+    k_all = np.arange(grid.count)
+    same, opp = k_all[(k_all + anchor) % 2 == 0], k_all[(k_all + anchor) % 2 == 1]
+    got = transform._anchor_products(field, same, anchor)
+    assert got.tobytes() == _gathered_anchor_products(field, same, anchor).tobytes()
+    got = transform._half_row_products(field, opp, anchor)
+    assert got.tobytes() == _gathered_half_row_products(field, opp, anchor).tobytes()
+
+
+def test_field_values_are_read_only(gaussian_field):
+    field = gaussian_field[3]
+    with pytest.raises(ValueError):
+        field.values[0, 0] = 1.0
+    source = np.zeros(field.grid.shape)
+    built = wf.WignerField(field.grid, source, field.hbar)
+    with pytest.raises(ValueError):
+        built.values += 1.0
+    source[0, 0] = 1.0  # the caller's own array stays writable
+    assert built.values[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("cells", [
+    {(3, 4): math.nan},
+    {(3, 4): math.inf},
+    {(0, 0): -math.inf},
+    {(5, 1): math.inf, (5, 2): -math.inf},  # a nan row sum from two infinities
+    {(2, 0): math.nan, (7, 7): 1e308, (7, 8): 1e308},  # beside a row whose sum overflows
+])
+def test_a_non_finite_field_value_is_a_configuration_error(cells):
+    ps = wf.natural_grid(wf.Grid1D.symmetric(4.0, 33), 1.0)
+    values = np.zeros(ps.shape)
+    for at, value in cells.items():
+        values[at] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="field values must be finite"):
+            wf.WignerField(ps, values, 1.0)
+
+
+def test_a_field_whose_row_sums_overflow_builds_and_its_marginal_raises():
+    ps = wf.natural_grid(wf.Grid1D.symmetric(3.0, 5), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        field = wf.WignerField(ps, np.full(ps.shape, 1e308), 1.0)
+        with pytest.raises(NumericalConsistencyError, match="position marginal exceeds"):
+            wf.position_marginal(field)
+
+
+def test_a_loud_catalog_wave_makes_the_transform_raise_without_a_warning(catalog_fields):
+    _, wave, ps, _ = catalog_fields("coherent")
+    loud = wf.WaveSample(wave.grid, wave.values * 1e154, wave.hbar)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalConsistencyError, match="the transform exceeds"):
+            wf.wigner_transform(loud, ps)
+
+
+def test_a_nan_imaginary_residue_of_the_direct_sum_raises(monkeypatch):
+    ps = _SMALL_GRIDS["direct"]
+    wave = wf.sample_catalog_state(wf.GaussGeneral(4.0), _SMALL)
+    exact = transform._direct_sum
+
+    def nan_residue(w, g):
+        spectrum = exact(w, g)
+        spectrum.imag[4, 7] = math.nan
+        return spectrum
+
+    monkeypatch.setattr(transform, "_direct_sum", nan_residue)
+    with pytest.raises(NumericalConsistencyError, match="the transform exceeds"):
+        wf.wigner_transform(wave, ps)
