@@ -19,6 +19,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from . import transform
 from .catalog import DeltaBound, HarmonicEigen
 from .errors import (
     ConfigurationError, NumericalConsistencyError, all_at_least, all_finite, check_params,
@@ -459,17 +460,23 @@ def _evaluate_transported(initial: InitialField, coeffs: FlowCoefficients, x_nod
     gather = _bilinear(initial) if isinstance(initial, WignerField) else None
     # backward_map's sums a1 x + a2 xi + a3, in its order, with the xi terms formed once
     a2_xi, b2_xi = coeffs.a2 * xi, coeffs.b2 * xi
-    # scratch per cell: the backward image and the bilinear gather's temporaries take about
-    # 50 bytes (65 with the last chunk's image); the rest is room for a closed-form evaluator
-    for rows in _row_chunks(out.shape[0], 128 * out.shape[1]):
+
+    def image(rows):
         big_x = np.add(coeffs.a1 * x[rows], a2_xi)
         big_x += coeffs.a3
         big_xi = np.add(coeffs.b1 * x[rows], b2_xi)
         big_xi += coeffs.b3
-        if gather is None:
-            out[rows] = initial(big_x, big_xi)
-        else:
-            gather(big_x, big_xi, out[rows])
+        return big_x, big_xi
+
+    # scratch per cell: the backward image and the bilinear gather's temporaries take about
+    # 50 bytes (65 with the last chunk's image), so 128 holds both shares; a closed-form
+    # evaluator gets it all and runs on the calling thread alone: it need not be thread-safe
+    chunks = _row_chunks(out.shape[0], 128 * out.shape[1])
+    if gather is None:
+        for rows in chunks:
+            out[rows] = initial(*image(rows))
+    else:
+        transform._each_chunk(chunks, lambda rows: gather(*image(rows), out[rows]))
     return out
 
 

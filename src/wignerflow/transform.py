@@ -11,7 +11,10 @@ grid and a rectangle rule in every quadrature.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -31,6 +34,9 @@ from .grids import Grid1D, PhaseSpaceGrid, is_natural_xi_grid
 
 _CHUNK_BYTES = 1 << 22  # scratch per chunk of rows; cache-sized chunks beat large ones
 _PURITY_NODES = 14  # marginal nodes purity_separability_check samples at most
+# threads that share a full-field row-chunk loop: two where the process may use two cores
+_SHARES = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -117,6 +123,34 @@ def _row_chunks(n_rows: int, row_bytes: int, fixed_bytes: int = 0) -> list[slice
     return [slice(k, min(k + rows, n_rows)) for k in range(0, n_rows, rows)]
 
 
+def _each_chunk(chunks: list[slice], work) -> None:
+    """work(sl) for every chunk: the calling thread runs the even chunks and, given two shares,
+    one helper thread the odd ones, in a copy of the caller's context (np.errstate is
+    context-local).  work writes disjoint rows, in scratch that fits _CHUNK_BYTES / _SHARES."""
+    if _SHARES < 2 or len(chunks) < 2:
+        for sl in chunks:
+            work(sl)
+        return
+    failure = []
+
+    def odd_share():
+        try:
+            for sl in chunks[1::2]:
+                work(sl)
+        except BaseException as exc:  # re-raised on the caller
+            failure.append(exc)
+
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(odd_share,))
+    helper.start()
+    try:
+        for sl in chunks[::2]:
+            work(sl)
+    finally:
+        helper.join()
+    if failure:
+        raise failure[0]
+
+
 def _lag_windows(wave: WaveSample) -> np.ndarray:
     """(n, 2n-1) view whose row k is psi(x_k + j d), j = -(n-1)..(n-1).
 
@@ -150,6 +184,7 @@ def _direct_sum(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> np.ndarray:
     np.conjugate(kernel[: n - 1 : -1], out=kernel[: n - 1])
 
     out = np.empty(ps_grid.shape, dtype=complex)
+    # sequential: the zgemm chunk shapes decide the bits, and OpenBLAS threads each product
     for sl in _row_chunks(n, 16 * max(m, m_out)):
         win = windows[sl]
         nu = win * np.conj(win[:, ::-1])
@@ -174,16 +209,17 @@ def _half_spectrum(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> np.ndarray:
     weights = np.exp(-2j * math.pi / m * (np.arange(n) * c % m)) * (dy / (2.0 * math.pi))
 
     out = np.empty(ps_grid.shape)
-    # per row: the complex lag products and the float row irfft returns;
-    # fixed: the zero padding behind the windows and the weights
-    chunks = _row_chunks(n, 16 * n + 8 * m, fixed_bytes=16 * (3 * n - 2) + weights.nbytes)
-    buf = np.empty((chunks[0].stop, n), dtype=complex)
-    for sl in chunks:
-        conj_a = buf[: sl.stop - sl.start]
-        np.conjugate(windows[sl, n - 1 :], out=conj_a)  # conj psi(x_k + j d), j = 0..n-1
+
+    def work(sl):
+        conj_a = np.conjugate(windows[sl, n - 1 :])  # conj psi(x_k + j d), j = 0..n-1
         conj_a *= windows[sl, n - 1 :: -1]  # times psi(x_k - j d)
         conj_a *= weights
         np.fft.irfft(conj_a, n=m, axis=1, norm="forward", out=out[sl])
+
+    # per row and share: the complex lag products and the float row irfft returns;
+    # fixed: the zero padding behind the windows and the weights
+    _each_chunk(_row_chunks(n, _SHARES * (16 * n + 8 * m),
+                            fixed_bytes=16 * (3 * n - 2) + weights.nbytes), work)
     return out
 
 
@@ -314,19 +350,21 @@ def _lattice_phase_sums(field: WignerField, q: np.ndarray, rows_at) -> np.ndarra
     index_type = np.dtype(np.int32 if span < 2**31 else np.int64)
     shift = np.arange(-c, m - c, dtype=index_type)
     out = np.empty(q.size, dtype=complex)
-    # per row at most 40 M bytes: the complex phases (16 M) and at most three float rows
-    # (24 M) while rows_at builds its rows; before that, the w-byte index with its reduction
-    # (3 w M) or with take's intp copy and the phases (at most 28 M)
-    chunks = _row_chunks(q.size, 40 * m, fixed_bytes=table.nbytes + shift.nbytes + out.nbytes)
-    buf = np.empty((chunks[0].stop, m), dtype=complex)
-    for sl in chunks:
+
+    def work(sl):
         idx = np.multiply.outer(q[sl].astype(index_type), shift)
         idx -= idx // (2 * m) * (2 * m)  # idx mod 2M, the same integers as np.remainder
         # idx lies in [0, 2M), so mode="clip" only skips the bounds check
-        phases = table.take(idx, out=buf[: sl.stop - sl.start], mode="clip")
+        phases = table.take(idx, mode="clip")
         del idx  # its room goes to rows_at
         phases *= rows_at(sl)
         out[sl] = phases.sum(axis=1)
+
+    # per row and share at most 40 M bytes: the complex phases (16 M) and at most three float
+    # rows (24 M) while rows_at builds its rows; before that, the w-byte index with its
+    # reduction (3 w M) or with take's intp copy and the phases (at most 28 M)
+    _each_chunk(_row_chunks(q.size, _SHARES * 40 * m,
+                            fixed_bytes=table.nbytes + shift.nbytes + out.nbytes), work)
     return field.grid.xi_grid.step * out
 
 

@@ -4,13 +4,14 @@ import hashlib
 import json
 import math
 import re
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wignerflow import cli
+from wignerflow import cli, transform
 from wignerflow._float_text import write_g17
 from wignerflow.cli import ConfigParseError, CsvTable, RunConfig
 from wignerflow.errors import ConfigurationError, NumericalConsistencyError
@@ -603,6 +604,31 @@ def test_full_size_tables_keep_their_bytes(command, tmp_path):
     out = tmp_path / f"{command}.csv"
     assert cli.main([command, "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", sorted(FULL_SIZE))
+def test_full_size_tables_start_no_thread(command, monkeypatch):
+    # these tables take the direct sum and the closed-form transport, which stay sequential
+    # even where two shares are usable
+    monkeypatch.setattr(transform, "_SHARES", 2)
+    counts, threads, started = [], set(), []
+    each_chunk = transform._each_chunk
+
+    def spied(chunks, work):
+        counts.append(len(chunks))
+
+        def counted(sl):
+            threads.add(threading.get_ident())
+            work(sl)
+
+        each_chunk(chunks, counted)
+
+    monkeypatch.setattr(transform, "_each_chunk", spied)
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    cli.compute(cli.parse_config(json.dumps(FULL_SIZE[command][0])))
+    assert set(counts) <= {1} and threads <= {threading.get_ident()}
+    assert started == []
 
 
 def test_csv_rendering_peak_memory_is_bounded_by_the_text():

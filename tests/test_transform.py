@@ -1,6 +1,7 @@
 """Discrete transform operations: reference cases and error contracts."""
 
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -646,3 +647,152 @@ def test_a_nan_imaginary_residue_of_the_direct_sum_raises(monkeypatch):
     monkeypatch.setattr(transform, "_direct_sum", nan_residue)
     with pytest.raises(NumericalConsistencyError, match="the transform exceeds"):
         wf.wigner_transform(wave, ps)
+
+
+# ---------------------------------------------------------------------------
+# Row chunks in two shares
+# ---------------------------------------------------------------------------
+
+def _spy_shares(monkeypatch):
+    """Record every _each_chunk call's chunk count, and the thread that ran each chunk."""
+    counts, threads = [], []
+    each_chunk = transform._each_chunk
+
+    def spied(chunks, work):
+        counts.append(len(chunks))
+
+        def counted(sl):
+            threads.append(threading.get_ident())
+            work(sl)
+
+        each_chunk(chunks, counted)
+
+    monkeypatch.setattr(transform, "_each_chunk", spied)
+    return counts, threads
+
+
+def _forward_budget(n, m, rows):
+    """A _CHUNK_BYTES that gives the two-share forward transform rows rows per chunk."""
+    return 16 * np.getbufsize() + 16 * (3 * n - 2) + 16 * n + rows * 2 * (16 * n + 8 * m)
+
+
+@pytest.mark.parametrize("state_id", ["coherent", "gauss_general"])
+@pytest.mark.parametrize("forward_chunks", [1, 2, 5])
+def test_two_shares_give_the_bits_of_one(catalog_fields, state_id, forward_chunks, monkeypatch):
+    _, wave, ps, field = catalog_fields(state_id)
+    n, m = ps.shape
+    assert (n, m) == (1025, 2187)
+    # one chunk in every loop, or 2 or 5 (an odd count) in the forward transform's
+    budget = 1 << 40 if forward_chunks == 1 else _forward_budget(n, m, -(-n // forward_chunks))
+    monkeypatch.setattr(transform, "_CHUNK_BYTES", budget)
+    params = wf.OscillatorParams(0.8, wf.Cosine(0.1, 0.2, 0.7), 1.0)
+    counts, _ = _spy_shares(monkeypatch)
+
+    def pipeline(shares):
+        monkeypatch.setattr(transform, "_SHARES", shares)
+        counts.clear()
+        forward = wf.wigner_transform(wave, ps)
+        recovered, info = wf.invert_wigner(field, with_info=True)
+        purity = wf.purity_separability_check(field)
+        moved = wf.propagate_field(field, params, 1.3, ps)
+        return forward.values.tobytes(), recovered.values.tobytes(), info, purity, moved.values.tobytes()
+
+    two = pipeline(2)
+    assert counts[0] == forward_chunks
+    if forward_chunks == 1:
+        assert set(counts) == {1}
+    assert two == pipeline(1)
+    assert two[0] == field.values.tobytes()
+
+
+def test_an_error_in_the_helper_share_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(transform, "_SHARES", 2)
+    before = threading.active_count()
+    error = ValueError("chunk 3")
+    done = []
+
+    def work(sl):
+        if sl.start == 3:  # an odd chunk: the helper's share
+            raise error
+        done.append(sl.start)
+
+    with pytest.raises(ValueError) as raised:
+        transform._each_chunk([slice(k, k + 1) for k in range(6)], work)
+    assert raised.value is error
+    assert {0, 2, 4} <= set(done)  # the caller's share ran to its end
+    assert threading.active_count() == before
+
+
+def test_an_error_in_the_callers_share_waits_for_the_helper(monkeypatch):
+    monkeypatch.setattr(transform, "_SHARES", 2)
+    before = threading.active_count()
+    done = []
+
+    def work(sl):
+        if sl.start == 0:
+            raise KeyError(sl.start)
+        done.append(sl.start)
+
+    with pytest.raises(KeyError):
+        transform._each_chunk([slice(k, k + 1) for k in range(4)], work)
+    assert sorted(done) == [1, 3]
+    assert threading.active_count() == before
+
+
+def test_the_helper_share_runs_in_the_callers_context(monkeypatch):
+    monkeypatch.setattr(transform, "_SHARES", 2)
+    seen = []
+
+    def work(sl):
+        seen.append((threading.get_ident(), np.geterr()["over"]))
+
+    with np.errstate(over="raise"):
+        transform._each_chunk([slice(k, k + 1) for k in range(4)], work)
+    assert len({ident for ident, _ in seen}) == 2
+    assert {over for _, over in seen} == {"raise"}
+
+
+def test_a_loud_wave_raises_without_a_warning_from_either_share(catalog_fields, monkeypatch):
+    _, wave, ps, _ = catalog_fields("coherent")
+    monkeypatch.setattr(transform, "_SHARES", 2)
+    counts, threads = _spy_shares(monkeypatch)
+    # lag products overflow in the multiply on about 220 rows around the peak, in chunks of
+    # both shares: only the caller's np.errstate keeps the helper's overflow silent
+    loud = wf.WaveSample(wave.grid, wave.values * 1e155, wave.hbar)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalConsistencyError, match="the transform exceeds"):
+            wf.wigner_transform(loud, ps)
+    assert counts[0] >= 4  # several chunks on each share
+    assert len(set(threads)) == 2
+
+
+@pytest.mark.parametrize("shares", [1, 2])
+def test_one_share_or_one_chunk_starts_no_thread(catalog_fields, shares, monkeypatch):
+    """One usable core runs many chunks inline at 1025 x 2187; so do two shares where a loop
+    has one chunk: the 129-node natural transform and inversion, the CLI's 129 x 129 transport."""
+    params = wf.OscillatorParams(-0.6, wf.Cosine(0.1, 0.3, 1.7), 1.0)
+    if shares == 1:
+        _, wave, ps, field = catalog_fields("coherent")
+        moved, mesh = field, ps
+    else:
+        grid = wf.Grid1D.symmetric(9.0, 129)
+        state = wf.CoherentGaussian(0.2, -0.3, 1.0)
+        wave = wf.sample_catalog_state(state, grid)
+        ps = wf.natural_grid(grid, 1.0)
+        field = wf.wigner_transform(wave, ps)
+        mesh = wf.PhaseSpaceGrid(grid, wf.symmetric_xi_grid(6.0, 129))
+        moved = wf.propagate_field(state.wigner, params, 0.0, mesh)
+    monkeypatch.setattr(transform, "_SHARES", shares)
+    counts, threads = _spy_shares(monkeypatch)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    wf.wigner_transform(wave, ps)
+    wf.invert_wigner(field)
+    wf.propagate_field(moved, params, 0.9, mesh)
+    if shares == 1:  # its 196 kernel rows take two chunks at 129 nodes
+        wf.purity_separability_check(field)
+    assert len(counts) == (6 if shares == 1 else 5)  # forward, three inversion sums, transport
+    assert all(c > 1 for c in counts) if shares == 1 else set(counts) == {1}
+    assert started == [] and set(threads) == {threading.get_ident()}
