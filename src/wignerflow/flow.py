@@ -387,11 +387,10 @@ def _bilinear(field: WignerField):
     corners = (flat, flat[m:], flat[1:], flat[m + 1 :])
 
     def gather(x, xi, out):
-        # fractional indices clamped to [-1, n] x [-1, m]: the grid and the zero band around it
-        for coord, grid, top in ((x, xg, n), (xi, xig, m)):
+        # fractional indices; off the grid the clipped corners and weights stay finite
+        for coord, grid in ((x, xg), (xi, xig)):
             coord -= grid.x_min
             coord /= grid.step
-            np.clip(coord, -1.0, top, out=coord)
         off = (x < 0.0) | (x > n - 1) | (xi < 0.0) | (xi > m - 1)
         # corner indices floored and clipped in float: the same integers as an int cast
         i, j = np.floor(x), np.floor(xi)
@@ -451,12 +450,13 @@ def _check_backward_range(coeffs: FlowCoefficients, x, xi) -> None:
 
 
 def _evaluate_transported(initial: InitialField, coeffs: FlowCoefficients, x_nodes, xi_nodes):
-    """initial (a gridded field or an evaluator) at the backward images of the mesh, filled
-    in row chunks of bounded scratch."""
+    """(values, row sums) of initial (a gridded field or an evaluator) at the backward images
+    of the mesh, filled in row chunks of bounded scratch and summed while in cache."""
     x = np.asarray(x_nodes, float)[:, None]
     xi = np.asarray(xi_nodes, float)[None, :]
     _check_backward_range(coeffs, x, xi)
     out = np.empty((x.shape[0], xi.shape[1]))
+    row_sums = np.empty(x.shape[0])
     gather = _bilinear(initial) if isinstance(initial, WignerField) else None
     # backward_map's sums a1 x + a2 xi + a3, in its order, with the xi terms formed once
     a2_xi, b2_xi = coeffs.a2 * xi, coeffs.b2 * xi
@@ -468,6 +468,14 @@ def _evaluate_transported(initial: InitialField, coeffs: FlowCoefficients, x_nod
         big_xi += coeffs.b3
         return big_x, big_xi
 
+    def row_sum(rows):
+        with np.errstate(over="ignore", invalid="ignore"):  # WignerField checks the sums
+            np.sum(out[rows], axis=1, out=row_sums[rows])
+
+    def gridded(rows):
+        gather(*image(rows), out[rows])
+        row_sum(rows)
+
     # scratch per cell: the backward image and the bilinear gather's temporaries take about
     # 50 bytes (65 with the last chunk's image), so 128 holds both shares; a closed-form
     # evaluator gets it all and runs on the calling thread alone: it need not be thread-safe
@@ -475,9 +483,10 @@ def _evaluate_transported(initial: InitialField, coeffs: FlowCoefficients, x_nod
     if gather is None:
         for rows in chunks:
             out[rows] = initial(*image(rows))
+            row_sum(rows)
     else:
-        transform._each_chunk(chunks, lambda rows: gather(*image(rows), out[rows]))
-    return out
+        transform._each_chunk(chunks, gridded)
+    return out, row_sums
 
 
 def propagate_field(
@@ -492,8 +501,9 @@ def propagate_field(
     about one output field.
     """
     coeffs = flow_coefficients(params, t)
-    values = _evaluate_transported(initial, coeffs, ps_grid.x_grid.nodes(), ps_grid.xi_grid.nodes())
-    return WignerField(ps_grid, values, params.hbar)
+    values, row_sums = _evaluate_transported(initial, coeffs, ps_grid.x_grid.nodes(),
+                                             ps_grid.xi_grid.nodes())
+    return WignerField(ps_grid, values, params.hbar, row_sums)
 
 
 def liouville_residual(
@@ -518,7 +528,7 @@ def liouville_residual(
 
     samples = ((after, xs, xis), (before, xs, xis), (now, xs + dx, xis), (now, xs - dx, xis),
                (now, xs, xis + dxi), (now, xs, xis - dxi))
-    w_tp, w_tm, w_xp, w_xm, w_kp, w_km = (_evaluate_transported(initial, *s) for s in samples)
+    w_tp, w_tm, w_xp, w_xm, w_kp, w_km = (_evaluate_transported(initial, *s)[0] for s in samples)
 
     q_now = float(drive_value(params.drive, t))
     dw_dt = (w_tp - w_tm) / (2.0 * dt)

@@ -69,9 +69,10 @@ class WaveSample:
 class WignerField:
     """Real phase-space function sampled on a rectangular (x, xi) grid.
 
-    values is a read-only view, and the sum of each of its rows is taken once, when the
-    field is built: the finiteness check and every position marginal read those sums.  The
-    transform passes the row sums it has already checked as _row_sums.
+    values is a read-only C-ordered view (a copy only of other layouts), and the sum of each
+    of its rows is taken once: the finiteness check and every position marginal read those
+    sums.  The transform and the transport pass the row sums they took while making the rows
+    as _row_sums.
     """
 
     grid: PhaseSpaceGrid
@@ -80,7 +81,8 @@ class WignerField:
     _row_sums: InitVar[np.ndarray | None] = None
 
     def __post_init__(self, _row_sums: np.ndarray | None) -> None:
-        v = np.asarray(self.values, dtype=float).view()
+        # C order fixes the order of every reduction over the values, so their bits
+        v = np.ascontiguousarray(self.values, dtype=float).view()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
         if v.shape != self.grid.shape:
@@ -89,10 +91,10 @@ class WignerField:
         if _row_sums is None:
             with np.errstate(over="ignore", invalid="ignore"):
                 _row_sums = v.sum(axis=1)
-            # a finite row sum proves its row finite; where a sum is not, min and max
-            # (which propagate nan and reach any inf) tell a non-finite value from an overflow
-            if not (all_finite(_row_sums) or math.isfinite(v.min()) and math.isfinite(v.max())):
-                raise ConfigurationError("field values must be finite")
+        # a finite row sum proves its row finite; where a sum is not, min and max
+        # (which propagate nan and reach any inf) tell a non-finite value from an overflow
+        if not (all_finite(_row_sums) or math.isfinite(v.min()) and math.isfinite(v.max())):
+            raise ConfigurationError("field values must be finite")
         object.__setattr__(self, "_row_sums", _row_sums)
 
 
@@ -193,12 +195,16 @@ def _direct_sum(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> np.ndarray:
     return out
 
 
-def _half_spectrum(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> np.ndarray:
-    """Real transform values on the natural xi lattice, from the j >= 0 lag products.
+def _half_spectrum(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Real transform values on the natural xi lattice, from the j >= 0 lag products, and
+    their row sums.
 
     nu[k, -j] = conj(nu[k, j]), so with xi_l = (l - c) dxi, c = (M - 1)/2 and
     dxi dy = 2 pi/M, row k is the Hermitian FFT of a_j = nu[k, j] e^{2 pi i j c/M}:
     hfft(a, M)[l] = irfft(conj(a), M, norm="forward")[l], written in place into the output.
+    nu[k, j] is 0 past the grid edge, j > min(k, n - 1 - k), so a chunk's products stop at its
+    last on-grid lag and irfft's own zero padding stands for the rest.  Each chunk's rows are
+    summed while they are in cache.
     """
     n = wave.grid.count
     m = ps_grid.xi_grid.count
@@ -209,18 +215,22 @@ def _half_spectrum(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> np.ndarray:
     weights = np.exp(-2j * math.pi / m * (np.arange(n) * c % m)) * (dy / (2.0 * math.pi))
 
     out = np.empty(ps_grid.shape)
+    row_sums = np.empty(n)
 
     def work(sl):
-        conj_a = np.conjugate(windows[sl, n - 1 :])  # conj psi(x_k + j d), j = 0..n-1
-        conj_a *= windows[sl, n - 1 :: -1]  # times psi(x_k - j d)
-        conj_a *= weights
+        mid = max(sl.start, min(sl.stop - 1, (n - 1) // 2))  # the chunk's row nearest the middle
+        reach = 1 + min(mid, n - 1 - mid)  # lags j < reach: up to its last on-grid one
+        conj_a = np.conjugate(windows[sl, n - 1 : n - 1 + reach])  # conj psi(x_k + j d)
+        conj_a *= windows[sl, n - 1 :: -1][:, :reach]  # times psi(x_k - j d)
+        conj_a *= weights[:reach]
         np.fft.irfft(conj_a, n=m, axis=1, norm="forward", out=out[sl])
+        np.sum(out[sl], axis=1, out=row_sums[sl])
 
     # per row and share: the complex lag products and the float row irfft returns;
     # fixed: the zero padding behind the windows and the weights
     _each_chunk(_row_chunks(n, _SHARES * (16 * n + 8 * m),
                             fixed_bytes=16 * (3 * n - 2) + weights.nbytes), work)
-    return out
+    return out, row_sums
 
 
 def wigner_transform(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> WignerField:
@@ -241,13 +251,14 @@ def wigner_transform(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> WignerField:
     natural = is_natural_xi_grid(wave.grid, wave.hbar, ps_grid.xi_grid)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan in a row: its sum raises
         if natural:
-            values = _half_spectrum(wave, ps_grid)
+            values, row_sums = _half_spectrum(wave, ps_grid)
         else:
             spectrum = _direct_sum(wave, ps_grid)
             values = np.ascontiguousarray(spectrum.real)
             # max propagates a nan, which would pass the residue bound below
             residue = finite_result("the transform", float(np.max(np.abs(spectrum.imag))))
-        row_sums = values.sum(axis=1)  # checked here, kept by the field
+            row_sums = values.sum(axis=1)
+        # the row sums are checked here and kept by the field
         marginal = finite_result("the transform", ps_grid.xi_grid.step * row_sums)
     if natural:
         density = np.abs(wave.values) ** 2
@@ -281,9 +292,25 @@ def momentum_marginal(field: WignerField) -> np.ndarray:
 
 
 def total_mass(field: WignerField) -> float:
-    """2-D rectangle quadrature of W; equals the squared norm of the state."""
-    with np.errstate(over="ignore"):
-        mass = field.grid.x_grid.step * field.grid.xi_grid.step * field.values.sum()
+    """2-D rectangle quadrature of W; equals the squared norm of the state.
+
+    values.sum() of the C-ordered values is one pairwise sum over all n of them, whose tree
+    splits first at n//2 - (n//2) % 8 when n > 128.  A field larger than one chunk has its two
+    halves summed as two shares and added: the same bits.
+    """
+    flat = field.values.reshape(-1)
+    n = flat.size
+    split = n // 2 - n // 2 % 8
+    halves = ([slice(0, split), slice(split, n)] if n > 128 and flat.nbytes > _CHUNK_BYTES
+              else [slice(0, n)])
+    sums = np.zeros(2)
+
+    def work(sl):
+        sums[int(sl.start > 0)] = flat[sl].sum()  # the first half or the second
+
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf - inf = nan: raised below
+        _each_chunk(halves, work)
+        mass = field.grid.x_grid.step * field.grid.xi_grid.step * (sums[0] + sums[1])
     return float(finite_result("the total mass", mass))
 
 
@@ -334,12 +361,13 @@ def _require_natural(field: WignerField) -> None:
         )
 
 
-def _lattice_phase_sums(field: WignerField, q: np.ndarray, rows_at) -> np.ndarray:
-    """dxi * sum_l rows[r, l] e^{i (x_k - x_k') xi_l / hbar} for rows = rows_at(chunk).
+def _lattice_phase_sums(field: WignerField, q: np.ndarray, *sources) -> list[np.ndarray]:
+    """dxi * sum_l rows[r, l] e^{i (x_k - x_k') xi_l / hbar}, one array per source (lo, hi,
+    rows_at): the source covers q[lo:hi], and rows_at(sl) gives its rows of q[sl].
 
     On the natural lattice the phase is e^{i pi q_r (l - c)/M}, q_r = k - k' and
     c = (M - 1)/2, so every phase is an entry of the 2M-entry table e^{i pi s/M}
-    at s = q_r (l - c) mod 2M.
+    at s = q_r (l - c) mod 2M.  Each phase row is built once, for every source that covers it.
     """
     m = field.grid.xi_grid.count
     c = (m - 1) // 2
@@ -349,7 +377,7 @@ def _lattice_phase_sums(field: WignerField, q: np.ndarray, rows_at) -> np.ndarra
     span = int(np.max(np.abs(q), initial=0)) * (m - 1 - c)
     index_type = np.dtype(np.int32 if span < 2**31 else np.int64)
     shift = np.arange(-c, m - c, dtype=index_type)
-    out = np.empty(q.size, dtype=complex)
+    outs = [np.empty(hi - lo, dtype=complex) for lo, hi, _ in sources]
 
     def work(sl):
         idx = np.multiply.outer(q[sl].astype(index_type), shift)
@@ -357,15 +385,25 @@ def _lattice_phase_sums(field: WignerField, q: np.ndarray, rows_at) -> np.ndarra
         # idx lies in [0, 2M), so mode="clip" only skips the bounds check
         phases = table.take(idx, mode="clip")
         del idx  # its room goes to rows_at
-        phases *= rows_at(sl)
-        out[sl] = phases.sum(axis=1)
+        for s, (lo, hi, rows_at) in enumerate(sources):
+            a, b = max(sl.start, lo), min(sl.stop, hi)
+            if a >= b:
+                continue
+            products = phases[a - sl.start : b - sl.start]
+            if s < len(sources) - 1:  # a later source still reads these phases
+                products = products * rows_at(slice(a, b))
+            else:
+                products *= rows_at(slice(a, b))
+            np.sum(products, axis=1, out=outs[s][a - lo : b - lo])
 
-    # per row and share at most 40 M bytes: the complex phases (16 M) and at most three float
-    # rows (24 M) while rows_at builds its rows; before that, the w-byte index with its
-    # reduction (3 w M) or with take's intp copy and the phases (at most 28 M)
-    _each_chunk(_row_chunks(q.size, _SHARES * 40 * m,
-                            fixed_bytes=table.nbytes + shift.nbytes + out.nbytes), work)
-    return field.grid.xi_grid.step * out
+    # per row and share at most 24 + 16 s M bytes for s sources: the complex phases (16 M), a
+    # product (16 M) for each source but the last, and at most three float rows (24 M) while
+    # rows_at builds its rows; before that, the w-byte index with its reduction (3 w M) or with
+    # take's intp copy and the phases (at most 28 M)
+    fixed = table.nbytes + shift.nbytes + sum(out.nbytes for out in outs)
+    _each_chunk(_row_chunks(q.size, _SHARES * (24 + 16 * len(sources)) * m, fixed_bytes=fixed),
+                work)
+    return [field.grid.xi_grid.step * out for out in outs]
 
 
 def _rows(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -377,16 +415,29 @@ def _rows(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return w[idx]
 
 
-def _anchor_products(field: WignerField, k_targets: np.ndarray, k_anchor: int) -> np.ndarray:
-    """psi(x_k) * conj(psi(x_anchor)) for targets with (k + k_anchor) even.
+def _anchor_products(field: WignerField, k_targets: np.ndarray, k_anchor: int,
+                     second: tuple[np.ndarray, int] | None = None) -> list[np.ndarray]:
+    """psi(x_k) * conj(psi(x_anchor)) for targets with (k + k_anchor) even, and the same for a
+    second (targets, anchor) pair if one is given: one array per pair.
 
-    Rectangle quadrature of the reconstruction integral; exact on the
-    natural frequency lattice.  The targets are every other node of a range, so their
-    midpoint rows are consecutive and are read as views.
+    Rectangle quadrature of the reconstruction integral; exact on the natural frequency
+    lattice.  The targets are every other node of a range, so a pair's shifts k - k_anchor are
+    a run of even numbers 2p and its midpoint rows k_anchor + p are consecutive, read as views.
+    The pairs share the phase row of every shift in the union of their runs.
     """
-    mids = (k_targets + k_anchor) // 2
-    return _lattice_phase_sums(field, k_targets - k_anchor,
-                               lambda sl: _rows(field.values, mids[sl]))
+    pairs = [(k_targets, k_anchor)] + ([second] if second is not None else [])
+    firsts = [int(targets[0]) - anchor for targets, anchor in pairs]
+    q = np.arange(min(firsts), max(int(t[-1]) - a for t, a in pairs) + 1, 2)
+    sources = []
+    for (targets, anchor), first in zip(pairs, firsts):
+        lo = (first - int(q[0])) // 2
+        row = (int(targets[0]) + anchor) // 2 - lo  # the midpoint row of q[i] is row + i
+
+        def rows_at(sl, row=row):
+            return field.values[row + sl.start : row + sl.stop]
+
+        sources.append((lo, lo + targets.size, rows_at))
+    return _lattice_phase_sums(field, q, *sources)
 
 
 def _half_row_products(field: WignerField, k_targets: np.ndarray, k_anchor: int) -> np.ndarray:
@@ -413,7 +464,7 @@ def _half_row_products(field: WignerField, k_targets: np.ndarray, k_anchor: int)
         rows /= 16.0
         return rows
 
-    return _lattice_phase_sums(field, k_targets - k_anchor, rows_at)
+    return _lattice_phase_sums(field, k_targets - k_anchor, (0, k_targets.size, rows_at))[0]
 
 
 def invert_wigner(
@@ -456,19 +507,19 @@ def invert_wigner(
     k_all = np.arange(n)
     same = k_all[(k_all + k_star) % 2 == 0]
     opp = k_all[(k_all + k_star) % 2 == 1]
-    k2 = None
+    k2 = int(opp[np.argmax(marg[opp])]) if opp.size else None
+    second = (opp, k2) if k2 is not None and marg[k2] > tol.INVERSION_FLOOR else None
     alpha = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan in a sum: raised below
-        values[same] = _anchor_products(field, same, k_star) / math.sqrt(marg[k_star])
-        if opp.size:
-            k2 = int(opp[np.argmax(marg[opp])])
-            if marg[k2] > tol.INVERSION_FLOOR:
-                raw = _anchor_products(field, opp, k2) / math.sqrt(marg[k2])
-                cross = _half_row_products(field, opp, k_star) / math.sqrt(marg[k_star])
-                z = np.vdot(raw, cross)  # sum conj(raw)*cross, weighted by |psi|^2
-                if abs(z) > 0.0:
-                    alpha = float(np.angle(z))
-                values[opp] = raw * np.exp(1j * alpha)
+        products = _anchor_products(field, same, k_star, second)
+        values[same] = products[0] / math.sqrt(marg[k_star])
+        if second is not None:
+            raw = products[1] / math.sqrt(marg[k2])
+            cross = _half_row_products(field, opp, k_star) / math.sqrt(marg[k_star])
+            z = np.vdot(raw, cross)  # sum conj(raw)*cross, weighted by |psi|^2
+            if abs(z) > 0.0:
+                alpha = float(np.angle(z))
+            values[opp] = raw * np.exp(1j * alpha)
 
     wave = WaveSample(g, finite_result("the inverse transform", values), field.hbar)
     if with_info:
@@ -559,8 +610,8 @@ def purity_separability_check(field: WignerField) -> float:
     mids = ((candidates[:, None] + candidates[None, :]) // 2).ravel()
     shifts = (candidates[:, None] - candidates[None, :]).ravel()
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan in a sum: raised next
-        q = _lattice_phase_sums(field, shifts, lambda sl: field.values[mids[sl]])
-    q = finite_result("the kernel", q).reshape(candidates.size, candidates.size)
+        q = _lattice_phase_sums(field, shifts, (0, shifts.size, lambda sl: field.values[mids[sl]]))
+    q = finite_result("the kernel", q[0]).reshape(candidates.size, candidates.size)
 
     qmax = float(np.max(np.abs(q)))
     if qmax <= tol.INVERSION_FLOOR:

@@ -375,7 +375,7 @@ def test_symmetric_non_natural_grid_takes_the_direct_sum(monkeypatch, natural):
     wave = wf.sample_catalog_state(wf.CoherentGaussian(0.4, -0.8, 1.0), grid)
     if natural:
         ps = wf.natural_grid(grid, 1.0)
-        expected, other = transform._half_spectrum(wave, ps), "_direct_sum"
+        expected, other = transform._half_spectrum(wave, ps)[0], "_direct_sum"
     else:
         ps = wf.PhaseSpaceGrid(grid, wf.symmetric_xi_grid(6.0, 301))
         expected, other = transform._direct_sum(wave, ps).real, "_half_spectrum"
@@ -392,7 +392,12 @@ def test_natural_path_guard_fires_when_the_xi_sum_misses_the_density(monkeypatch
     wave = wf.sample_catalog_state(wf.CoherentGaussian(0.4, -0.8, 1.0), grid)
     ps = wf.natural_grid(grid, 1.0)
     exact = transform._half_spectrum
-    monkeypatch.setattr(transform, "_half_spectrum", lambda w, g: exact(w, g) + 1e-6)
+
+    def shifted(w, g):
+        values = exact(w, g)[0] + 1e-6
+        return values, values.sum(axis=1)
+
+    monkeypatch.setattr(transform, "_half_spectrum", shifted)
     with pytest.raises(NumericalConsistencyError):
         wf.wigner_transform(wave, ps)
 
@@ -442,13 +447,15 @@ def test_inversion_scratch_stays_within_one_chunk(catalog_fields, products, anch
     assert peak <= transform._CHUNK_BYTES
 
 
-def _reference_phase_sums(field, q, rows_at):
-    """The lattice phase sums in one whole-array pass: an int64 outer product reduced by
-    np.remainder and a fancy-index gather, the reference the chunked kernel must match."""
+def _reference_phase_sums(field, q, *sources):
+    """The lattice phase sums in one whole-array pass per source (lo, hi, rows_at): an int64
+    outer product reduced by np.remainder and a fancy-index gather, the reference the chunked
+    kernel must match."""
     m = field.grid.xi_grid.count
     table = np.exp(1j * math.pi / m * np.arange(2 * m))
     idx = np.remainder(np.multiply.outer(q.astype(np.int64), np.arange(m) - (m - 1) // 2), 2 * m)
-    return field.grid.xi_grid.step * (table[idx] * rows_at(slice(None))).sum(axis=1)
+    return [field.grid.xi_grid.step * (table[idx[lo:hi]] * rows_at(slice(lo, hi))).sum(axis=1)
+            for lo, hi, rows_at in sources]
 
 
 @pytest.mark.parametrize("state_id", ["coherent", "gauss_general"])
@@ -479,8 +486,14 @@ def test_phase_sums_take_wide_integers_where_the_products_need_them(past_int32):
     def rows_at(sl):
         return field.values[mids[sl]]
 
-    got = transform._lattice_phase_sums(field, q, rows_at)
-    assert got.tobytes() == _reference_phase_sums(field, q, rows_at).tobytes()
+    def reversed_rows_at(sl):
+        return field.values[mids[::-1][sl]]
+
+    # one source over every shift, and two that overlap on some of them
+    for sources in [[(0, q.size, rows_at)], [(0, 30, rows_at), (10, q.size, reversed_rows_at)]]:
+        got = transform._lattice_phase_sums(field, q, *sources)
+        reference = _reference_phase_sums(field, q, *sources)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in reference]
 
 
 def test_inversion_peak_memory_is_the_output_plus_one_chunk(catalog_fields):
@@ -534,11 +547,15 @@ def _summed_marginal(field):
     return field.grid.xi_grid.step * np.asarray(field.values).sum(axis=1)
 
 
-def _gathered_anchor_products(field, k_targets, k_anchor):
-    """_anchor_products with its midpoint rows gathered by index."""
-    mids = (k_targets + k_anchor) // 2
-    return transform._lattice_phase_sums(field, k_targets - k_anchor,
-                                         lambda sl: field.values[mids[sl]])
+def _gathered_anchor_products(field, k_targets, k_anchor, second=None):
+    """_anchor_products with one pass per (targets, anchor) pair, its midpoint rows gathered
+    by index."""
+    products = []
+    for targets, anchor in [(k_targets, k_anchor)] + ([second] if second is not None else []):
+        mids = (targets + anchor) // 2
+        products += transform._lattice_phase_sums(
+            field, targets - anchor, (0, targets.size, lambda sl, mids=mids: field.values[mids[sl]]))
+    return products
 
 
 def _gathered_half_row_products(field, k_targets, k_anchor):
@@ -552,7 +569,7 @@ def _gathered_half_row_products(field, k_targets, k_anchor):
         c0, c1, c2, c3 = (w[c[sl]] for c in taps)
         return (9.0 * (c1 + c2) - c0 - c3) / 16.0
 
-    return transform._lattice_phase_sums(field, k_targets - k_anchor, rows_at)
+    return transform._lattice_phase_sums(field, k_targets - k_anchor, (0, k_targets.size, rows_at))[0]
 
 
 @pytest.mark.parametrize("state_id", ["coherent", "gauss_general"])
@@ -581,7 +598,8 @@ def test_row_views_equal_the_gathered_rows_up_to_the_clipped_edges(anchor):
     k_all = np.arange(grid.count)
     same, opp = k_all[(k_all + anchor) % 2 == 0], k_all[(k_all + anchor) % 2 == 1]
     got = transform._anchor_products(field, same, anchor)
-    assert got.tobytes() == _gathered_anchor_products(field, same, anchor).tobytes()
+    assert len(got) == 1
+    assert got[0].tobytes() == _gathered_anchor_products(field, same, anchor)[0].tobytes()
     got = transform._half_row_products(field, opp, anchor)
     assert got.tobytes() == _gathered_half_row_products(field, opp, anchor).tobytes()
 
@@ -770,7 +788,8 @@ def test_a_loud_wave_raises_without_a_warning_from_either_share(catalog_fields, 
 @pytest.mark.parametrize("shares", [1, 2])
 def test_one_share_or_one_chunk_starts_no_thread(catalog_fields, shares, monkeypatch):
     """One usable core runs many chunks inline at 1025 x 2187; so do two shares where a loop
-    has one chunk: the 129-node natural transform and inversion, the CLI's 129 x 129 transport."""
+    has one chunk: the 129-node natural transform, inversion and mass, the CLI's 129 x 129
+    transport."""
     params = wf.OscillatorParams(-0.6, wf.Cosine(0.1, 0.3, 1.7), 1.0)
     if shares == 1:
         _, wave, ps, field = catalog_fields("coherent")
@@ -791,8 +810,10 @@ def test_one_share_or_one_chunk_starts_no_thread(catalog_fields, shares, monkeyp
     wf.wigner_transform(wave, ps)
     wf.invert_wigner(field)
     wf.propagate_field(moved, params, 0.9, mesh)
+    wf.total_mass(field)
     if shares == 1:  # its 196 kernel rows take two chunks at 129 nodes
         wf.purity_separability_check(field)
-    assert len(counts) == (6 if shares == 1 else 5)  # forward, three inversion sums, transport
+    # forward, two inversion sums (both anchors, then the half rows), transport, mass
+    assert len(counts) == (6 if shares == 1 else 5)
     assert all(c > 1 for c in counts) if shares == 1 else set(counts) == {1}
     assert started == [] and set(threads) == {threading.get_ident()}
