@@ -21,16 +21,16 @@ from typing import Callable
 
 import numpy as np
 
-from . import catalog
+from . import catalog, flow
 from ._float_text import write_g17
-from .errors import _MAX_COUNT, ConfigurationError, WignerflowError, within
-from .flow import Constant, Cosine, OscillatorParams, Tabulated, propagate_field
+from .errors import _MAX_COUNT, ConfigurationError, WignerflowError, all_finite, within
+from .flow import Constant, Cosine, OscillatorParams, Tabulated
 from .gaussian import GaussianPacket, density, packet_shape
 from .grids import Grid1D, PhaseSpaceGrid, natural_grid, symmetric_xi_grid
 from .transform import wigner_transform
 from .tunneling import TunnelScenario, figure1_series, tunnel_report
 # looked up in this module by name by the benchmark's tracer (perfbench/tracer.py)
-from .tunneling import survival_probability  # noqa: F401
+from . import propagate_field, survival_probability  # noqa: F401
 
 class ConfigParseError(ConfigurationError):
     """Bad config contents; the message names the offending key path."""
@@ -449,16 +449,10 @@ def _times(times) -> np.ndarray:
     return np.linspace(0.0, times["t_max"], times["t_steps"] + 1)
 
 
-def _ps_grid(grid: Grid1D, xi: dict | None, hbar: float) -> PhaseSpaceGrid:
-    if xi is None:
-        return natural_grid(grid, hbar)
-    return PhaseSpaceGrid(grid, symmetric_xi_grid(**xi))
-
-
 def _run_transform(p: dict) -> tuple[CsvTable, dict[str, CsvTable]]:
     state = _build(_STATES, p["state"], hbar=p["hbar"])
     grid = Grid1D.from_span(**p["grid"])
-    ps = _ps_grid(grid, p.get("xi"), p["hbar"])
+    ps = PhaseSpaceGrid(grid, _OBJECTS["xi"](p)) if p.get("xi") else natural_grid(grid, p["hbar"])
     fld = wigner_transform(catalog.sample_catalog_state(state, grid), ps)
     x, xi = ps.x_grid.nodes(), ps.xi_grid.nodes()
     return CsvTable(("x", "xi", "W"), [x[:, None], xi, fld.values]), {}
@@ -467,11 +461,12 @@ def _run_transform(p: dict) -> tuple[CsvTable, dict[str, CsvTable]]:
 def _run_propagate(p: dict) -> tuple[CsvTable, dict[str, CsvTable]]:
     state = _build(_STATES, p["state"], hbar=p["hbar"])
     params = OscillatorParams(p["gamma"], _build(_DRIVES, p["drive"]), p["hbar"])
-    ps = _ps_grid(Grid1D.from_span(**p["grid"]), p["xi"], p["hbar"])
-    times = _times(p["times"])
-    fields = np.stack([propagate_field(state.wigner, params, float(t), ps).values for t in times])
-    x, xi = ps.x_grid.nodes(), ps.xi_grid.nodes()
-    return CsvTable(("t", "x", "xi", "W"), [times[:, None, None], x[:, None], xi, fields]), {}
+    coeffs = flow.flow_coefficients(params, _times(p["times"]))
+    x, xi = _OBJECTS["grid"](p).nodes(), _OBJECTS["xi"](p).nodes()
+    fields, row_sums = flow._evaluate_transported(state.wigner, coeffs, x, xi)
+    if not (all_finite(row_sums) or np.isfinite(fields).all()):
+        raise ConfigurationError("field values must be finite")
+    return CsvTable(("t", "x", "xi", "W"), [coeffs.t[:, None, None], x[:, None], xi, fields]), {}
 
 
 def _run_gaussian(p: dict) -> tuple[CsvTable, dict[str, CsvTable]]:

@@ -451,42 +451,40 @@ def _check_backward_range(coeffs: FlowCoefficients, x, xi) -> None:
 
 def _evaluate_transported(initial: InitialField, coeffs: FlowCoefficients, x_nodes, xi_nodes):
     """(values, row sums) of initial (a gridded field or an evaluator) at the backward images
-    of the mesh, filled in row chunks of bounded scratch and summed while in cache."""
-    x = np.asarray(x_nodes, float)[:, None]
-    xi = np.asarray(xi_nodes, float)[None, :]
+    of the mesh, of shapes t + (n, m) and t + (n,) for coefficients at times t of shape () or
+    (T,): filled in (time, rows) chunks of bounded scratch and summed while in cache."""
+    x, xi = np.asarray(x_nodes, float)[:, None], np.asarray(xi_nodes, float)[None, :]
     _check_backward_range(coeffs, x, xi)
-    out = np.empty((x.shape[0], xi.shape[1]))
-    row_sums = np.empty(x.shape[0])
+    a1, a2, a3, b1, b2, b3, t = np.broadcast_arrays(*vars(coeffs).values())
+    out = np.empty((t.size, x.size, xi.size))
+    row_sums = np.empty(out.shape[:2])
     gather = _bilinear(initial) if isinstance(initial, WignerField) else None
-    # backward_map's sums a1 x + a2 xi + a3, in its order, with the xi terms formed once
-    a2_xi, b2_xi = coeffs.a2 * xi, coeffs.b2 * xi
+    # backward_map's sums a1 x + a2 xi + a3, in its order, with the xi terms formed once a time
+    a2_xi, b2_xi = a2.reshape(-1, 1) * xi, b2.reshape(-1, 1) * xi
 
-    def image(rows):
-        big_x = np.add(coeffs.a1 * x[rows], a2_xi)
-        big_x += coeffs.a3
-        big_xi = np.add(coeffs.b1 * x[rows], b2_xi)
-        big_xi += coeffs.b3
-        return big_x, big_xi
-
-    def row_sum(rows):
-        with np.errstate(over="ignore", invalid="ignore"):  # WignerField checks the sums
-            np.sum(out[rows], axis=1, out=row_sums[rows])
-
-    def gridded(rows):
-        gather(*image(rows), out[rows])
-        row_sum(rows)
+    def work(chunk):
+        k, rows = chunk
+        big_x = np.add(a1.flat[k] * x[rows], a2_xi[k])
+        big_x += a3.flat[k]
+        big_xi = np.add(b1.flat[k] * x[rows], b2_xi[k])
+        big_xi += b3.flat[k]
+        if gather is None:
+            out[k, rows] = initial(big_x, big_xi)
+        else:
+            gather(big_x, big_xi, out[k, rows])
+        with np.errstate(over="ignore", invalid="ignore"):  # the callers check the sums
+            np.sum(out[k, rows], axis=1, out=row_sums[k, rows])
 
     # scratch per cell: the backward image and the bilinear gather's temporaries take about
     # 50 bytes (65 with the last chunk's image), so 128 holds both shares; a closed-form
     # evaluator gets it all and runs on the calling thread alone: it need not be thread-safe
-    chunks = _row_chunks(out.shape[0], 128 * out.shape[1])
+    chunks = [(k, rows) for k in range(t.size) for rows in _row_chunks(x.size, 128 * xi.size)]
     if gather is None:
-        for rows in chunks:
-            out[rows] = initial(*image(rows))
-            row_sum(rows)
+        for chunk in chunks:
+            work(chunk)
     else:
-        transform._each_chunk(chunks, gridded)
-    return out, row_sums
+        transform._each_chunk(chunks, work)
+    return out.reshape(t.shape + out.shape[1:]), row_sums.reshape(t.shape + (x.size,))
 
 
 def propagate_field(
@@ -494,16 +492,22 @@ def propagate_field(
 ) -> WignerField:
     """Transport: W(x, xi, t) = W0(X(x, xi, t), Xi(x, xi, t)) sampled on the grid.
 
-    ``initial`` is a closed-form evaluator (x, xi) -> W0 defined on all of
-    R^2, or a gridded field used through bilinear interpolation with zero
-    extension (interpolation error is then the caller's responsibility).
-    Either is evaluated in cache-sized row chunks, so the peak memory is
-    about one output field.
+    ``initial`` is a closed-form evaluator (x, xi) -> W0 defined on all of R^2, or a gridded
+    field used through bilinear interpolation with zero extension (interpolation error is then
+    the caller's responsibility).  Either is evaluated in cache-sized row chunks, so the peak
+    memory is about one output field.  t is one time: a float or an array of one entry.
     """
-    coeffs = flow_coefficients(params, t)
+    coeffs = _one_time(flow_coefficients(params, t))
     values, row_sums = _evaluate_transported(initial, coeffs, ps_grid.x_grid.nodes(),
                                              ps_grid.xi_grid.nodes())
     return WignerField(ps_grid, values, params.hbar, row_sums)
+
+
+def _one_time(coeffs: FlowCoefficients) -> FlowCoefficients:
+    """coeffs at one time, as 0-d arrays; a time of several entries is a ConfigurationError."""
+    if np.size(coeffs.t) != 1:
+        raise ConfigurationError(f"the transport takes one time, got shape {np.shape(coeffs.t)}")
+    return FlowCoefficients(*(np.reshape(c, ()) for c in vars(coeffs).values()))
 
 
 def liouville_residual(
@@ -524,13 +528,13 @@ def liouville_residual(
     check_params("> 0", dt=dt, dx=dx, dxi=dxi)
     xs, xis = ps_grid.x_grid.nodes(), ps_grid.xi_grid.nodes()
     coeffs = flow_coefficients(params, np.array([t - dt, t, t + dt]))
-    before, now, after = (FlowCoefficients(*fields) for fields in zip(*vars(coeffs).values()))
+    before, now, after = (_one_time(FlowCoefficients(*f)) for f in zip(*vars(coeffs).values()))
 
     samples = ((after, xs, xis), (before, xs, xis), (now, xs + dx, xis), (now, xs - dx, xis),
                (now, xs, xis + dxi), (now, xs, xis - dxi))
     w_tp, w_tm, w_xp, w_xm, w_kp, w_km = (_evaluate_transported(initial, *s)[0] for s in samples)
 
-    q_now = float(drive_value(params.drive, t))
+    q_now = float(drive_value(params.drive, now.t))
     dw_dt = (w_tp - w_tm) / (2.0 * dt)
     dw_dx = (w_xp - w_xm) / (2.0 * dx)
     dw_dxi = (w_kp - w_km) / (2.0 * dxi)

@@ -125,7 +125,7 @@ def _row_chunks(n_rows: int, row_bytes: int, fixed_bytes: int = 0) -> list[slice
     return [slice(k, min(k + rows, n_rows)) for k in range(0, n_rows, rows)]
 
 
-def _each_chunk(chunks: list[slice], work) -> None:
+def _each_chunk(chunks: list, work) -> None:
     """work(sl) for every chunk: the calling thread runs the even chunks and, given two shares,
     one helper thread the odd ones, in a copy of the caller's context (np.errstate is
     context-local).  work writes disjoint rows, in scratch that fits _CHUNK_BYTES / _SHARES."""

@@ -631,6 +631,24 @@ def test_full_size_tables_start_no_thread(command, monkeypatch):
     assert started == []
 
 
+def test_propagate_peak_memory_is_its_fields_plus_one_chunk():
+    # 11 times of 257 x 257 cells: every time is transported into one (T, n, m) array, with
+    # no field per time and no stacked copy of them
+    config = cli.parse_config(json.dumps({
+        **FULL_SIZE["propagate"][0], "times": {"t_max": 2.0, "t_steps": 10},
+        "grid": {"half_width": 6.0, "count": 257}, "xi": {"xi_max": 6.0, "count": 257},
+    }))
+    tracemalloc.start()
+    try:
+        table, _ = cli.compute(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    fields = table.columns[3]
+    assert fields.shape == (11, 257, 257)
+    assert peak <= fields.nbytes + transform._CHUNK_BYTES
+
+
 def test_csv_rendering_peak_memory_is_bounded_by_the_text():
     table, _ = cli.compute(cli.parse_config(json.dumps(FULL_SIZE["transform"][0])))
     tracemalloc.start()

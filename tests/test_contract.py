@@ -496,3 +496,25 @@ def test_an_x_star_whose_node_index_leaves_the_floats_is_off_the_grid(x_star):
         warnings.simplefilter("error")
         with pytest.raises(wf.ConfigurationError, match="lies outside the grid"):
             wf.invert_wigner(field, x_star=x_star)
+
+
+def test_one_time_functions_reject_a_time_of_several_entries():
+    # an x grid of 7 nodes and an xi grid of 9: a time array as long as either would
+    # broadcast against that axis of the mesh and mix times across it
+    params = wf.OscillatorParams(-0.6, wf.Cosine(0.2, 0.3, 1.1))
+    packet = wf.GaussianPacket(-0.5, 0.4)
+    ps = wf.PhaseSpaceGrid(wf.Grid1D.symmetric(4.0, 7), wf.Grid1D.symmetric(4.0, 9))
+    calls = [
+        lambda t: wf.propagate_field(packet.wigner, params, t, ps).values,
+        lambda t: wf.wigner_evolved_field(packet, params, t, ps).values,
+        lambda t: wf.liouville_residual(params, packet.wigner, t, ps, 0.01, 0.1, 0.1),
+    ]
+    for call in calls:
+        for t in (np.array([0.3, 0.6]), np.linspace(0.1, 0.9, 9), np.linspace(0.1, 0.9, 7)):
+            with pytest.raises(wf.ConfigurationError, match=rf"one time, got shape \({t.size},\)$"):
+                call(t)
+        # a time of one entry is the float it holds
+        at_once, at_float = call(np.array([0.3])), call(0.3)
+        assert np.shape(at_once) == np.shape(at_float)
+        np.testing.assert_array_equal(np.asarray(at_once).view(np.uint64),
+                                      np.asarray(at_float).view(np.uint64))

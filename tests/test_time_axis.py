@@ -1,14 +1,17 @@
 """Time as an array axis: an array of times gives the per-time results bit for bit,
 and every public time function rejects a negative or non-finite time.  figure1_series
-adds the packets' p0 as a leading axis with the per-p0 results bit for bit."""
+adds the packets' p0 as a leading axis with the per-p0 results bit for bit, and the
+transport kernel, with the propagate command on it, a leading time axis with the per-time
+propagate_field values and row sums bit for bit."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import wignerflow as wf
-from wignerflow import gaussian, tunneling
+from wignerflow import cli, flow, gaussian, transform, tunneling
 from wignerflow.flow import _scaled_flow
 
 # 0, a tiny time, table knots (0.8, 1.1, 2.6) and a grid out beyond both tables; enough
@@ -193,3 +196,70 @@ def test_a_time_whose_square_overflows_is_a_library_error():
                  lambda t: wf.flow_coefficients(cosine, t)):
         with pytest.raises(wf.NumericalConsistencyError):
             call(np.array([1.0, 1e160]))
+
+
+TRANSPORT_PARAMS = wf.OscillatorParams(-0.6, wf.Cosine(0.2, 0.3, 1.1))
+
+
+@pytest.mark.parametrize("shares", [1, 2])
+@pytest.mark.parametrize("times", [[0.7], [0.0, 0.7, 0.7, 2.3]])  # t = 0 and a repeated time
+@pytest.mark.parametrize("gridded", [False, True])
+def test_transport_on_a_time_axis_equals_per_time_fields(monkeypatch, shares, times, gridded):
+    grid = wf.Grid1D.symmetric(10.0, 41)
+    ps = wf.natural_grid(grid, 1.0)
+    state = packet_state()
+    field = wf.wigner_transform(wf.sample_catalog_state(state, grid), ps)
+    initial = field if gridded else state.wigner
+    times = np.array(times)
+    fields = [wf.propagate_field(initial, TRANSPORT_PARAMS, float(t), ps) for t in times]
+    # one share or two, and room for 5 rows a chunk: every time is cut into 9 chunks
+    monkeypatch.setattr(transform, "_SHARES", shares)
+    monkeypatch.setattr(transform, "_CHUNK_BYTES", 16 * np.getbufsize() + 5 * 128 * ps.shape[1])
+    assert len(transform._row_chunks(ps.shape[0], 128 * ps.shape[1])) == 9
+    coeffs = wf.flow_coefficients(TRANSPORT_PARAMS, times)
+    values, row_sums = flow._evaluate_transported(initial, coeffs, ps.x_grid.nodes(),
+                                                  ps.xi_grid.nodes())
+    assert values.shape == (times.size, *ps.shape) and row_sums.shape == (times.size, ps.shape[0])
+    np.testing.assert_array_equal(bits(values), bits([f.values for f in fields]))
+    np.testing.assert_array_equal(bits(row_sums), bits([f._row_sums for f in fields]))
+
+
+def test_propagate_command_makes_one_flow_call_and_keeps_its_bits(monkeypatch):
+    config = cli.parse_config(json.dumps({
+        "command": "propagate", "state": {"kind": "coherent", "a": 0.2, "p0": -0.3},
+        "gamma": -0.6, "drive": {"kind": "cosine", "lambda": 0.2, "b": 0.3, "Omega": 1.1},
+        "times": [0.0, 0.7, 0.7, 2.3], "grid": {"half_width": 6.0, "count": 33},
+        "xi": {"xi_max": 6.0, "count": 35},
+    }))
+    p = config.params
+    params = wf.OscillatorParams(p["gamma"], wf.Cosine(0.2, 0.3, 1.1))
+    ps = wf.PhaseSpaceGrid(wf.Grid1D.from_span(**p["grid"]), wf.symmetric_xi_grid(**p["xi"]))
+    state = wf.CoherentGaussian(0.2, -0.3)
+    reference = [wf.propagate_field(state.wigner, params, t, ps).values for t in p["times"]]
+
+    calls = {"flow": [], "transport": [], "fields": 0, "stacks": 0}
+    scaled_flow, transported, stack = flow._scaled_flow, flow._evaluate_transported, np.stack
+
+    def counted_flow(params, t):
+        calls["flow"].append(np.shape(t))
+        return scaled_flow(params, t)
+
+    def counted_transport(initial, coeffs, x, xi):
+        calls["transport"].append(np.shape(coeffs.t))
+        return transported(initial, coeffs, x, xi)
+
+    def no_field(self, row_sums):
+        calls["fields"] += 1
+
+    def counted_stack(*args, **kwargs):
+        calls["stacks"] += 1
+        return stack(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_scaled_flow", counted_flow)
+    monkeypatch.setattr(flow, "_evaluate_transported", counted_transport)
+    monkeypatch.setattr(transform.WignerField, "__post_init__", no_field)
+    monkeypatch.setattr(np, "stack", counted_stack)
+    table, _ = cli.compute(config)
+    assert calls == {"flow": [(4,)], "transport": [(4,)], "fields": 0, "stacks": 0}
+    np.testing.assert_array_equal(bits(table.flat(table.columns[3])), bits(reference).ravel())
+    np.testing.assert_array_equal(table.flat(table.columns[0]), np.repeat(p["times"], 33 * 35))
