@@ -10,6 +10,7 @@ precondition failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -664,7 +665,8 @@ def _plot_companion_text(table: CsvTable, config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wignerflow",
         description="Phase-space quantum mechanics: transforms, exact quadratic-potential "
@@ -678,7 +680,11 @@ def main(argv=None) -> int:
         cmd.add_argument("--emit-plot", action="store_true")
         cmd.add_argument("--golden", default=None, metavar="PATH",
                          help="compare the freshly computed table against a golden CSV")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.golden is not None and (args.out is not None or args.emit_plot):

@@ -7,7 +7,7 @@ asserted by the test suite, not tuning knobs.
 from __future__ import annotations
 
 # Discrete transform self-checks.
-IM_TOL = 1e-10          # allowed imaginary residue of the numeric transform
+IM_TOL = 1e-10          # natural-lattice marginal identity (of max|psi|^2); phase invariance
 PARITY_TOL = 1e-8       # even/odd input -> W(-x, xi) = W(x, -xi)
 SCALING_TOL = 1e-8      # W^hbar(x, xi) = W^1(x, xi/hbar)/hbar
 FIELD_TOL = 1e-9        # slack on the sup-norm bound max|W| <= mass/(pi*hbar)

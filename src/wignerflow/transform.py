@@ -165,33 +165,48 @@ def _lag_windows(wave: WaveSample) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(pad, 2 * n - 1)
 
 
-def _direct_sum(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> np.ndarray:
-    """Complex transform values at any xi nodes, before the realness check.
+def _lag_products(windows: np.ndarray, sl: slice) -> np.ndarray:
+    """conj nu[k, j] = conj psi(x_k + j d) psi(x_k - j d) of rows k in sl and lags j >= 0, up to
+    the last on-grid lag of the chunk's row nearest the middle: nu[k, j] = 0 past min(k, n-1-k)."""
+    n = windows.shape[0]
+    mid = max(sl.start, min(sl.stop - 1, (n - 1) // 2))
+    reach = 1 + min(mid, n - 1 - mid)
+    products = np.conjugate(windows[sl, n - 1 : n - 1 + reach])
+    products *= windows[sl, n - 1 :: -1][:, :reach]
+    return products
 
-    nu[k, j] = psi(x_k + j d) conj(psi(x_k - j d)) is a lag window times its
-    reversed conjugate, summed against the kernel e^{-i j dy xi}.  The kernel is formed
-    from its rows j >= 0 alone, as cos(theta) - i sin(theta) of theta = j dy xi, which is
-    the complex exp of real part 0; lag -j has exactly the angles -theta, so its row is
-    their conjugate.
-    """
+
+def _direct_sum(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> np.ndarray:
+    """Real transform values at any xi nodes.  nu[k, -j] = conj(nu[k, j]), so the sum over all
+    lags is nu_0 + 2 sum_{j > 0} (Re nu_j cos(theta) + Im nu_j sin(theta)), theta = j dy xi: real
+    products of the (Re, Im) pairs of conj nu with kernel rows (2 cos, -2 sin), (1, 0) at j = 0,
+    over descending lags, so that the small far terms are summed first."""
     n = wave.grid.count
-    m = 2 * n - 1
+    m = ps_grid.xi_grid.count
+    h = 1 + (n - 1) // 2  # lags 0..(n-1)//2, the most any row has on the grid
     dy = 2.0 * wave.grid.step / wave.hbar
     windows = _lag_windows(wave)
-    m_out = ps_grid.xi_grid.count
-    theta = np.outer(np.arange(n) * dy, ps_grid.xi_grid.nodes())
-    kernel = np.empty((m, m_out), dtype=complex)  # rows j = -(n-1)..(n-1)
-    np.cos(theta, out=kernel.real[n - 1 :])
-    np.negative(np.sin(theta, out=theta), out=kernel.imag[n - 1 :])
-    np.conjugate(kernel[: n - 1 : -1], out=kernel[: n - 1])
+    # OpenBLAS's bits depend on its thread count in a partial 8-column tile and where it splits
+    # a sum of over 384 terms: the kernel has whole tiles, and a product sums at most 192 lags
+    width = -(-m // 8) * 8
+    kernel = np.zeros((h, 2, width))  # row h - 1 - j: cos, sin at lag j
+    theta = kernel[:, 1, :m]
+    np.multiply.outer(np.arange(h - 1, -1, -1) * dy, ps_grid.xi_grid.nodes(), out=theta)
+    np.cos(theta, out=kernel[:, 0, :m])
+    np.sin(theta, out=theta)
+    kernel[:-1] *= np.array([[2.0], [-2.0]])
 
-    out = np.empty(ps_grid.shape, dtype=complex)
-    # sequential: the zgemm chunk shapes decide the bits, and OpenBLAS threads each product
-    for sl in _row_chunks(n, 16 * max(m, m_out)):
-        win = windows[sl]
-        nu = win * np.conj(win[:, ::-1])
-        np.matmul(nu, kernel, out=out[sl])
-        out[sl] *= dy / (2.0 * math.pi)
+    out = np.empty(ps_grid.shape)
+    # sequential: the dgemm shapes decide the bits, and OpenBLAS threads each product.  Per row:
+    # the lag products, their reversed copy, a product and the sum; fixed: the zero padding
+    for sl in _row_chunks(n, 32 * h + 16 * width, fixed_bytes=16 * (3 * n - 2)):
+        products = _lag_products(windows, sl)
+        pairs = np.ascontiguousarray(products[:, ::-1]).view(float)  # lags reach - 1 .. 0
+        rows = kernel[h - products.shape[1] :].reshape(pairs.shape[1], width)
+        total = pairs[:, :384] @ rows[:384]
+        for k in range(384, pairs.shape[1], 384):
+            total += pairs[:, k : k + 384] @ rows[k : k + 384]
+        np.multiply(total[:, :m], dy / (2.0 * math.pi), out=out[sl])
     return out
 
 
@@ -202,9 +217,8 @@ def _half_spectrum(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> tuple[np.ndarra
     nu[k, -j] = conj(nu[k, j]), so with xi_l = (l - c) dxi, c = (M - 1)/2 and
     dxi dy = 2 pi/M, row k is the Hermitian FFT of a_j = nu[k, j] e^{2 pi i j c/M}:
     hfft(a, M)[l] = irfft(conj(a), M, norm="forward")[l], written in place into the output.
-    nu[k, j] is 0 past the grid edge, j > min(k, n - 1 - k), so a chunk's products stop at its
-    last on-grid lag and irfft's own zero padding stands for the rest.  Each chunk's rows are
-    summed while they are in cache.
+    A chunk's products stop at its last on-grid lag, and irfft's own zero padding stands for
+    the rest.  Each chunk's rows are summed while they are in cache.
     """
     n = wave.grid.count
     m = ps_grid.xi_grid.count
@@ -218,11 +232,8 @@ def _half_spectrum(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> tuple[np.ndarra
     row_sums = np.empty(n)
 
     def work(sl):
-        mid = max(sl.start, min(sl.stop - 1, (n - 1) // 2))  # the chunk's row nearest the middle
-        reach = 1 + min(mid, n - 1 - mid)  # lags j < reach: up to its last on-grid one
-        conj_a = np.conjugate(windows[sl, n - 1 : n - 1 + reach])  # conj psi(x_k + j d)
-        conj_a *= windows[sl, n - 1 :: -1][:, :reach]  # times psi(x_k - j d)
-        conj_a *= weights[:reach]
+        conj_a = _lag_products(windows, sl)
+        conj_a *= weights[: conj_a.shape[1]]
         np.fft.irfft(conj_a, n=m, axis=1, norm="forward", out=out[sl])
         np.sum(out[sl], axis=1, out=row_sums[sl])
 
@@ -236,15 +247,13 @@ def _half_spectrum(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> tuple[np.ndarra
 def wigner_transform(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> WignerField:
     """Discrete Wigner transform of a sampled pure state.
 
-    The output x-grid must coincide with the wave's grid.  When the xi grid is a natural
-    conjugate lattice the inner sum is a Hermitian FFT of the j >= 0 lag products, real by
-    construction.  Its runtime guard is the exact lattice identity position_marginal = |psi|^2
-    within IM_TOL (relative to max|psi|^2).  The xi-sum only sees the j = 0 lag, so the guard
-    catches normalisation and zero-lag faults but not faults in the j >= 1 terms; the tests pin
-    those against a full-lag complex FFT.  Otherwise the discrete sum is evaluated exactly at
-    the requested frequencies; the result is real by symmetry of the summand, and the
-    floating-point imaginary residue is checked against IM_TOL (relative to the field peak when
-    that exceeds unity) and dropped.  Either path raises NumericalConsistencyError where the
+    The output x-grid must coincide with the wave's grid.  Both paths sum the j >= 0 lag
+    products alone, since nu[k, -j] = conj(nu[k, j]), so the field is real by construction; the
+    tests pin each against a sum over all lags.  On a natural conjugate xi lattice the inner
+    sum is a Hermitian FFT, guarded at runtime by the exact lattice identity
+    position_marginal = |psi|^2 within IM_TOL (relative to max|psi|^2), which only sees the
+    j = 0 lag.  Otherwise it is evaluated exactly at the requested frequencies, as a real
+    product with a cos and sin kernel.  Either path raises NumericalConsistencyError where the
     field leaves the double range.
     """
     _check_sample(wave, ps_grid)
@@ -253,10 +262,7 @@ def wigner_transform(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> WignerField:
         if natural:
             values, row_sums = _half_spectrum(wave, ps_grid)
         else:
-            spectrum = _direct_sum(wave, ps_grid)
-            values = np.ascontiguousarray(spectrum.real)
-            # max propagates a nan, which would pass the residue bound below
-            residue = finite_result("the transform", float(np.max(np.abs(spectrum.imag))))
+            values = _direct_sum(wave, ps_grid)
             row_sums = values.sum(axis=1)
         # the row sums are checked here and kept by the field
         marginal = finite_result("the transform", ps_grid.xi_grid.step * row_sums)
@@ -267,12 +273,6 @@ def wigner_transform(wave: WaveSample, ps_grid: PhaseSpaceGrid) -> WignerField:
             raise NumericalConsistencyError(
                 f"position marginal misses |psi|^2 by {gap:.3e} (limit {tol.IM_TOL:.1e} "
                 "of max|psi|^2)"
-            )
-    else:
-        peak = float(np.max(np.abs(values)))
-        if residue > tol.IM_TOL * max(1.0, peak):
-            raise NumericalConsistencyError(
-                f"imaginary residue {residue:.3e} exceeds {tol.IM_TOL:.1e}"
             )
     return WignerField(ps_grid, values, wave.hbar, row_sums)
 

@@ -1,5 +1,6 @@
 """CLI: config parsing, CSV output, golden comparison, determinism."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -583,7 +584,7 @@ FULL_SIZE = {
             "command": "transform", "hbar": 1.0, "state": {"kind": "coherent", "a": 0.2, "p0": -0.3},
             "grid": {"x_min": -8.3, "x_max": 8.7, "count": 257}, "xi": {"xi_max": 6.0, "count": 525},
         },
-        "217f61017a1dd3dc54ef288466c8430bc1f6c7f0538c66316ae7705f21a10df3",
+        "924218ac1bf0d4059f0147f13dffa766c2af49dffeb6b9fbc93f233955216bc6",
     ),
     "propagate": (
         {
@@ -985,6 +986,29 @@ def test_main_exit_codes(tmp_path):
     text[3] = ",".join(cells)
     golden.write_text("\n".join(text) + "\n")
     assert cli.main(["tunnel", "--config", str(cfg_path), "--golden", str(golden)]) == 1
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    # the parser and its subparsers are built on the first call; later calls reuse them
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TUNNEL_CFG, "t_steps": 10}))
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    for argv in (["tunnel", "--config", str(cfg_path)], ["eigen", "--config", str(cfg_path)],
+                 ["tunnel", "--config", str(tmp_path / "nope.json")]):
+        cli.main(argv)
+    assert built.count("wignerflow") == 1
+    assert len(built) == 1 + len(cli.COMMANDS)  # and one subparser per command
+    with pytest.raises(SystemExit):
+        cli.main(["no-such-command"])
+    assert len(built) == 1 + len(cli.COMMANDS)
 
 
 PLOT_GUIDES = {
